@@ -21,7 +21,6 @@ from .dynamics import (
     activation_probability,
     activity_statistics,
     default_checkpoints,
-    event_intensities,
     process_probabilities,
     run_cascades,
     run_cascades_parallel,

@@ -7,11 +7,14 @@ Design rules, enforced here rather than per command:
 * options may come from a flat key=value config file (``--config``);
   command-line flags override file values, and environment variables are
   never consulted;
+* every command is one entry of ``_COMMANDS``: its options, required
+  options and handler.  Handlers only compute and write artifacts;
 * every run writes ``manifest.json`` recording the tool version, the
-  effective semantic options, input file hashes, and output names.  The
-  output directory and worker count are execution details and stay out of
-  the manifest, so re-running a manifest into a fresh directory -- at any
-  ``--jobs`` -- reproduces every artifact byte for byte;
+  effective semantic options, input file hashes, and output names, all
+  derived from the parsed options.  The output directory and worker count
+  are execution details and stay out of the manifest, so re-running a
+  manifest into a fresh directory -- at any ``--jobs`` -- reproduces every
+  artifact byte for byte;
 * exit codes: 0 success, 1 usage/config error, 2 data validation error,
   3 numerical failure.
 """
@@ -21,6 +24,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,22 +52,18 @@ from .validation import (
 
 _EXPERIMENTS = ("recovery", "forward", "network-effect", "sensitivity")
 
+# Options that are execution details rather than semantics: kept out of the
+# manifest's config so reruns into another directory, at any --jobs, match.
+_EXECUTION = ("command", "config", "out", "jobs")
+# Options naming input files; the manifest records each one set with its hash.
+_INPUT_ROLES = ("risks", "pairs", "history", "params_file")
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports bad usage through the exit-code machinery."""
 
     def error(self, message):
         raise UsageError(message)
-
-
-# dest -> (converter, allowed values) for config-file options, per subcommand
-_CONVERTERS: dict[str, dict[str, tuple]] = {}
-
-
-def _arg(parser: _Parser, command: str, *flags, conv=str, **kwargs):
-    action = parser.add_argument(*flags, **kwargs)
-    _CONVERTERS.setdefault(command, {})[action.dest] = (conv, action.choices)
-    return action
 
 
 def _int_ge0(text: str) -> int:
@@ -73,33 +73,50 @@ def _int_ge0(text: str) -> int:
     return value
 
 
-def _add_network_opts(p: _Parser, command: str) -> None:
-    _arg(p, command, "--risks", help="risk catalog CSV (id,numeric_code,name,category,likelihood)")
-    _arg(p, command, "--pairs", help="expert pair-count CSV (risk_a,risk_b,count)")
-    _arg(p, command, "--scale", conv=float, type=float,
-         help="survey scale maximum for likelihood normalization; omit if the likelihood column is already in (0,1)")
-    _arg(p, command, "--epsilon", conv=float, type=float, default=0.5,
-         help="offset in the likelihood normalization denominator (default 0.5)")
-    _arg(p, command, "--year", default="", help="snapshot label stored on the network")
+def _params(text: str) -> tuple[float, float, float]:
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError("must be 'alpha,beta,gamma'")
+    return tuple(float(p) for p in parts)
 
 
-def _add_common_opts(p: _Parser, command: str) -> None:
-    _arg(p, command, "--config", help="flat key=value option file; flags override it")
-    _arg(p, command, "--out", help="output directory (created if missing; required)")
+def _checkpoints(text: str) -> tuple[int, ...]:
+    return tuple(int(c) for c in text.split(","))
 
 
-def _add_params_opts(p: _Parser, command: str) -> None:
-    _arg(p, command, "--params", help="model parameters as 'alpha,beta,gamma'")
-    _arg(p, command, "--params-file", help="JSON file with alpha/beta/gamma keys (e.g. a fit.json)")
+# Option groups: (flag, add_argument keywords) pairs, shared between commands.
+_COMMON = (
+    ("--config", dict(help="flat key=value option file; flags override it")),
+    ("--out", dict(help="output directory (created if missing; required)")),
+)
+_NETWORK = (
+    ("--risks", dict(help="risk catalog CSV (id,numeric_code,name,category,likelihood)")),
+    ("--pairs", dict(help="expert pair-count CSV (risk_a,risk_b,count)")),
+    ("--scale", dict(type=float, help="survey scale maximum for likelihood normalization; "
+                                      "omit if the likelihood column is already in (0,1)")),
+    ("--epsilon", dict(type=float, default=0.5,
+                       help="offset in the likelihood normalization denominator (default 0.5)")),
+    ("--year", dict(default="", help="snapshot label stored on the network")),
+)
+_PARAMS = (
+    ("--params", dict(type=_params, help="model parameters as 'alpha,beta,gamma'")),
+    ("--params-file", dict(help="JSON file with alpha/beta/gamma keys (e.g. a fit.json)")),
+)
+_FIT = (
+    ("--grid-points", dict(type=int, default=10,
+                           help="grid resolution per axis for the coarse search (default 10)")),
+    ("--top-k", dict(type=int, default=5,
+                     help="number of grid cells refined by the simplex (default 5)")),
+    ("--fix-beta", dict(type=float, help="pin the coupling parameter and fit the rest")),
+)
+_SEED = ("--seed", dict(type=_int_ge0, help="master RNG seed (required)"))
 
 
-def _add_fit_opts(p: _Parser, command: str) -> None:
-    _arg(p, command, "--grid-points", conv=int, type=int, default=10,
-         help="grid resolution per axis for the coarse search (default 10)")
-    _arg(p, command, "--top-k", conv=int, type=int, default=5,
-         help="number of grid cells refined by the simplex (default 5)")
-    _arg(p, command, "--fix-beta", conv=float, type=float,
-         help="pin the coupling parameter and fit the rest")
+class _Command(NamedTuple):
+    help: str
+    options: tuple  # option groups, in --help order
+    required: tuple[str, ...]  # dests that must be set by a flag or the config file
+    handler: Callable  # (args, out) -> names of the artifacts it wrote
 
 
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
@@ -107,118 +124,22 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser.add_argument("--version", action="version", version=f"carpnet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     commands: dict[str, _Parser] = {}
-
-    p = commands["fit"] = sub.add_parser(
-        "fit", help="maximum-likelihood parameters from a history")
-    _add_common_opts(p, "fit")
-    _add_network_opts(p, "fit")
-    _arg(p, "fit", "--history", help="state history CSV (long or wide form)")
-    _add_fit_opts(p, "fit")
-
-    p = commands["simulate"] = sub.add_parser(
-        "simulate", help="Monte Carlo cascade trajectories")
-    _add_common_opts(p, "simulate")
-    _add_network_opts(p, "simulate")
-    _add_params_opts(p, "simulate")
-    _arg(p, "simulate", "--history", help="history CSV (needed for --initial history-last)")
-    _arg(p, "simulate", "--seed", conv=_int_ge0, type=_int_ge0, help="master RNG seed (required)")
-    _arg(p, "simulate", "--runs", conv=int, type=int, default=1000, help="number of runs (default 1000)")
-    _arg(p, "simulate", "--horizon", conv=int, type=int, default=10000,
-         help="months to simulate (default 10000)")
-    _arg(p, "simulate", "--initial", default="passive",
-         choices=("passive", "active", "history-last"),
-         help="initial state (default passive)")
-    _arg(p, "simulate", "--checkpoints",
-         help="comma-separated output times (default: powers of 10 plus the horizon)")
-    _arg(p, "simulate", "--jobs", conv=int, type=int, default=1,
-         help="worker processes; any value produces identical output (default 1)")
-
-    p = commands["steady-state"] = sub.add_parser(
-        "steady-state", help="mean-field fixed point of the dynamics")
-    _add_common_opts(p, "steady-state")
-    _add_network_opts(p, "steady-state")
-    _add_params_opts(p, "steady-state")
-    _arg(p, "steady-state", "--tol", conv=float, type=float, default=1e-12,
-         help="sup-norm convergence tolerance (default 1e-12)")
-    _arg(p, "steady-state", "--max-iter", conv=int, type=int, default=1_000_000,
-         help="iteration budget (default 1e6)")
-
-    p = commands["validate"] = sub.add_parser(
-        "validate", help="recovery / forward / network-effect / sensitivity experiments")
-    _add_common_opts(p, "validate")
-    _add_network_opts(p, "validate")
-    _add_params_opts(p, "validate")
-    _arg(p, "validate", "--experiment", choices=_EXPERIMENTS, help="which experiment to run")
-    _arg(p, "validate", "--history", help="state history CSV")
-    _arg(p, "validate", "--seed", conv=_int_ge0, type=_int_ge0, help="master RNG seed (required)")
-    _arg(p, "validate", "--replicates", conv=int, type=int, default=125,
-         help="recovery replicates (default 125)")
-    _arg(p, "validate", "--months", conv=int, type=int, default=12,
-         help="forward window length (default 12)")
-    _arg(p, "validate", "--runs", conv=int, type=int, default=100,
-         help="runs per ensemble (default 100)")
-    _arg(p, "validate", "--perturbation", conv=float, type=float, default=0.1,
-         help="sensitivity perturbation size (default 0.1)")
-    _arg(p, "validate", "--jobs", conv=int, type=int, default=1,
-         help="accepted for symmetry; experiments are already deterministic reductions")
-
-    p = commands["influence"] = sub.add_parser(
-        "influence", help="risk-on-risk and category influence matrices")
-    _add_common_opts(p, "influence")
-    _add_network_opts(p, "influence")
-    _add_params_opts(p, "influence")
-    _arg(p, "influence", "--method", default="disable", choices=("disable", "delete"),
-         help="counterfactual: zero the likelihood or delete the node (default disable)")
-    _arg(p, "influence", "--aggregate", default="sum", choices=("sum", "mean"),
-         help="category aggregation (default sum)")
-    _arg(p, "influence", "--kappa", conv=float, type=float, default=99.0,
-         help="log display compression (default 99)")
-
-    p = commands["stats"] = sub.add_parser(
-        "stats", help="structural statistics of the network")
-    _add_common_opts(p, "stats")
-    _add_network_opts(p, "stats")
-
-    p = commands["pipeline"] = sub.add_parser(
-        "pipeline", help="fit, steady state, and influence in one run")
-    _add_common_opts(p, "pipeline")
-    _add_network_opts(p, "pipeline")
-    _arg(p, "pipeline", "--history", help="state history CSV")
-    _add_fit_opts(p, "pipeline")
-    _arg(p, "pipeline", "--method", default="disable", choices=("disable", "delete"))
-    _arg(p, "pipeline", "--aggregate", default="sum", choices=("sum", "mean"))
-    _arg(p, "pipeline", "--kappa", conv=float, type=float, default=99.0)
-
+    for name, command in _COMMANDS.items():
+        p = commands[name] = sub.add_parser(name, help=command.help)
+        for group in command.options:
+            for flag, kwargs in group:
+                p.add_argument(flag, **kwargs)
     return parser, commands
 
 
-def _peek_config(argv) -> tuple[str | None, str | None]:
-    """Extract (command, config path) without a full parse."""
-    command = None
-    config = None
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if command is None and not tok.startswith("-"):
-            command = tok
-        if tok == "--config":
-            if i + 1 < len(argv):
-                config = argv[i + 1]
-                i += 1
-        elif tok.startswith("--config="):
-            config = tok.split("=", 1)[1]
-        i += 1
-    return command, config
-
-
-def _load_config(command: str, path: str) -> dict:
+def _load_config(parser: _Parser, command: str, path: str) -> dict:
     """Parse a flat ``key = value`` file into typed option defaults.
 
     One option per line; blank lines and ``#`` comments ignored; keys are
     long option names with ``-`` or ``_``.  Values get the same conversion
-    as the matching flag.
+    and choices as the matching flag.
     """
-    converters = _CONVERTERS.get(command, {})
+    actions = {action.dest: action for action in parser._actions if action.dest != "help"}
     values: dict = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -232,27 +153,27 @@ def _load_config(command: str, path: str) -> dict:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
         dest = key.replace("-", "_")
-        if dest in ("config",):
+        if dest == "config":
             raise UsageError(f"{path}:{lineno}: config files cannot nest")
-        if dest not in converters:
+        if dest not in actions:
             raise UsageError(f"{path}:{lineno}: unknown option {key!r} for command {command!r}")
-        conv, choices = converters[dest]
+        action = actions[dest]
         try:
-            value = conv(raw)
-        except ValueError as exc:
+            value = action.type(raw) if action.type else raw
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
-        if choices is not None and value not in choices:
+        if action.choices is not None and value not in action.choices:
             raise UsageError(
                 f"{path}:{lineno}: {key!r} got {value!r}, "
-                f"must be one of {', '.join(map(str, choices))}"
+                f"must be one of {', '.join(map(str, action.choices))}"
             )
         values[dest] = value
     return values
 
 
-def _require(args, command: str, *dests: str) -> None:
+def _require(args, command: str, dests) -> None:
     for dest in dests:
-        if getattr(args, dest, None) is None:
+        if getattr(args, dest) is None:
             flag = "--" + dest.replace("_", "-")
             raise UsageError(f"{command} requires {flag} (flag or config file)")
 
@@ -282,14 +203,7 @@ def _parse_params(args, network, history, *, allow_fit=False, fit_config=None):
     if args.params is not None and args.params_file is not None:
         raise UsageError("give either --params or --params-file, not both")
     if args.params is not None:
-        parts = args.params.split(",")
-        if len(parts) != 3:
-            raise UsageError("--params must be 'alpha,beta,gamma'")
-        try:
-            a, b, g = (float(p) for p in parts)
-        except ValueError as exc:
-            raise UsageError(f"bad --params value: {exc}") from None
-        return ModelParams(a, b, g), "given"
+        return ModelParams(*args.params), "given"
     if args.params_file is not None:
         try:
             payload = json.loads(Path(args.params_file).read_text(encoding="utf-8"))
@@ -313,24 +227,6 @@ def _parse_params(args, network, history, *, allow_fit=False, fit_config=None):
 
 def _params_dict(params: ModelParams) -> dict:
     return {"alpha": params.alpha, "beta": params.beta, "gamma": params.gamma}
-
-
-def _params_config(args) -> dict:
-    if args.params is not None:
-        return {"params": [float(p) for p in args.params.split(",")]}
-    if args.params_file is not None:
-        return {"params_file": args.params_file}
-    return {}
-
-
-def _network_config(args) -> dict:
-    return {
-        "risks": args.risks,
-        "pairs": args.pairs,
-        "scale": args.scale,
-        "epsilon": args.epsilon,
-        "year": args.year,
-    }
 
 
 def _fit_config_from(args) -> FitConfig:
@@ -406,29 +302,19 @@ def _influence_artifacts(out: Path, network, params, method, aggregate, kappa) -
     return ["influence.csv", "category_influence.csv", "influence.json"]
 
 
-def _cmd_fit(args, out: Path):
-    _require(args, "fit", "risks", "pairs", "history")
+def _cmd_fit(args, out: Path) -> list[str]:
     network = _load_net(args)
     history = _load_hist(args, network)
     result = fit(history, network, _fit_config_from(args))
     write_json(out / "fit.json", _fit_json(result))
-    config = {
-        **_network_config(args),
-        "history": args.history,
-        "grid_points": args.grid_points,
-        "top_k": args.top_k,
-        "fix_beta": args.fix_beta,
-    }
-    inputs = {"risks": args.risks, "pairs": args.pairs, "history": args.history}
-    return config, inputs, ["fit.json"], None
+    return ["fit.json"]
 
 
-def _cmd_simulate(args, out: Path):
-    _require(args, "simulate", "risks", "pairs", "seed")
+def _cmd_simulate(args, out: Path) -> list[str]:
     network = _load_net(args)
     history = None
     if args.initial == "history-last":
-        _require(args, "simulate", "history")
+        _require(args, "simulate", ("history",))
     if args.history is not None:
         history = _load_hist(args, network)
     params, _ = _parse_params(args, network, history)
@@ -441,17 +327,12 @@ def _cmd_simulate(args, out: Path):
     else:
         initial = history.states[:, -1].astype(bool)
 
-    if args.checkpoints is not None:
-        try:
-            checkpoints = tuple(int(c) for c in args.checkpoints.split(","))
-        except ValueError as exc:
-            raise UsageError(f"bad --checkpoints: {exc}") from None
-    else:
-        checkpoints = default_checkpoints(args.horizon)
+    if args.checkpoints is None:  # the manifest records the resolved times
+        args.checkpoints = default_checkpoints(args.horizon)
 
     batch = run_cascades_parallel(
         network, network.likelihoods, params, initial, args.horizon,
-        args.seed, range(args.runs), jobs=args.jobs, checkpoints=checkpoints,
+        args.seed, range(args.runs), jobs=args.jobs, checkpoints=args.checkpoints,
     )
     traj = trajectory_from_batch(batch)
     stats = statistics_from_batch(batch)
@@ -473,45 +354,17 @@ def _cmd_simulate(args, out: Path):
             for i in range(R)
         ),
     )
-
-    config = {
-        **_network_config(args),
-        **_params_config(args),
-        "history": args.history,
-        "initial": args.initial,
-        "runs": args.runs,
-        "horizon": args.horizon,
-        "checkpoints": list(checkpoints),
-        "seed": args.seed,
-    }
-    inputs = {"risks": args.risks, "pairs": args.pairs}
-    if args.history is not None:
-        inputs["history"] = args.history
-    if args.params_file is not None:
-        inputs["params_file"] = args.params_file
-    return config, inputs, ["trajectory.csv", "statistics.csv"], args.seed
+    return ["trajectory.csv", "statistics.csv"]
 
 
-def _cmd_steady_state(args, out: Path):
-    _require(args, "steady-state", "risks", "pairs")
+def _cmd_steady_state(args, out: Path) -> list[str]:
     network = _load_net(args)
     params, _ = _parse_params(args, network, None)
     steady = solve_steady_state(params, network, tol=args.tol, max_iter=args.max_iter)
-    outputs = _steady_artifacts(out, network, steady)
-    config = {
-        **_network_config(args),
-        **_params_config(args),
-        "tol": args.tol,
-        "max_iter": args.max_iter,
-    }
-    inputs = {"risks": args.risks, "pairs": args.pairs}
-    if args.params_file is not None:
-        inputs["params_file"] = args.params_file
-    return config, inputs, outputs, None
+    return _steady_artifacts(out, network, steady)
 
 
-def _cmd_stats(args, out: Path):
-    _require(args, "stats", "risks", "pairs")
+def _cmd_stats(args, out: Path) -> list[str]:
     network = _load_net(args)
     props = compute_properties(network)
     write_json(out / "network_stats.json", {
@@ -528,31 +381,16 @@ def _cmd_stats(args, out: Path):
         "n_components": props.n_components,
         "largest_component_size": props.largest_component_size,
     })
-    config = _network_config(args)
-    inputs = {"risks": args.risks, "pairs": args.pairs}
-    return config, inputs, ["network_stats.json"], None
+    return ["network_stats.json"]
 
 
-def _cmd_influence(args, out: Path):
-    _require(args, "influence", "risks", "pairs")
+def _cmd_influence(args, out: Path) -> list[str]:
     network = _load_net(args)
     params, _ = _parse_params(args, network, None)
-    outputs = _influence_artifacts(out, network, params, args.method, args.aggregate, args.kappa)
-    config = {
-        **_network_config(args),
-        **_params_config(args),
-        "method": args.method,
-        "aggregate": args.aggregate,
-        "kappa": args.kappa,
-    }
-    inputs = {"risks": args.risks, "pairs": args.pairs}
-    if args.params_file is not None:
-        inputs["params_file"] = args.params_file
-    return config, inputs, outputs, None
+    return _influence_artifacts(out, network, params, args.method, args.aggregate, args.kappa)
 
 
-def _cmd_pipeline(args, out: Path):
-    _require(args, "pipeline", "risks", "pairs", "history")
+def _cmd_pipeline(args, out: Path) -> list[str]:
     network = _load_net(args)
     history = _load_hist(args, network)
     result = fit(history, network, _fit_config_from(args))
@@ -563,18 +401,7 @@ def _cmd_pipeline(args, out: Path):
     outputs += _influence_artifacts(
         out, network, result.params, args.method, args.aggregate, args.kappa
     )
-    config = {
-        **_network_config(args),
-        "history": args.history,
-        "grid_points": args.grid_points,
-        "top_k": args.top_k,
-        "fix_beta": args.fix_beta,
-        "method": args.method,
-        "aggregate": args.aggregate,
-        "kappa": args.kappa,
-    }
-    inputs = {"risks": args.risks, "pairs": args.pairs, "history": args.history}
-    return config, inputs, outputs, None
+    return outputs
 
 
 def _fractions_dict(fr) -> dict:
@@ -589,8 +416,7 @@ def _fractions_dict(fr) -> dict:
     }
 
 
-def _cmd_validate(args, out: Path):
-    _require(args, "validate", "risks", "pairs", "history", "seed", "experiment")
+def _cmd_validate(args, out: Path) -> list[str]:
     network = _load_net(args)
     history = _load_hist(args, network)
     params, source = _parse_params(args, network, history, allow_fit=True)
@@ -750,55 +576,127 @@ def _cmd_validate(args, out: Path):
             ),
         )
         outputs = ["sensitivity.json", "sensitivity.csv"]
-
-    config = {
-        **_network_config(args),
-        **_params_config(args),
-        "experiment": experiment,
-        "history": args.history,
-        "seed": args.seed,
-        "replicates": args.replicates,
-        "months": args.months,
-        "runs": args.runs,
-        "perturbation": args.perturbation,
-    }
-    inputs = {"risks": args.risks, "pairs": args.pairs, "history": args.history}
-    if args.params_file is not None:
-        inputs["params_file"] = args.params_file
-    return config, inputs, outputs, args.seed
+    return outputs
 
 
-_HANDLERS = {
-    "fit": _cmd_fit,
-    "simulate": _cmd_simulate,
-    "steady-state": _cmd_steady_state,
-    "validate": _cmd_validate,
-    "influence": _cmd_influence,
-    "stats": _cmd_stats,
-    "pipeline": _cmd_pipeline,
+_COMMANDS = {
+    "fit": _Command(
+        "maximum-likelihood parameters from a history",
+        (_COMMON, _NETWORK,
+         (("--history", dict(help="state history CSV (long or wide form)")),), _FIT),
+        ("risks", "pairs", "history"),
+        _cmd_fit,
+    ),
+    "simulate": _Command(
+        "Monte Carlo cascade trajectories",
+        (_COMMON, _NETWORK, _PARAMS, (
+            ("--history", dict(help="history CSV (needed for --initial history-last)")),
+            _SEED,
+            ("--runs", dict(type=int, default=1000, help="number of runs (default 1000)")),
+            ("--horizon", dict(type=int, default=10000, help="months to simulate (default 10000)")),
+            ("--initial", dict(default="passive", choices=("passive", "active", "history-last"),
+                               help="initial state (default passive)")),
+            ("--checkpoints", dict(type=_checkpoints, help="comma-separated output times "
+                                                           "(default: powers of 10 plus the horizon)")),
+            ("--jobs", dict(type=int, default=1,
+                            help="worker processes; any value produces identical output (default 1)")),
+        )),
+        ("risks", "pairs", "seed"),
+        _cmd_simulate,
+    ),
+    "steady-state": _Command(
+        "mean-field fixed point of the dynamics",
+        (_COMMON, _NETWORK, _PARAMS, (
+            ("--tol", dict(type=float, default=1e-12,
+                           help="sup-norm convergence tolerance (default 1e-12)")),
+            ("--max-iter", dict(type=int, default=1_000_000, help="iteration budget (default 1e6)")),
+        )),
+        ("risks", "pairs"),
+        _cmd_steady_state,
+    ),
+    "validate": _Command(
+        "recovery / forward / network-effect / sensitivity experiments",
+        (_COMMON, _NETWORK, _PARAMS, (
+            ("--experiment", dict(choices=_EXPERIMENTS, help="which experiment to run")),
+            ("--history", dict(help="state history CSV")),
+            _SEED,
+            ("--replicates", dict(type=int, default=125, help="recovery replicates (default 125)")),
+            ("--months", dict(type=int, default=12, help="forward window length (default 12)")),
+            ("--runs", dict(type=int, default=100, help="runs per ensemble (default 100)")),
+            ("--perturbation", dict(type=float, default=0.1,
+                                    help="sensitivity perturbation size (default 0.1)")),
+            ("--jobs", dict(type=int, default=1, help="accepted for symmetry; experiments "
+                                                      "are already deterministic reductions")),
+        )),
+        ("risks", "pairs", "history", "seed", "experiment"),
+        _cmd_validate,
+    ),
+    "influence": _Command(
+        "risk-on-risk and category influence matrices",
+        (_COMMON, _NETWORK, _PARAMS, (
+            ("--method", dict(default="disable", choices=("disable", "delete"),
+                              help="counterfactual: zero the likelihood or delete the node "
+                                   "(default disable)")),
+            ("--aggregate", dict(default="sum", choices=("sum", "mean"),
+                                 help="category aggregation (default sum)")),
+            ("--kappa", dict(type=float, default=99.0, help="log display compression (default 99)")),
+        )),
+        ("risks", "pairs"),
+        _cmd_influence,
+    ),
+    "stats": _Command(
+        "structural statistics of the network",
+        (_COMMON, _NETWORK),
+        ("risks", "pairs"),
+        _cmd_stats,
+    ),
+    "pipeline": _Command(
+        "fit, steady state, and influence in one run",
+        (_COMMON, _NETWORK, (("--history", dict(help="state history CSV")),), _FIT, (
+            ("--method", dict(default="disable", choices=("disable", "delete"))),
+            ("--aggregate", dict(default="sum", choices=("sum", "mean"))),
+            ("--kappa", dict(type=float, default=99.0)),
+        )),
+        ("risks", "pairs", "history"),
+        _cmd_pipeline,
+    ),
 }
 
 
 def run(argv) -> None:
-    command, config_path = _peek_config(argv)
     parser, commands = build_parser()
-    if config_path is not None and command in commands:
-        commands[command].set_defaults(**_load_config(command, config_path))
     args = parser.parse_args(argv)
+    if args.config is not None:
+        # The file's values become the command's defaults; parsing again
+        # lets the flags override them.
+        subparser = commands[args.command]
+        subparser.set_defaults(**_load_config(subparser, args.command, args.config))
+        args = parser.parse_args(argv)
 
-    if args.out is None:
-        raise UsageError(f"{args.command} requires --out (flag or config file)")
+    command = _COMMANDS[args.command]
+    _require(args, args.command, ("out", *command.required))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot use --out {out}: {exc}") from None
 
-    config, inputs, outputs, seed = _HANDLERS[args.command](args, out)
+    outputs = command.handler(args, out)
+    # The manifest's config is every option of the command but the execution
+    # details; --params and --params-file appear only when set.
+    config = {
+        dest: value for dest, value in vars(args).items()
+        if dest not in _EXECUTION
+        and not (value is None and dest in ("params", "params_file"))
+    }
     write_manifest(
         out,
         command=args.command,
         config=config,
-        inputs=inputs,
+        inputs={role: getattr(args, role) for role in _INPUT_ROLES
+                if getattr(args, role, None) is not None},
         outputs=outputs,
-        seed=seed,
+        seed=getattr(args, "seed", None),
         version=__version__,
     )
 

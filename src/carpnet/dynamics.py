@@ -98,16 +98,6 @@ def process_probabilities(L, params: ModelParams) -> ProcessProbabilities:
     return probs
 
 
-def event_intensities(L, params: ModelParams) -> tuple:
-    """Underlying monthly Poisson intensities ``-{alpha,beta,gamma} * ln(1-L)``."""
-    arr = _check_likelihood(L)
-    log1m = np.log1p(-arr)
-    lam = (-params.alpha * log1m, -params.beta * log1m, -params.gamma * log1m)
-    if np.ndim(L) == 0:
-        return tuple(float(v) for v in lam)
-    return lam
-
-
 @dataclass(frozen=True)
 class NetworkState:
     """Active set at one time step."""
@@ -240,6 +230,7 @@ def run_cascades(
     Run ``r`` draws from the stream ``(master_seed, *rng_path_prefix, r)``
     and its output is a function of that stream alone, so splitting the runs
     across any number of workers reproduces identical results.
+    ``checkpoints`` are distinct steps in ``[1, n_steps]``.
     """
     A = _as_adjacency(network)
     R = A.shape[0]
@@ -269,6 +260,8 @@ def run_cascades(
     checkpoints = tuple(int(c) for c in (checkpoints or ()))
     if any(c < 1 or c > n_steps for c in checkpoints):
         raise DataError(f"checkpoints must lie in [1, {n_steps}], got {checkpoints}")
+    if len(set(checkpoints)) != len(checkpoints):
+        raise DataError(f"checkpoints must be distinct, got {checkpoints}")
     cp_lookup = {c: k for k, c in enumerate(checkpoints)}
     cp_freq = (
         np.zeros((len(checkpoints), n, R), dtype=float) if checkpoints else None

@@ -222,6 +222,20 @@ def test_malformed_params_string(tmp_path):
     assert code == 1
 
 
+def test_duplicate_checkpoints_are_a_data_error(tmp_path):
+    code = run_cli(["simulate", *toy_args("--params", "0.4,0.3,1.2", "--seed", "1",
+                                          "--horizon", "20", "--checkpoints", "10,10,20",
+                                          out=tmp_path / "x")])
+    assert code == 2
+
+
+def test_out_naming_a_file_is_a_usage_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run_cli(["stats", *toy_args(out=taken)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # --- manifest round-trip --------------------------------------------------
 
 def rebuild_argv(manifest, out):
@@ -252,6 +266,122 @@ def test_manifest_round_trip_reproduces_artifacts(tmp_path):
     assert first_files == sorted(p.name for p in second.iterdir())
     for name in first_files:
         assert read(first / name) == read(second / name), name
+
+
+# --- golden manifests -----------------------------------------------------
+# Expected manifest fields, one per command variant, written out by hand so
+# that a dropped, renamed or retyped config key fails here.
+
+HISTORY = str(TOY / "history.csv")
+PARAMS = ("--params", "0.4,0.3,1.2")
+PARAMS_FILE = "<params file>"  # stands for a JSON file written by the test
+NETWORK = {
+    "risks": str(TOY / "risks.csv"), "pairs": str(TOY / "pairs.csv"),
+    "scale": 5.0, "epsilon": 0.5, "year": "",
+}
+FIT_DEFAULTS = {"grid_points": 10, "top_k": 5, "fix_beta": None}
+VALIDATE_ARGS = ("--history", HISTORY, "--seed", "5", "--replicates", "6", "--runs", "20")
+VALIDATE_CONFIG = {
+    **NETWORK, "history": HISTORY, "seed": 5, "replicates": 6, "months": 12,
+    "runs": 20, "perturbation": 0.1,
+}
+
+# name -> (argv after the network flags, seed, config, input roles)
+GOLDEN = {
+    "fit": (
+        ["fit", "--history", HISTORY], None,
+        {**NETWORK, "history": HISTORY, **FIT_DEFAULTS},
+        {"risks", "pairs", "history"},
+    ),
+    "fit-fix-beta": (
+        ["fit", "--history", HISTORY, "--fix-beta", "0.3"], None,
+        {**NETWORK, "history": HISTORY, **FIT_DEFAULTS, "fix_beta": 0.3},
+        {"risks", "pairs", "history"},
+    ),
+    "simulate-params": (
+        ["simulate", *PARAMS, "--seed", "11", "--runs", "20", "--horizon", "120"], 11,
+        {**NETWORK, "params": [0.4, 0.3, 1.2], "history": None, "initial": "passive",
+         "runs": 20, "horizon": 120, "checkpoints": [10, 100, 120], "seed": 11},
+        {"risks", "pairs"},
+    ),
+    "simulate-params-file": (
+        ["simulate", "--params-file", PARAMS_FILE, "--seed", "3", "--runs", "10",
+         "--horizon", "50", "--checkpoints", "5,50"], 3,
+        {**NETWORK, "params_file": PARAMS_FILE, "history": None, "initial": "passive",
+         "runs": 10, "horizon": 50, "checkpoints": [5, 50], "seed": 3},
+        {"risks", "pairs", "params_file"},
+    ),
+    "simulate-history-last": (
+        ["simulate", *PARAMS, "--history", HISTORY, "--initial", "history-last",
+         "--seed", "2", "--runs", "10", "--horizon", "30"], 2,
+        {**NETWORK, "params": [0.4, 0.3, 1.2], "history": HISTORY,
+         "initial": "history-last", "runs": 10, "horizon": 30, "checkpoints": [10, 30],
+         "seed": 2},
+        {"risks", "pairs", "history"},
+    ),
+    "steady-state-params": (
+        ["steady-state", *PARAMS], None,
+        {**NETWORK, "params": [0.4, 0.3, 1.2], "tol": 1e-12, "max_iter": 1_000_000},
+        {"risks", "pairs"},
+    ),
+    "steady-state-params-file": (
+        ["steady-state", "--params-file", PARAMS_FILE, "--tol", "1e-10"], None,
+        {**NETWORK, "params_file": PARAMS_FILE, "tol": 1e-10, "max_iter": 1_000_000},
+        {"risks", "pairs", "params_file"},
+    ),
+    "influence": (
+        ["influence", *PARAMS], None,
+        {**NETWORK, "params": [0.4, 0.3, 1.2], "method": "disable", "aggregate": "sum",
+         "kappa": 99.0},
+        {"risks", "pairs"},
+    ),
+    "influence-delete": (
+        ["influence", "--params-file", PARAMS_FILE, "--method", "delete",
+         "--aggregate", "mean"], None,
+        {**NETWORK, "params_file": PARAMS_FILE, "method": "delete", "aggregate": "mean",
+         "kappa": 99.0},
+        {"risks", "pairs", "params_file"},
+    ),
+    "stats": (["stats"], None, NETWORK, {"risks", "pairs"}),
+    "pipeline": (
+        ["pipeline", "--history", HISTORY], None,
+        {**NETWORK, "history": HISTORY, **FIT_DEFAULTS, "method": "disable",
+         "aggregate": "sum", "kappa": 99.0},
+        {"risks", "pairs", "history"},
+    ),
+    **{
+        f"validate-{experiment}": (
+            ["validate", "--experiment", experiment, *PARAMS, *VALIDATE_ARGS], 5,
+            {**VALIDATE_CONFIG, "experiment": experiment, "params": [0.4, 0.3, 1.2]},
+            {"risks", "pairs", "history"},
+        )
+        for experiment in ("recovery", "forward", "network-effect", "sensitivity")
+    },
+    "validate-fitted-params": (
+        ["validate", "--experiment", "recovery", "--history", HISTORY, "--seed", "5",
+         "--replicates", "4"], 5,
+        {**VALIDATE_CONFIG, "experiment": "recovery", "replicates": 4, "runs": 100},
+        {"risks", "pairs", "history"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_manifest_matches_golden(tmp_path, name):
+    argv, seed, config, roles = GOLDEN[name]
+    params_file = tmp_path / "params.json"
+    params_file.write_text('{"alpha": 0.4, "beta": 0.3, "gamma": 1.2}')
+
+    def resolve(value):
+        return str(params_file) if value == PARAMS_FILE else value
+
+    command, *extra = map(resolve, argv)
+    assert run_cli([command, *toy_args(*extra, out=tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["seed"] == seed
+    assert manifest["config"] == {key: resolve(value) for key, value in config.items()}
+    assert set(manifest["inputs"]) == roles
 
 
 def test_console_script_is_wired(tmp_path):

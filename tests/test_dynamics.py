@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from carpnet import (
+    DataError,
     ModelParams,
     NetworkState,
     activation_probability,
@@ -163,6 +164,13 @@ def test_parallel_workers_change_nothing():
     assert (a.final_active == b.final_active).all()
     assert (a.checkpoint_frequency == b.checkpoint_frequency).all()
     assert (a.active_months == b.active_months).all()
+
+
+def test_duplicate_checkpoints_are_rejected():
+    net = make_network([0.2, 0.3, 0.4], edges=[(0, 1), (1, 2)])
+    with pytest.raises(DataError, match="distinct"):
+        run_cascades(net, net.likelihoods, ModelParams(0.3, 0.3, 1.0), np.zeros(3, bool),
+                     20, 1, range(2), checkpoints=(10, 10, 20))
 
 
 def test_default_checkpoints_are_decades_plus_horizon():
