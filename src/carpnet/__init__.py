@@ -14,19 +14,14 @@ from .dynamics import (
     ActivityStatistics,
     CascadeBatch,
     ModelParams,
-    NetworkState,
     ProcessProbabilities,
     Trajectory,
-    TransitionCause,
-    activation_probability,
-    activity_statistics,
     default_checkpoints,
     process_probabilities,
     run_cascades,
     run_cascades_parallel,
     simulate_trajectory,
     statistics_from_batch,
-    step,
     trajectory_from_batch,
 )
 from .errors import (
@@ -53,7 +48,6 @@ from .likelihood import (
     TransitionSummary,
     fit,
     log_likelihood,
-    transition_log_prob,
 )
 from .risks import (
     CATEGORIES,

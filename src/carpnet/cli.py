@@ -66,10 +66,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_ge0(text: str) -> int:
+def _seed(text: str) -> int:
     value = int(text)
-    if value < 0:
-        raise ValueError("must be non-negative")
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must lie in [0, 2**64), got {text}")
     return value
 
 
@@ -109,7 +109,7 @@ _FIT = (
                      help="number of grid cells refined by the simplex (default 5)")),
     ("--fix-beta", dict(type=float, help="pin the coupling parameter and fit the rest")),
 )
-_SEED = ("--seed", dict(type=_int_ge0, help="master RNG seed (required)"))
+_SEED = ("--seed", dict(type=_seed, help="master RNG seed (required)"))
 
 
 class _Command(NamedTuple):
@@ -265,8 +265,8 @@ def _steady_artifacts(out: Path, network, steady) -> list[str]:
     return ["steady_state.csv", "convergence.json"]
 
 
-def _influence_artifacts(out: Path, network, params, method, aggregate, kappa) -> list[str]:
-    matrix = risk_influence(network, params, method=method)
+def _influence_artifacts(out: Path, network, params, aggregate, kappa) -> list[str]:
+    matrix = risk_influence(network, params)
     rows = [
         (matrix.ids[i], matrix.ids[j], float(matrix.values[i, j]))
         for i in range(network.n_risks)
@@ -293,7 +293,6 @@ def _influence_artifacts(out: Path, network, params, method, aggregate, kappa) -
         cat_rows,
     )
     write_json(out / "influence.json", {
-        "method": matrix.method,
         "aggregate": cats.aggregate,
         "kappa": kappa,
         "degenerate": cats.degenerate,
@@ -387,7 +386,7 @@ def _cmd_stats(args, out: Path) -> list[str]:
 def _cmd_influence(args, out: Path) -> list[str]:
     network = _load_net(args)
     params, _ = _parse_params(args, network, None)
-    return _influence_artifacts(out, network, params, args.method, args.aggregate, args.kappa)
+    return _influence_artifacts(out, network, params, args.aggregate, args.kappa)
 
 
 def _cmd_pipeline(args, out: Path) -> list[str]:
@@ -398,9 +397,7 @@ def _cmd_pipeline(args, out: Path) -> list[str]:
     steady = solve_steady_state(result.params, network)
     outputs = ["fit.json"]
     outputs += _steady_artifacts(out, network, steady)
-    outputs += _influence_artifacts(
-        out, network, result.params, args.method, args.aggregate, args.kappa
-    )
+    outputs += _influence_artifacts(out, network, result.params, args.aggregate, args.kappa)
     return outputs
 
 
@@ -634,9 +631,6 @@ _COMMANDS = {
     "influence": _Command(
         "risk-on-risk and category influence matrices",
         (_COMMON, _NETWORK, _PARAMS, (
-            ("--method", dict(default="disable", choices=("disable", "delete"),
-                              help="counterfactual: zero the likelihood or delete the node "
-                                   "(default disable)")),
             ("--aggregate", dict(default="sum", choices=("sum", "mean"),
                                  help="category aggregation (default sum)")),
             ("--kappa", dict(type=float, default=99.0, help="log display compression (default 99)")),
@@ -653,7 +647,6 @@ _COMMANDS = {
     "pipeline": _Command(
         "fit, steady state, and influence in one run",
         (_COMMON, _NETWORK, (("--history", dict(help="state history CSV")),), _FIT, (
-            ("--method", dict(default="disable", choices=("disable", "delete"))),
             ("--aggregate", dict(default="sum", choices=("sum", "mean"))),
             ("--kappa", dict(type=float, default=99.0)),
         )),

@@ -31,11 +31,6 @@ from .errors import DataError
 from .rng import derive_rng
 from .risks import RiskNetwork
 
-INTERNAL = "internal"
-EXTERNAL = "external"
-BOTH = "both"
-RECOVERY = "recovery"
-
 _REFILL_STEPS = 64  # uniforms are drawn per run in blocks of this many steps
 
 
@@ -71,10 +66,18 @@ class ProcessProbabilities:
     p_rec: float | np.ndarray
 
 
-def _check_likelihood(L, *, allow_zero: bool = False):
+def check_likelihoods(L, n_risks: int | None = None, *, allow_zero: bool = True) -> np.ndarray:
+    """``L`` as a float array, checked to lie in [0, 1) -- (0, 1) without
+    ``allow_zero`` -- and, given ``n_risks``, to have shape ``(n_risks,)``.
+
+    Zero is the knockout value: a risk with ``L = 0`` can never activate.
+    """
     arr = np.asarray(L, dtype=float)
+    if n_risks is not None and arr.shape != (n_risks,):
+        raise DataError(f"likelihood vector has shape {arr.shape}, expected ({n_risks},)")
+    # NaN fails both comparisons, so this rejects every non-finite entry too.
     lo_ok = (arr >= 0.0) if allow_zero else (arr > 0.0)
-    if not np.all(np.isfinite(arr) & lo_ok & (arr < 1.0)):
+    if not (lo_ok & (arr < 1.0)).all():
         bound = "[0, 1)" if allow_zero else "(0, 1)"
         raise DataError(f"normalized likelihood must lie in {bound}, got {L!r}")
     return arr
@@ -82,7 +85,7 @@ def _check_likelihood(L, *, allow_zero: bool = False):
 
 def process_probabilities(L, params: ModelParams) -> ProcessProbabilities:
     """Event probabilities for likelihood ``L`` (scalar or array) in (0, 1)."""
-    arr = _check_likelihood(L)
+    arr = check_likelihoods(L, allow_zero=False)
     log1m = np.log1p(-arr)
     p_rec = np.exp(params.gamma * log1m)
     probs = ProcessProbabilities(
@@ -98,27 +101,6 @@ def process_probabilities(L, params: ModelParams) -> ProcessProbabilities:
     return probs
 
 
-@dataclass(frozen=True)
-class NetworkState:
-    """Active set at one time step."""
-
-    t: int
-    active: np.ndarray  # bool (R,)
-
-    def __post_init__(self):
-        if self.active.dtype != np.bool_ or self.active.ndim != 1:
-            raise DataError("NetworkState.active must be a 1-d boolean array")
-        self.active.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class TransitionCause:
-    """Why one risk flipped during a step."""
-
-    risk: int
-    kind: str  # INTERNAL, EXTERNAL, BOTH, or RECOVERY
-
-
 def _as_adjacency(network) -> np.ndarray:
     if isinstance(network, RiskNetwork):
         return network.adjacency_float
@@ -126,72 +108,6 @@ def _as_adjacency(network) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DataError(f"adjacency must be square, got shape {arr.shape}")
     return arr
-
-
-def activation_probability(
-    i: int, state: NetworkState, probs: ProcessProbabilities, network
-) -> float:
-    """Combined passive->active probability for risk ``i`` given the state.
-
-    Counts neighbors active in ``state`` and folds each one's external
-    contribution into ``1 - (1-p_int) * (1-p_ext)**k``.
-    """
-    A = _as_adjacency(network)
-    if not 0 <= i < A.shape[0]:
-        raise DataError(f"risk index {i} out of range for {A.shape[0]} risks")
-    k = float(A[i] @ state.active)
-    p_int = np.asarray(probs.p_int, dtype=float).reshape(-1)
-    p_ext = np.asarray(probs.p_ext, dtype=float).reshape(-1)
-    pi = p_int[i] if p_int.size > 1 else p_int[0]
-    pe = p_ext[i] if p_ext.size > 1 else p_ext[0]
-    return float(-np.expm1(np.log1p(-pi) + k * np.log1p(-pe)))
-
-
-def step(
-    state: NetworkState,
-    probs: ProcessProbabilities,
-    network,
-    rng: np.random.Generator,
-) -> tuple[NetworkState, list[TransitionCause]]:
-    """Advance the whole network one month synchronously.
-
-    Consumes exactly ``2 * R`` uniforms as ``rng.random((2, R))``: row 0
-    drives internal activation (or recovery, for active risks), row 1
-    drives external activation.
-    """
-    A = _as_adjacency(network)
-    R = A.shape[0]
-    if state.active.shape != (R,):
-        raise DataError(f"state has {state.active.shape[0]} risks, network has {R}")
-    p_int = np.broadcast_to(np.asarray(probs.p_int, dtype=float), (R,))
-    p_ext = np.broadcast_to(np.asarray(probs.p_ext, dtype=float), (R,))
-    p_rec = np.broadcast_to(np.asarray(probs.p_rec, dtype=float), (R,))
-
-    u = rng.random((2, R))
-    active = state.active
-    k = A @ active
-    with np.errstate(divide="ignore"):
-        ext_agg = -np.expm1(k * np.log1p(-p_ext))
-    int_fire = u[0] < p_int
-    ext_fire = u[1] < ext_agg
-    recover = u[0] < p_rec
-
-    activated = ~active & (int_fire | ext_fire)
-    recovered = active & recover
-    nxt = (active & ~recovered) | activated
-
-    causes: list[TransitionCause] = []
-    for i in np.nonzero(activated)[0]:
-        if int_fire[i] and ext_fire[i]:
-            kind = BOTH
-        elif int_fire[i]:
-            kind = INTERNAL
-        else:
-            kind = EXTERNAL
-        causes.append(TransitionCause(int(i), kind))
-    for i in np.nonzero(recovered)[0]:
-        causes.append(TransitionCause(int(i), RECOVERY))
-    return NetworkState(state.t + 1, nxt), causes
 
 
 @dataclass(frozen=True)
@@ -234,9 +150,7 @@ def run_cascades(
     """
     A = _as_adjacency(network)
     R = A.shape[0]
-    L = _check_likelihood(L, allow_zero=True)
-    if L.shape != (R,):
-        raise DataError(f"likelihood vector has shape {L.shape}, expected ({R},)")
+    L = check_likelihoods(L, R)
     if n_steps < 1:
         raise DataError("n_steps must be >= 1")
     run_indices = tuple(int(r) for r in run_indices)
@@ -481,43 +395,6 @@ class ActivityStatistics:
     @property
     def n_runs(self) -> int:
         return self.per_run_activations.shape[0]
-
-
-def activity_statistics(states, *, initial=None) -> ActivityStatistics:
-    """Being-active frequency and activation counts of state matrices.
-
-    ``states`` has shape (R, T) or (n_runs, R, T).  Activations count the
-    0->1 flips between consecutive observed months; passing ``initial``
-    (the state preceding the first column) also counts flips into month 1.
-    The active fraction is always over the T observed months only.
-    """
-    arr = np.asarray(states)
-    if arr.ndim == 2:
-        arr = arr[None, :, :]
-    if arr.ndim != 3:
-        raise DataError(f"states must have 2 or 3 dimensions, got {arr.ndim}")
-    if not np.isin(arr, (0, 1)).all():
-        raise DataError("states must be binary")
-    n, R, T = arr.shape
-    if T < 1:
-        raise DataError("states must cover at least one month")
-
-    if initial is not None:
-        init = np.asarray(initial, dtype=arr.dtype).reshape(R)
-        full = np.concatenate([np.broadcast_to(init, (n, R))[:, :, None], arr], axis=2)
-    else:
-        full = arr
-    flips = (full[:, :, 1:] > full[:, :, :-1]).sum(axis=2)
-
-    freq_active = arr.mean(axis=2).mean(axis=0)
-    activations = flips.mean(axis=0)
-    return ActivityStatistics(
-        freq_active=freq_active,
-        activations=activations,
-        per_run_activations=flips,
-        mean_freq_active=float(arr.mean()),
-        mean_activations=float(flips.mean()),
-    )
 
 
 def statistics_from_batch(batch: CascadeBatch) -> ActivityStatistics:

@@ -9,11 +9,9 @@ where frac_external_j is the fraction of j's expected monthly transitions
 (internal activations, external activations, recoveries) that are
 external activations, evaluated at the mean-field steady state.
 
-"Removing" risk i can mean two things that provably coincide: disabling
-it by setting its likelihood to zero (it then never fires, and the least
-fixed point puts its activity at exactly zero) or deleting the node from
-the network outright.  Both are implemented; the disable route is the
-default and the deletion route exists as an independent cross-check.
+Risk i is removed by setting its likelihood to zero: it then never
+fires and the least fixed point puts its activity at exactly zero, which
+provably coincides with deleting the node from the network outright.
 """
 from __future__ import annotations
 
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelParams
+from .dynamics import ModelParams, check_likelihoods
 from .errors import DataError
 from .risks import CATEGORIES, RiskNetwork
 from .steady_state import SteadyState, solve_steady_state
@@ -61,7 +59,6 @@ class InfluenceMatrix:
 
     ids: tuple[str, ...]
     values: np.ndarray
-    method: str
     anomalies: tuple[tuple[str, str, float], ...]
 
 
@@ -92,10 +89,7 @@ def transition_fractions(
     month.  Pass the same ``L`` the steady state was solved with.
     """
     p_hat = steady.p_hat
-    if L is None:
-        L = network.likelihoods
-    else:
-        L = np.asarray(L, dtype=float)
+    L = network.likelihoods if L is None else check_likelihoods(L, network.n_risks)
     if p_hat.shape != L.shape:
         raise DataError("steady state and likelihood vector differ in length")
     log1m = np.log1p(-L)
@@ -133,63 +127,36 @@ def external_fraction(
     return transition_fractions(steady, params, network, L=L).frac_external
 
 
-def _without_node(network: RiskNetwork, i: int) -> RiskNetwork:
-    keep = [j for j in range(network.n_risks) if j != i]
-    return RiskNetwork(
-        year=network.year,
-        risks=tuple(network.risks[j] for j in keep),
-        adjacency=network.adjacency[np.ix_(keep, keep)].copy(),
-        edge_weights=network.edge_weights[np.ix_(keep, keep)].copy(),
-        pair_counts=network.pair_counts[np.ix_(keep, keep)].copy(),
-    )
-
-
 def risk_influence(
     network: RiskNetwork,
     params: ModelParams,
     *,
     L=None,
-    method: str = "disable",
 ) -> InfluenceMatrix:
     """Pairwise influence values[i, j] for every ordered pair i != j.
 
-    One baseline steady state plus one counterfactual solve per risk.
-    method="disable" re-solves with L_i = 0; method="delete" removes node
-    i from the network outright.  The diagonal is NaN by construction (a
-    risk's external share is meaningless once that risk is disabled).
+    One baseline steady state plus one counterfactual solve per risk, with
+    L_i = 0.  The diagonal is NaN by construction (a risk's external share
+    is meaningless once that risk is disabled).
     """
-    if method not in ("disable", "delete"):
-        raise DataError(f"method must be 'disable' or 'delete', got {method!r}")
     R = network.n_risks
-    if L is None:
-        L = network.likelihoods
-    else:
-        L = np.asarray(L, dtype=float)
-        if L.shape != (R,):
-            raise DataError(f"L must have shape ({R},), got {L.shape}")
+    L = network.likelihoods if L is None else check_likelihoods(L, R)
     base = external_fraction(params, network, L=L)
     values = np.full((R, R), np.nan)
 
     for i in range(R):
         others = [j for j in range(R) if j != i]
-        if method == "disable":
-            cut = L.copy()
-            cut[i] = 0.0
-            dropped = external_fraction(params, network, L=cut)
-            values[i, others] = base[others] - dropped[others]
-        else:
-            sub = _without_node(network, i)
-            dropped = external_fraction(params, sub, L=L[others])
-            values[i, others] = base[others] - dropped
+        cut = L.copy()
+        cut[i] = 0.0
+        dropped = external_fraction(params, network, L=cut)
+        values[i, others] = base[others] - dropped[others]
 
     with np.errstate(invalid="ignore"):
         bad = np.nonzero(values < _ANOMALY_TOL)
     anomalies = tuple(
         (network.ids[i], network.ids[j], float(values[i, j])) for i, j in zip(*bad)
     )
-    return InfluenceMatrix(
-        ids=network.ids, values=values, method=method, anomalies=anomalies
-    )
+    return InfluenceMatrix(ids=network.ids, values=values, anomalies=anomalies)
 
 
 def category_influence(

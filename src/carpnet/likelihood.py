@@ -132,48 +132,6 @@ class TransitionSummary:
         return total
 
 
-def transition_log_prob(
-    i: int, t: int, history: HistoryMatrix, params: ModelParams, network: RiskNetwork
-) -> float:
-    """Log-probability of risk ``i``'s observed transition from month ``t``
-    to month ``t+1`` (months numbered from 1).
-
-    The passive->active probability counts the neighbors active in month
-    ``t``.  Raises ImpossibleHistoryError when the observed transition has
-    probability zero under ``params``.
-    """
-    if history.risk_ids != network.ids:
-        raise DataError("history risks are not aligned to the network")
-    if not 1 <= t <= history.n_months - 1:
-        raise DataError(f"t must lie in [1, {history.n_months - 1}], got {t}")
-    if not 0 <= i < network.n_risks:
-        raise DataError(f"risk index {i} out of range")
-
-    src = int(history.states[i, t - 1])
-    dst = int(history.states[i, t])
-    l = float(np.log1p(-network.likelihoods[i]))
-
-    if src == 0:
-        k = float(network.adjacency_float[i] @ history.states[:, t - 1])
-        e = (params.alpha + params.beta * k) * l
-        if dst == 0:
-            return e
-        if e == 0.0:
-            raise ImpossibleHistoryError(
-                f"risk {network.ids[i]!r} activated in month {t + 1} but its "
-                f"activation probability is zero (alpha + beta*k = 0)"
-            )
-        return float(np.log(-np.expm1(e)))
-    if dst == 0:
-        return params.gamma * l
-    if params.gamma == 0.0:
-        raise ImpossibleHistoryError(
-            f"risk {network.ids[i]!r} stayed active in month {t + 1} but its "
-            "continuation probability is zero (gamma = 0)"
-        )
-    return float(np.log(-np.expm1(params.gamma * l)))
-
-
 def log_likelihood(
     history: HistoryMatrix, params: ModelParams, network: RiskNetwork
 ) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelParams
+from .dynamics import ModelParams, check_likelihoods
 from .errors import ConvergenceError, DataError
 from .risks import RiskNetwork
 
@@ -47,20 +47,9 @@ class SteadyState:
     unique: bool
 
 
-def _likelihood_vector(network: RiskNetwork, L) -> np.ndarray:
-    if L is None:
-        return network.likelihoods
-    L = np.asarray(L, dtype=float)
-    if L.shape != (network.n_risks,):
-        raise DataError(f"L must have shape ({network.n_risks},), got {L.shape}")
-    if not np.isfinite(L).all() or (L < 0).any() or (L >= 1).any():
-        raise DataError("likelihoods must be finite and lie in [0, 1)")
-    return L
-
-
 def fixed_point_map(p, params: ModelParams, network: RiskNetwork, L=None):
     """One application of the mean-field map to activation vector ``p``."""
-    L = _likelihood_vector(network, L)
+    L = network.likelihoods if L is None else check_likelihoods(L, network.n_risks)
     p = np.asarray(p, dtype=float)
     if p.shape != L.shape:
         raise DataError(f"p must have shape {L.shape}, got {p.shape}")
@@ -94,7 +83,7 @@ def solve_steady_state(
     """
     if tol <= 0 or max_iter < 1:
         raise DataError("tol must be positive and max_iter >= 1")
-    L = _likelihood_vector(network, L)
+    L = network.likelihoods if L is None else check_likelihoods(L, network.n_risks)
 
     def iterate(p0):
         # Returning the pre-map iterate once |F(p) - p| < tol makes the

@@ -13,6 +13,7 @@ from carpnet import (
     Risk,
     RiskNetwork,
     build_network,
+    external_fraction,
     load_history,
     load_network,
 )
@@ -62,6 +63,28 @@ def make_network(
         c = counts[j] if counts else 1
         pairs.append(ExpertPairCount(f"r{u + 1}", f"r{v + 1}", int(c)))
     return build_network(risks, pairs, year=year)
+
+
+def deletion_influence(network: RiskNetwork, params: ModelParams) -> np.ndarray:
+    """Influence matrix with each risk deleted from the network outright.
+
+    The reference for ``risk_influence``, which instead disables a risk by
+    zeroing its likelihood; the two provably coincide.  NaN diagonal.
+    """
+    R = network.n_risks
+    base = external_fraction(params, network)
+    values = np.full((R, R), np.nan)
+    for i in range(R):
+        keep = [j for j in range(R) if j != i]
+        sub = RiskNetwork(
+            year=network.year,
+            risks=tuple(network.risks[j] for j in keep),
+            adjacency=network.adjacency[np.ix_(keep, keep)],
+            edge_weights=network.edge_weights[np.ix_(keep, keep)],
+            pair_counts=network.pair_counts[np.ix_(keep, keep)],
+        )
+        values[i, keep] = base[keep] - external_fraction(params, sub)
+    return values
 
 
 @pytest.fixture(scope="session")

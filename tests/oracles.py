@@ -55,46 +55,28 @@ def stationary_distribution(T):
     return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
 
 
-def sample_chain_bit_frequencies(matrices, n_risks, n_steps, seed, chunk=4096):
-    """Long-run per-risk active frequencies of many chains, sampled jointly.
+def cascade_step(active, adjacency, L, alpha, beta, gamma, u):
+    """One synchronous month of the cascade, driven by given uniforms.
 
-    ``matrices[c]`` is the (2^R_c, 2^R_c) transition matrix of chain c and
-    ``n_risks[c]`` its risk count.  All chains start in state 0 and advance
-    ``n_steps`` times from one shared stream of uniforms; the return value
-    is a list of length-R_c arrays with the fraction of steps each bit
-    spent set.
+    ``u`` has shape (2, R), as drawn by ``rng.random((2, R))``.  An active
+    risk recovers when u[0, i] < (1-L)^gamma.  A passive risk activates
+    when u[0, i] < 1 - (1-L)^alpha (internally) or u[1, i] <
+    1 - (1-L)^(beta*k) (externally), where k counts its active neighbours
+    in the current month.
     """
-    n_chains = len(matrices)
-    sizes = [T.shape[0] for T in matrices]
-    width = max(sizes)
-    cum = np.ones((n_chains, width, width))
-    for c, T in enumerate(matrices):
-        n = sizes[c]
-        cum[c, :n, :n] = np.cumsum(T, axis=1)
-        cum[c, :n, n:] = 1.0  # padding columns keep the search-by-count valid
-    rng = np.random.default_rng(seed)
-    state = np.zeros(n_chains, dtype=np.intp)
-    visits = np.zeros((n_chains, width), dtype=np.int64)
-    rows = np.arange(n_chains)
-    done = 0
-    while done < n_steps:
-        block = min(chunk, n_steps - done)
-        u = rng.random((block, n_chains))
-        for s in range(block):
-            # first index with cum >= u, via a vectorized count
-            state = width - (cum[rows, state] >= u[s][:, None]).sum(axis=1)
-            visits[rows, state] += 1
-        done += block
-    out = []
-    for c in range(n_chains):
-        R = n_risks[c]
-        freq = np.zeros(R)
-        for s in range(sizes[c]):
-            for i in range(R):
-                if (s >> i) & 1:
-                    freq[i] += visits[c, s]
-        out.append(freq / n_steps)
-    return out
+    adjacency = np.asarray(adjacency)
+    L = np.asarray(L, dtype=float)
+    R = len(L)
+    nxt = np.zeros(R, dtype=bool)
+    for i in range(R):
+        if active[i]:
+            nxt[i] = not u[0, i] < (1.0 - L[i]) ** gamma
+        else:
+            k = sum(adjacency[i, j] * active[j] for j in range(R))
+            internal = u[0, i] < 1.0 - (1.0 - L[i]) ** alpha
+            external = u[1, i] < 1.0 - (1.0 - L[i]) ** (beta * k)
+            nxt[i] = internal or external
+    return nxt
 
 
 def naive_log_likelihood(states, adjacency, L, alpha, beta, gamma):

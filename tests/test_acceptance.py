@@ -37,8 +37,8 @@ from carpnet import (
 )
 from carpnet.cli import main as cli_main
 from carpnet.rng import derive_rng
-from conftest import CATEGORIES, FIXTURE_PARAMS, ROOT, make_network
-from oracles import exact_transition_matrix, sample_chain_bit_frequencies
+from conftest import CATEGORIES, FIXTURE_PARAMS, ROOT, deletion_influence, make_network
+from oracles import exact_transition_matrix, stationary_distribution
 from test_cli import rebuild_argv, toy_args
 
 SMALL_GRAPHS = {
@@ -87,43 +87,33 @@ def test_01_conservation_identity():
 
 
 def test_02_steady_state_matches_exact_chain():
-    """Fixed point vs a million-step simulation of the full 2^R chain."""
+    """Fixed point vs the exact stationary distribution of the full 2^R chain."""
     t0 = time.monotonic()
-    matrices, n_risks, instances = [], [], []
-    for name, (R, edges) in SMALL_GRAPHS.items():
-        adj = np.zeros((R, R), dtype=int)
-        for u, v in edges:
-            adj[u, v] = adj[v, u] = 1
-        for a, b, g in PARAM_GRID:
-            matrices.append(exact_transition_matrix(adj, SMALL_L[:R], a, b, g))
-            n_risks.append(R)
-            instances.append((name, edges, R, a, b, g, 0.05))
-    for R in (1, 2, 3, 4):  # edgeless family: the approximation is exact
-        adj = np.zeros((R, R), dtype=int)
-        for a, b, g in PARAM_GRID:
-            matrices.append(exact_transition_matrix(adj, SMALL_L[:R], a, b, g))
-            n_risks.append(R)
-            instances.append((f"edgeless{R}", [], R, a, b, g, 0.005))
-
-    freqs = sample_chain_bit_frequencies(matrices, n_risks, 1_000_000, seed=411)
+    graphs = [(name, R, edges, 0.05) for name, (R, edges) in SMALL_GRAPHS.items()]
+    # edgeless family: the approximation is exact
+    graphs += [(f"edgeless{R}", R, [], 0.005) for R in (1, 2, 3, 4)]
 
     worst_connected, worst_edgeless, failures = 0.0, 0.0, []
-    for (name, edges, R, a, b, g, tol), freq in zip(instances, freqs):
+    for name, R, edges, tol in graphs:
         net = make_network(SMALL_L[:R], edges=edges)
-        ss = solve_steady_state(ModelParams(a, b, g), net)
-        err = float(np.abs(ss.p_hat - freq).max())
-        if name.startswith("edgeless"):
-            worst_edgeless = max(worst_edgeless, err)
-        else:
-            worst_connected = max(worst_connected, err)
-        if err > tol:
-            failures.append((name, a, b, g, err))
+        bits = (np.arange(1 << R)[:, None] >> np.arange(R)) & 1
+        for a, b, g in PARAM_GRID:
+            T = exact_transition_matrix(net.adjacency, SMALL_L[:R], a, b, g)
+            exact = stationary_distribution(T) @ bits
+            ss = solve_steady_state(ModelParams(a, b, g), net)
+            err = float(np.abs(ss.p_hat - exact).max())
+            if name.startswith("edgeless"):
+                worst_edgeless = max(worst_edgeless, err)
+            else:
+                worst_connected = max(worst_connected, err)
+            if err > tol:
+                failures.append((name, a, b, g, err))
     elapsed = time.monotonic() - t0
     ok = not failures and elapsed <= 120
     report(
         2, ok,
         f"worst gap {worst_connected:.4f} (limit 0.05) on {len(SMALL_GRAPHS)} connected graphs"
-        f" x {len(PARAM_GRID)} triples; {worst_edgeless:.4f} (limit 0.005) edgeless;"
+        f" x {len(PARAM_GRID)} triples; {worst_edgeless:.1e} (limit 0.005) edgeless;"
         f" {elapsed:.0f}s (limit 120s)",
     )
     assert not failures, failures
@@ -265,9 +255,9 @@ def test_09_influence_sanity(toy_network):
     off = ~np.eye(toy_network.n_risks, dtype=bool)
     edgeless_zero = bool((bare.values[off] == 0.0).all())
 
-    disable = risk_influence(toy_network, params, method="disable")
-    delete = risk_influence(toy_network, params, method="delete")
-    path_gap = float(np.abs(disable.values[off] - delete.values[off]).max())
+    disable = risk_influence(toy_network, params).values
+    delete = deletion_influence(toy_network, params)
+    path_gap = float(np.abs(disable[off] - delete[off]).max())
 
     cats = [CATEGORIES[0]] * 3 + [CATEGORIES[1]] * 3
     blocks = make_network(

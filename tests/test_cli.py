@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -186,6 +187,19 @@ def test_stochastic_commands_demand_a_seed(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--params", "0.4,0.3,1.2", "--runs", "2", "--horizon", "5"],
+    ["validate", "--experiment", "recovery", "--params", "0.4,0.3,1.2",
+     "--history", TOY / "history.csv", "--replicates", "2"],
+])
+def test_seed_beyond_64_bits_is_a_usage_error(tmp_path, capsys, command):
+    name, *extra = command
+    code = run_cli([name, *toy_args(*extra, "--seed", 2**64, out=tmp_path / "x")])
+    assert code == 1
+    assert "error: argument --seed" in capsys.readouterr().err
+    assert run_cli([name, *toy_args(*extra, "--seed", 2**64 - 1, out=tmp_path / "y")]) == 0
+
+
 def test_missing_input_file_is_a_data_error(tmp_path):
     code = run_cli([
         "fit", "--risks", tmp_path / "ghost.csv", "--pairs", TOY / "pairs.csv",
@@ -331,22 +345,18 @@ GOLDEN = {
     ),
     "influence": (
         ["influence", *PARAMS], None,
-        {**NETWORK, "params": [0.4, 0.3, 1.2], "method": "disable", "aggregate": "sum",
-         "kappa": 99.0},
+        {**NETWORK, "params": [0.4, 0.3, 1.2], "aggregate": "sum", "kappa": 99.0},
         {"risks", "pairs"},
     ),
-    "influence-delete": (
-        ["influence", "--params-file", PARAMS_FILE, "--method", "delete",
-         "--aggregate", "mean"], None,
-        {**NETWORK, "params_file": PARAMS_FILE, "method": "delete", "aggregate": "mean",
-         "kappa": 99.0},
+    "influence-params-file-mean": (
+        ["influence", "--params-file", PARAMS_FILE, "--aggregate", "mean"], None,
+        {**NETWORK, "params_file": PARAMS_FILE, "aggregate": "mean", "kappa": 99.0},
         {"risks", "pairs", "params_file"},
     ),
     "stats": (["stats"], None, NETWORK, {"risks", "pairs"}),
     "pipeline": (
         ["pipeline", "--history", HISTORY], None,
-        {**NETWORK, "history": HISTORY, **FIT_DEFAULTS, "method": "disable",
-         "aggregate": "sum", "kappa": 99.0},
+        {**NETWORK, "history": HISTORY, **FIT_DEFAULTS, "aggregate": "sum", "kappa": 99.0},
         {"risks", "pairs", "history"},
     ),
     **{
@@ -385,9 +395,11 @@ def test_manifest_matches_golden(tmp_path, name):
 
 
 def test_console_script_is_wired(tmp_path):
+    # the checkout's src/ first, so an uninstalled checkout runs this too
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", "from carpnet.cli import entrypoint; entrypoint()", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout

@@ -9,20 +9,25 @@ from hypothesis import strategies as st
 from carpnet import (
     DataError,
     ModelParams,
-    NetworkState,
-    activation_probability,
-    activity_statistics,
+    build_history,
     default_checkpoints,
+    external_fraction,
+    fixed_point_map,
+    log_likelihood,
+    month_sequence,
     process_probabilities,
+    risk_influence,
     run_cascades,
     run_cascades_parallel,
     simulate_trajectory,
+    solve_steady_state,
     statistics_from_batch,
-    step,
     trajectory_from_batch,
+    transition_fractions,
 )
 from carpnet.rng import derive_rng
 from conftest import make_network
+from oracles import cascade_step
 
 unit_floats = st.floats(0.05, 0.9)
 
@@ -48,13 +53,45 @@ def test_continuation_and_recovery_are_exactly_complementary(L, gamma):
     assert probs.p_con + probs.p_rec == 1.0
 
 
+_NET3 = make_network([0.2, 0.3, 0.4], edges=[(0, 1), (1, 2)])
+_P3 = ModelParams(0.3, 0.3, 1.0)
+_LIKELIHOOD_USERS = {
+    "run_cascades": lambda L: run_cascades(_NET3, L, _P3, np.zeros(3, bool), 5, 1, [0]),
+    "solve_steady_state": lambda L: solve_steady_state(_P3, _NET3, L=L),
+    "fixed_point_map": lambda L: fixed_point_map(np.zeros(3), _P3, _NET3, L=L),
+    "risk_influence": lambda L: risk_influence(_NET3, _P3, L=L),
+    "external_fraction": lambda L: external_fraction(_P3, _NET3, L=L),
+    "transition_fractions": lambda L: transition_fractions(
+        solve_steady_state(_P3, _NET3), _P3, _NET3, L=L),
+}
+_BAD_LIKELIHOODS = {
+    "nan": [0.2, np.nan, 0.4],
+    "negative": [0.2, -0.1, 0.4],
+    "one": [0.2, 1.0, 0.4],
+    "wrong-length": [0.2, 0.3],
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_LIKELIHOODS))
+@pytest.mark.parametrize("user", list(_LIKELIHOOD_USERS))
+def test_bad_likelihood_vectors_are_rejected(user, bad):
+    with pytest.raises(DataError):
+        _LIKELIHOOD_USERS[user](np.array(_BAD_LIKELIHOODS[bad]))
+
+
 def _star_activation(L, params, k):
-    """P(center of a k-star activates) with every leaf active."""
+    """P(center of a k-star activates) with every leaf active.
+
+    Read off the log-likelihood of a two-month history in which the
+    center activates and the k leaves stay active, less the leaves'
+    continuation terms.
+    """
     n = k + 1
     net = make_network([L] * n, edges=[(0, j) for j in range(1, n)])
-    probs = process_probabilities(net.likelihoods, params)
-    state = NetworkState(0, np.array([False] + [True] * k))
-    return activation_probability(0, state, probs, net)
+    states = np.array([[0, 1]] + [[1, 1]] * k, dtype=np.uint8)
+    hist = build_history(net, month_sequence("2001-01", 2), states)
+    leaves = k * math.log(1 - (1 - L) ** params.gamma)
+    return math.exp(log_likelihood(hist, params, net) - leaves)
 
 
 def test_combined_activation_hand_value():
@@ -88,12 +125,12 @@ def test_step_matches_manual_transcription():
     """One synchronous update, replayed by hand from the same uniforms."""
     net = make_network([0.2, 0.35, 0.3], edges=[(0, 1), (1, 2)])
     params = ModelParams(0.3, 0.4, 0.8)
-    probs = process_probabilities(net.likelihoods, params)
     active = np.array([True, False, True])
 
-    nxt, causes = step(NetworkState(0, active), probs, net, np.random.default_rng(42))
+    batch = run_cascades(net, net.likelihoods, params, active, 1,
+                         master_seed=42, run_indices=[0], track_causes=True)
 
-    u = np.random.default_rng(42).random((2, 3))
+    u = derive_rng(42, 0).random((2, 3))
     L = net.likelihoods
     expected = np.zeros(3, bool)
     # risk 0: active, recovers if u0 < (1-L)^gamma
@@ -101,18 +138,19 @@ def test_step_matches_manual_transcription():
     # risk 1: passive with two active neighbours
     p_int = 1 - (1 - L[1]) ** params.alpha
     p_ext2 = 1 - ((1 - L[1]) ** params.beta) ** 2
-    expected[1] = (u[0, 1] < p_int) or (u[1, 1] < p_ext2)
+    internal, external = u[0, 1] < p_int, u[1, 1] < p_ext2
+    expected[1] = internal or external
     expected[2] = not (u[0, 2] < (1 - L[2]) ** params.gamma)
-    assert (nxt.active == expected).all()
-    assert nxt.t == 1
-    assert all(c.risk in (0, 1, 2) for c in causes)
+    assert (batch.final_active[0] == expected).all()
+    assert batch.activation_counts[0].tolist() == [0, int(expected[1]), 0]
+    causes = [internal and not external, external and not internal, internal and external]
+    assert batch.cause_counts[0].tolist() == [int(expected[1] and c) for c in causes]
 
 
 def test_engine_equals_step_loop():
     """The vectorized batch engine replays exactly as repeated single steps."""
     net = make_network([0.2, 0.35, 0.3], edges=[(0, 1), (1, 2), (0, 2)])
     params = ModelParams(0.25, 0.5, 0.9)
-    probs = process_probabilities(net.likelihoods, params)
     initial = np.array([False, True, False])
     n_steps = 130  # crosses at least one internal refill boundary
 
@@ -122,21 +160,20 @@ def test_engine_equals_step_loop():
     )
 
     rng = derive_rng(6, 5, 7)
-    state = NetworkState(0, initial.copy())
-    months_active = np.zeros(3, int)
-    flips = int(initial.sum() * 0)
-    prev = initial.copy()
+    state = initial
+    flips = 0
     states = []
     for _ in range(n_steps):
-        state, _ = step(state, probs, net, rng)
-        months_active += state.active
-        flips += int((~prev & state.active).sum())
-        prev = state.active.copy()
-        states.append(state.active.copy())
+        nxt = cascade_step(state, net.adjacency, net.likelihoods, *params.as_tuple(),
+                           rng.random((2, 3)))
+        flips += int((~state & nxt).sum())
+        state = nxt
+        states.append(state)
+    states = np.array(states).T
 
-    assert (batch.states[0] == np.array(states).T).all()
-    assert (batch.final_active[0] == state.active).all()
-    assert (batch.active_months[0] == months_active).all()
+    assert (batch.states[0] == states).all()
+    assert (batch.final_active[0] == state).all()
+    assert (batch.active_months[0] == states.sum(axis=1)).all()
     assert batch.activation_counts[0].sum() == flips
 
 
@@ -180,21 +217,33 @@ def test_default_checkpoints_are_decades_plus_horizon():
     assert default_checkpoints(7) == (7,)
 
 
+def _certain_statistics(initial, gamma, n_steps):
+    """Statistics of one single-risk run in which every transition is sure.
+
+    With L = 0.9 and alpha = 1e6 a passive risk activates with probability
+    exactly 1.  An active one recovers with probability 1 when gamma = 0
+    and never when gamma = 1e6.
+    """
+    net = make_network([0.9])
+    batch = run_cascades(net, net.likelihoods, ModelParams(1e6, 0.0, gamma),
+                         [initial], n_steps, master_seed=0, run_indices=[0])
+    return statistics_from_batch(batch)
+
+
 def test_activity_statistics_alternating_pattern():
     # initial passive, then 1,0,1,0,... for 12 months: six activations, half active
-    states = np.array([[1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0]], dtype=np.uint8)[None]
-    stats = activity_statistics(states, initial=np.array([False]))
+    stats = _certain_statistics(False, 0.0, 12)
     assert stats.freq_active[0] == pytest.approx(0.5)
     assert stats.activations[0] == 6
     assert stats.mean_freq_active == pytest.approx(0.5)
 
 
 def test_activity_statistics_counts_initial_flip():
-    states = np.ones((1, 1, 4), dtype=np.uint8)
-    passive_start = activity_statistics(states, initial=np.array([False]))
-    active_start = activity_statistics(states, initial=np.array([True]))
+    passive_start = _certain_statistics(False, 1e6, 4)
+    active_start = _certain_statistics(True, 1e6, 4)
     assert passive_start.activations[0] == 1
     assert active_start.activations[0] == 0
+    assert passive_start.freq_active[0] == active_start.freq_active[0] == 1.0
 
 
 def test_trajectory_matches_batch_statistics():

@@ -12,7 +12,7 @@ from carpnet import (
     solve_steady_state,
     transition_fractions,
 )
-from conftest import make_network
+from conftest import deletion_influence, make_network
 
 PARAMS = ModelParams(0.3, 0.5, 1.0)
 
@@ -69,10 +69,10 @@ def test_edgeless_network_has_no_influence():
 def test_knockout_and_deletion_agree():
     """Zeroing a risk's likelihood must equal removing the node outright."""
     net = make_network([0.2, 0.35, 0.3, 0.25], edges=[(0, 1), (1, 2), (2, 3), (0, 2)])
-    disable = risk_influence(net, PARAMS, method="disable")
-    delete = risk_influence(net, PARAMS, method="delete")
+    disable = risk_influence(net, PARAMS).values
+    delete = deletion_influence(net, PARAMS)
     mask = ~np.eye(4, dtype=bool)
-    assert np.abs(disable.values[mask] - delete.values[mask]).max() <= 1e-10
+    assert np.abs(disable[mask] - delete[mask]).max() <= 1e-10
 
 
 def test_influence_is_nonnegative_on_small_nets():

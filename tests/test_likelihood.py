@@ -15,7 +15,6 @@ from carpnet import (
     log_likelihood,
     month_sequence,
     run_cascades,
-    transition_log_prob,
 )
 from conftest import make_network
 from oracles import naive_log_likelihood
@@ -38,16 +37,15 @@ def test_all_passive_edgeless_history_hand_value():
 def test_recovery_cell_hand_value():
     net = make_network([0.5, 0.2], edges=[(0, 1)])
     hist = _history(net, [[1, 0], [0, 0]])
-    lp = transition_log_prob(0, 1, hist, ModelParams(0.4, 0.4, 1.0), net)
-    assert lp == pytest.approx(math.log(0.5), rel=1e-15)
+    total = log_likelihood(hist, ModelParams(0.4, 0.4, 1.0), net)
+    # r2 stays passive with one active neighbour: ln 0.8^(0.4 + 0.4*1)
+    assert total - 0.8 * math.log(0.8) == pytest.approx(math.log(0.5), rel=1e-15)
 
 
 def test_impossible_activation_raises():
     net = make_network([0.3])
     hist = _history(net, [[0, 1]])
     params = ModelParams(0.0, 0.0, 1.0)
-    with pytest.raises(ImpossibleHistoryError):
-        transition_log_prob(0, 1, hist, params, net)
     with pytest.raises(ImpossibleHistoryError):
         log_likelihood(hist, params, net)
 
@@ -57,17 +55,6 @@ def test_impossible_continuation_raises():
     hist = _history(net, [[1, 1]])
     with pytest.raises(ImpossibleHistoryError):
         log_likelihood(hist, ModelParams(0.2, 0.2, 0.0), net)
-
-
-def test_transition_log_prob_bounds_checked():
-    net = make_network([0.3, 0.4], edges=[(0, 1)])
-    hist = _history(net, [[0, 1, 0], [1, 1, 0]])
-    from carpnet import DataError
-
-    with pytest.raises(DataError):
-        transition_log_prob(0, 0, hist, ModelParams(1, 1, 1), net)
-    with pytest.raises(DataError):
-        transition_log_prob(0, 3, hist, ModelParams(1, 1, 1), net)
 
 
 small_states = st.integers(2, 4).flatmap(
@@ -100,13 +87,6 @@ def test_log_likelihood_agrees_with_naive_loops(data, alpha, beta, gamma):
     mine = log_likelihood(hist, params, net)
     reference = naive_log_likelihood(states, net.adjacency, net.likelihoods, alpha, beta, gamma)
     assert mine == pytest.approx(reference, rel=1e-10, abs=1e-10)
-
-    cell_sum = sum(
-        transition_log_prob(i, t, hist, params, net)
-        for i in range(r)
-        for t in range(1, states.shape[1])
-    )
-    assert mine == pytest.approx(cell_sum, rel=1e-10, abs=1e-10)
 
 
 @given(data=small_states, seed=st.integers(0, 10))
