@@ -18,7 +18,6 @@ here must be intentional and committed together with the data.
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 
 import numpy as np

@@ -43,7 +43,6 @@ from .influence import (
     transition_fractions,
 )
 from .likelihood import (
-    FitConfig,
     FitResult,
     TransitionSummary,
     fit,

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -40,7 +41,7 @@ from .dynamics import (
 from .errors import CarpError, DataError, NumericalError, UsageError
 from .graph_stats import compute_properties
 from .influence import category_influence, risk_influence
-from .likelihood import FitConfig, fit
+from .likelihood import fit
 from .risks import HistoryMatrix, RiskNetwork, load_history, load_network
 from .steady_state import solve_steady_state
 from .validation import (
@@ -102,13 +103,7 @@ _PARAMS = (
     ("--params", dict(type=_params, help="model parameters as 'alpha,beta,gamma'")),
     ("--params-file", dict(help="JSON file with alpha/beta/gamma keys (e.g. a fit.json)")),
 )
-_FIT = (
-    ("--grid-points", dict(type=int, default=10,
-                           help="grid resolution per axis for the coarse search (default 10)")),
-    ("--top-k", dict(type=int, default=5,
-                     help="number of grid cells refined by the simplex (default 5)")),
-    ("--fix-beta", dict(type=float, help="pin the coupling parameter and fit the rest")),
-)
+_FIX_BETA = ("--fix-beta", dict(type=float, help="pin the coupling parameter and fit the rest"))
 _SEED = ("--seed", dict(type=_seed, help="master RNG seed (required)"))
 
 
@@ -195,7 +190,7 @@ def _load_hist(args, network: RiskNetwork) -> HistoryMatrix:
         raise DataError(f"cannot read history: {exc}") from None
 
 
-def _parse_params(args, network, history, *, allow_fit=False, fit_config=None):
+def _parse_params(args, network, history, *, allow_fit=False):
     """Resolve model parameters from --params, --params-file, or a fit.
 
     Returns (params, source) where source is recorded in the outputs.
@@ -221,18 +216,8 @@ def _parse_params(args, network, history, *, allow_fit=False, fit_config=None):
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"params file must hold numeric alpha/beta/gamma: {exc}") from None
     if allow_fit and history is not None:
-        return fit(history, network, fit_config).params, "fitted"
+        return fit(history, network).params, "fitted"
     raise UsageError("model parameters required: --params or --params-file")
-
-
-def _params_dict(params: ModelParams) -> dict:
-    return {"alpha": params.alpha, "beta": params.beta, "gamma": params.gamma}
-
-
-def _fit_config_from(args) -> FitConfig:
-    return FitConfig(
-        grid_points=args.grid_points, top_k=args.top_k, fix_beta=args.fix_beta
-    )
 
 
 def _fit_json(result) -> dict:
@@ -244,7 +229,6 @@ def _fit_json(result) -> dict:
         "converged": result.converged,
         "boundary_flags": list(result.boundary_flags),
         "iterations": result.iterations,
-        "restarts": result.restarts,
     }
 
 
@@ -304,7 +288,7 @@ def _influence_artifacts(out: Path, network, params, aggregate, kappa) -> list[s
 def _cmd_fit(args, out: Path) -> list[str]:
     network = _load_net(args)
     history = _load_hist(args, network)
-    result = fit(history, network, _fit_config_from(args))
+    result = fit(history, network, fix_beta=args.fix_beta)
     write_json(out / "fit.json", _fit_json(result))
     return ["fit.json"]
 
@@ -365,21 +349,7 @@ def _cmd_steady_state(args, out: Path) -> list[str]:
 
 def _cmd_stats(args, out: Path) -> list[str]:
     network = _load_net(args)
-    props = compute_properties(network)
-    write_json(out / "network_stats.json", {
-        "node_count": props.node_count,
-        "edge_count": props.edge_count,
-        "density": props.density,
-        "average_degree": props.average_degree,
-        "degree_assortativity": props.degree_assortativity,
-        "average_clustering": props.average_clustering,
-        "diameter": props.diameter,
-        "average_shortest_path": props.average_shortest_path,
-        "max_clique_size": props.max_clique_size,
-        "connected": props.connected,
-        "n_components": props.n_components,
-        "largest_component_size": props.largest_component_size,
-    })
+    write_json(out / "network_stats.json", asdict(compute_properties(network)))
     return ["network_stats.json"]
 
 
@@ -392,25 +362,13 @@ def _cmd_influence(args, out: Path) -> list[str]:
 def _cmd_pipeline(args, out: Path) -> list[str]:
     network = _load_net(args)
     history = _load_hist(args, network)
-    result = fit(history, network, _fit_config_from(args))
+    result = fit(history, network, fix_beta=args.fix_beta)
     write_json(out / "fit.json", _fit_json(result))
     steady = solve_steady_state(result.params, network)
     outputs = ["fit.json"]
     outputs += _steady_artifacts(out, network, steady)
     outputs += _influence_artifacts(out, network, result.params, args.aggregate, args.kappa)
     return outputs
-
-
-def _fractions_dict(fr) -> dict:
-    return {
-        "internal_only": fr.internal_only,
-        "external_only": fr.external_only,
-        "both": fr.both,
-        "a": fr.a,
-        "b": fr.b,
-        "both_fraction": fr.both_fraction,
-        "defined": fr.defined,
-    }
 
 
 def _cmd_validate(args, out: Path) -> list[str]:
@@ -426,9 +384,9 @@ def _cmd_validate(args, out: Path) -> list[str]:
         )
         retained = set(report.retained)
         write_json(out / "recovery.json", {
-            "ground_truth": _params_dict(report.ground_truth),
+            "ground_truth": asdict(report.ground_truth),
             "params_source": source,
-            "gt_fractions": _fractions_dict(report.gt_fractions),
+            "gt_fractions": asdict(report.gt_fractions),
             "gt_vector": list(report.gt_vector),
             "activation_bound": report.activation_bound,
             "recovery_bound": report.recovery_bound,
@@ -471,7 +429,7 @@ def _cmd_validate(args, out: Path) -> list[str]:
             months=args.months, runs=args.runs, master_seed=args.seed,
         )
         write_json(out / "forward.json", {
-            "ground_truth": _params_dict(params),
+            "ground_truth": asdict(params),
             "params_source": source,
             "months": fw.months,
             "runs": fw.n_runs,
@@ -518,8 +476,8 @@ def _cmd_validate(args, out: Path) -> list[str]:
             "m_network": report.m_network,
             "m_independent": report.m_independent,
             "ratio": report.ratio,
-            "network_params": _params_dict(report.network_params),
-            "independent_params": _params_dict(report.independent_params),
+            "network_params": asdict(report.network_params),
+            "independent_params": asdict(report.independent_params),
             "network_infinite_steps": list(report.network_infinite_steps),
             "independent_infinite_steps": list(report.independent_infinite_steps),
         })
@@ -548,7 +506,7 @@ def _cmd_validate(args, out: Path) -> list[str]:
         )
         write_json(out / "sensitivity.json", {
             "params_source": source,
-            "params": _params_dict(report.baseline_params),
+            "params": asdict(report.baseline_params),
             "perturbation": report.perturbation,
         })
         order = sorted(
@@ -580,7 +538,7 @@ _COMMANDS = {
     "fit": _Command(
         "maximum-likelihood parameters from a history",
         (_COMMON, _NETWORK,
-         (("--history", dict(help="state history CSV (long or wide form)")),), _FIT),
+         (("--history", dict(help="state history CSV (long or wide form)")), _FIX_BETA)),
         ("risks", "pairs", "history"),
         _cmd_fit,
     ),
@@ -646,7 +604,9 @@ _COMMANDS = {
     ),
     "pipeline": _Command(
         "fit, steady state, and influence in one run",
-        (_COMMON, _NETWORK, (("--history", dict(help="state history CSV")),), _FIT, (
+        (_COMMON, _NETWORK, (
+            ("--history", dict(help="state history CSV")),
+            _FIX_BETA,
             ("--aggregate", dict(default="sum", choices=("sum", "mean"))),
             ("--kappa", dict(type=float, default=99.0)),
         )),

@@ -14,13 +14,15 @@ per-risk counts, the whole objective collapses to a handful of grouped
 sufficient statistics computed once per history; each evaluation is then
 O(R), which keeps grid search and simplex refinement cheap.
 
-Fitting runs a coarse log-spaced grid over the box and refines the best
-cells with a deterministic Nelder-Mead simplex, so results are exactly
-reproducible.
+Fitting runs a coarse log-spaced grid over the box [0, 10] per parameter
+and refines the best cells with a deterministic Nelder-Mead simplex, so
+results are exactly reproducible.  The search settings are the module
+constants below; only ``fix_beta`` is chosen per call.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,36 +31,15 @@ from .errors import ConvergenceError, DataError, ImpossibleHistoryError
 from .risks import HistoryMatrix, RiskNetwork
 
 
-@dataclass(frozen=True)
-class FitConfig:
-    """Knobs for the grid-plus-simplex optimizer.
-
-    The search box is [lower, upper] per coordinate; the grid is log-spaced
-    over [grid_min, grid_max].  ``fatol`` is the convergence threshold on
-    the simplex's objective spread: the polytope has stopped improving when
-    its best and worst vertices agree to within ``fatol``.  Setting
-    ``fix_beta`` pins beta and optimizes the remaining two coordinates.
-    """
-
-    grid_min: float = 1e-4
-    grid_max: float = 10.0
-    grid_points: int = 10
-    top_k: int = 5
-    lower: float = 0.0
-    upper: float = 10.0
-    fatol: float = 1e-8
-    max_iter: int = 2000
-    fix_beta: float | None = None
-
-    def __post_init__(self):
-        if not 0 < self.grid_min < self.grid_max:
-            raise DataError("need 0 < grid_min < grid_max")
-        if self.grid_points < 2 or self.top_k < 1:
-            raise DataError("grid_points must be >= 2 and top_k >= 1")
-        if not self.lower < self.upper:
-            raise DataError("need lower < upper")
-        if self.fatol <= 0 or self.max_iter < 1:
-            raise DataError("fatol must be positive and max_iter >= 1")
+# Search settings: a log-spaced grid of _GRID_POINTS values per axis over
+# [_GRID_MIN, _GRID_MAX] seeds a simplex from each of the _STARTS best grid
+# points; the simplex stays in the box [_LOWER, _UPPER] and stops when its
+# best and worst vertices agree to within _FATOL, or after _MAX_ITER steps.
+_GRID_MIN, _GRID_MAX, _GRID_POINTS = 1e-4, 10.0, 10
+_STARTS = 5
+_LOWER, _UPPER = 0.0, 10.0
+_FATOL = 1e-8
+_MAX_ITER = 2000
 
 
 @dataclass(frozen=True)
@@ -67,7 +48,6 @@ class FitResult:
     log_likelihood: float
     iterations: int
     converged: bool
-    restarts: int
     boundary_flags: tuple[str, ...]
 
 
@@ -207,18 +187,20 @@ def _nelder_mead(fn, x0, lower, upper, fatol, max_iter):
 
 
 def fit(
-    history: HistoryMatrix, network: RiskNetwork, config: FitConfig | None = None
+    history: HistoryMatrix, network: RiskNetwork, *, fix_beta: float | None = None
 ) -> FitResult:
     """Maximum-likelihood (alpha, beta, gamma) for a history on a network.
 
-    A coarse log-spaced grid over the box seeds ``top_k`` deterministic
+    A coarse log-spaced grid over the box seeds ``_STARTS`` deterministic
     simplex refinements; the best refined optimum wins (ties resolved by
-    grid order).  Degenerate data never fails the fit -- it is reported via
-    ``boundary_flags`` ("no_activations", "no_recoveries",
+    grid order).  ``fix_beta`` pins beta to a finite non-negative value and
+    fits alpha and gamma alone.  Degenerate data never fails the fit -- it
+    is reported via ``boundary_flags`` ("no_activations", "no_recoveries",
     "beta_unidentified", "gamma_unidentified", and per-parameter bound
     flags).  Raises ConvergenceError only if no simplex start converges.
     """
-    config = config or FitConfig()
+    if fix_beta is not None and not (math.isfinite(fix_beta) and fix_beta >= 0):
+        raise DataError(f"fix_beta must be finite and non-negative, got {fix_beta}")
     summary = TransitionSummary(history, network)
 
     flags: list[str] = []
@@ -231,24 +213,21 @@ def fit(
     if summary.n_active_source == 0:
         flags.append("gamma_unidentified")
 
-    fixed_beta = config.fix_beta
-    if fixed_beta is None:
+    if fix_beta is None:
         expand = lambda x: (x[0], x[1], x[2])
         ndim = 3
     else:
-        if fixed_beta < 0:
-            raise DataError(f"fix_beta must be non-negative, got {fixed_beta}")
-        expand = lambda x: (x[0], fixed_beta, x[1])
+        expand = lambda x: (x[0], fix_beta, x[1])
         ndim = 2
 
     neg = lambda x: -summary.loglik(*expand(x))
 
-    axis = np.geomspace(config.grid_min, config.grid_max, config.grid_points)
+    axis = np.geomspace(_GRID_MIN, _GRID_MAX, _GRID_POINTS)
     grids = np.meshgrid(*([axis] * ndim), indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=1)
     grid_vals = np.array([neg(p) for p in points])
     order = np.argsort(grid_vals, kind="stable")
-    starts = points[order[: config.top_k]]
+    starts = points[order[:_STARTS]]
 
     best_x = None
     best_f = np.inf
@@ -256,9 +235,7 @@ def fit(
     any_converged = False
     best_converged = False
     for x0 in starts:
-        x, f, iters, conv = _nelder_mead(
-            neg, x0, config.lower, config.upper, config.fatol, config.max_iter
-        )
+        x, f, iters, conv = _nelder_mead(neg, x0, _LOWER, _UPPER, _FATOL, _MAX_ITER)
         total_iters += iters
         any_converged = any_converged or conv
         if f < best_f:
@@ -266,21 +243,18 @@ def fit(
     if best_x is None or not np.isfinite(best_f):
         raise ConvergenceError("every simplex start ended at an impossible-data point")
     if not any_converged:
-        raise ConvergenceError(
-            f"no simplex start converged within {config.max_iter} iterations"
-        )
+        raise ConvergenceError(f"no simplex start converged within {_MAX_ITER} iterations")
 
     alpha, beta, gamma = expand(best_x)
     params = ModelParams(alpha=float(alpha), beta=float(beta), gamma=float(gamma))
 
     names = ("alpha", "beta", "gamma")
-    skip_beta = fixed_beta is not None
     for name, value in zip(names, params.as_tuple()):
-        if name == "beta" and skip_beta:
+        if name == "beta" and fix_beta is not None:
             continue
-        if value <= config.lower + 1e-3:
+        if value <= _LOWER + 1e-3:
             flags.append(f"{name}_at_lower_bound")
-        elif value >= config.upper - 1e-3:
+        elif value >= _UPPER - 1e-3:
             flags.append(f"{name}_at_upper_bound")
 
     return FitResult(
@@ -288,6 +262,5 @@ def fit(
         log_likelihood=-best_f,
         iterations=total_iters,
         converged=best_converged,
-        restarts=len(starts),
         boundary_flags=tuple(flags),
     )

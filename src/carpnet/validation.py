@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .dynamics import (
     statistics_from_batch,
 )
 from .errors import ConvergenceError, DataError
-from .likelihood import FitConfig, fit
+from .likelihood import fit
 from .risks import HistoryMatrix, RiskNetwork
 from .rng import derive_rng
 from .steady_state import solve_steady_state
@@ -128,19 +128,6 @@ class ValidationReport:
     recovery_bound: float
     activation_bound_gt_fractions: float
 
-    @property
-    def replicate_params(self) -> tuple[tuple[float, float], ...]:
-        """(activation_param, recovery_param) per successful replicate."""
-        return tuple(
-            (r.activation_param, r.recovery_param)
-            for r in self.replicates
-            if not r.failed
-        )
-
-    @property
-    def ks_distances(self) -> tuple[float, ...]:
-        return tuple(r.ks for r in self.replicates if not r.failed)
-
 
 def _simulated_history(history: HistoryMatrix, batch_states, initial) -> HistoryMatrix:
     full = np.concatenate([initial[:, None].astype(np.uint8), batch_states], axis=1)
@@ -153,8 +140,6 @@ def recovery_experiment(
     fitted: ModelParams,
     n_replicates: int = 125,
     master_seed: int = 0,
-    *,
-    fit_config: FitConfig | None = None,
 ) -> ValidationReport:
     """How well do we re-estimate known parameters from data we generated?
 
@@ -203,7 +188,7 @@ def recovery_experiment(
         flags: tuple[str, ...] = ()
         params = None
         try:
-            result = fit(sim, network, fit_config)
+            result = fit(sim, network)
             params = result.params
             flags = result.boundary_flags
         except ConvergenceError as exc:
@@ -406,8 +391,6 @@ def network_effect_comparison(
     params: ModelParams,
     runs: int = 100,
     master_seed: int = 0,
-    *,
-    fit_config: FitConfig | None = None,
 ) -> NetworkEffectReport:
     """Does the network improve the fit to historical activation counts?
 
@@ -425,9 +408,8 @@ def network_effect_comparison(
     initial = history.states[:, 0].astype(bool)
     n_steps = history.n_months - 1
 
-    config = replace(fit_config, fix_beta=0.0) if fit_config else FitConfig(fix_beta=0.0)
     edgeless = network.without_edges()
-    independent_params = fit(history, edgeless, config).params
+    independent_params = fit(history, edgeless, fix_beta=0.0).params
 
     def band(net, p):
         batch = run_cascades(
@@ -495,9 +477,6 @@ def sensitivity_suite(
     params: ModelParams,
     perturbation: float = 0.1,
     master_seed: int = 0,
-    *,
-    fit_config: FitConfig | None = None,
-    tol: float = 1e-12,
 ) -> SensitivityReport:
     """Perturb inputs four ways and measure the steady-state response.
 
@@ -517,17 +496,17 @@ def sensitivity_suite(
         raise DataError("history risks are not aligned to the network")
     R = network.n_risks
     L = network.likelihoods
-    base = solve_steady_state(params, network, tol=tol).p_hat
+    base = solve_steady_state(params, network).p_hat
 
     single_likelihood = np.zeros(R)
     for i in range(R):
         cut = L.copy()
         cut[i] *= 1.0 - perturbation
-        p = solve_steady_state(params, network, L=cut, tol=tol).p_hat
+        p = solve_steady_state(params, network, L=cut).p_hat
         single_likelihood[i] = p[i] - base[i]
 
     all_cut = L * (1.0 - perturbation)
-    all_likelihood = solve_steady_state(params, network, L=all_cut, tol=tol).p_hat - base
+    all_likelihood = solve_steady_state(params, network, L=all_cut).p_hat - base
 
     drops: list[np.ndarray] = []
     n_deactivated = np.zeros(R, dtype=np.int64)
@@ -549,20 +528,19 @@ def sensitivity_suite(
             continue
         states = history.states.copy()
         states[i, drops[i]] = 0
-        result = fit(history.with_states(states), network, fit_config)
+        result = fit(history.with_states(states), network)
         refit_flags.append(result.boundary_flags)
-        p = solve_steady_state(result.params, network, tol=tol).p_hat
+        p = solve_steady_state(result.params, network).p_hat
         single_history[i] = p[i] - base[i]
 
     if any(d.size for d in drops):
         states = history.states.copy()
         for i in range(R):
             states[i, drops[i]] = 0
-        result = fit(history.with_states(states), network, fit_config)
-        all_params = result.params
+        all_params = fit(history.with_states(states), network).params
     else:
         all_params = params
-    all_history = solve_steady_state(all_params, network, tol=tol).p_hat - base
+    all_history = solve_steady_state(all_params, network).p_hat - base
 
     return SensitivityReport(
         perturbation=perturbation,

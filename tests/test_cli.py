@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from carpnet.cli import main
@@ -165,10 +164,11 @@ def test_flags_override_config(tmp_path):
 
 def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("wibble = 3\n")
-    code = run_cli(["simulate", "--config", cfg, "--seed", "1", "--out", tmp_path / "x"])
-    assert code == 1
-    assert "wibble" in capsys.readouterr().err
+    for command, key in ((["simulate", "--seed", "1"], "wibble"), (["fit"], "grid-points")):
+        cfg.write_text(f"{key} = 3\n")
+        code = run_cli([*command, "--config", cfg, "--out", tmp_path / "x"])
+        assert code == 1
+        assert key in capsys.readouterr().err
 
 
 def test_config_value_must_respect_choices(tmp_path, capsys):
@@ -215,6 +215,11 @@ def test_out_of_scale_likelihood_is_a_data_error(tmp_path):
         "--out", tmp_path / "x",
     ])
     assert code == 2
+    # a pinned coupling out of range is rejected before any fitting
+    for beta in ("nan", "inf", "1e400", "-0.5"):
+        code = run_cli(["fit", *toy_args("--history", TOY / "history.csv",
+                                         f"--fix-beta={beta}", out=tmp_path / "x")])
+        assert code == 2, beta
 
 
 def test_non_convergence_is_a_numerical_error(tmp_path):
@@ -234,6 +239,11 @@ def test_params_and_params_file_conflict(tmp_path):
 def test_malformed_params_string(tmp_path):
     code = run_cli(["simulate", *toy_args("--params", "1,2", "--seed", "1", out=tmp_path / "x")])
     assert code == 1
+    # so are the grid-search flags, which the fit no longer has
+    for command, flag in (("fit", "--grid-points"), ("pipeline", "--top-k")):
+        code = run_cli([command, *toy_args("--history", TOY / "history.csv", flag, "5",
+                                           out=tmp_path / "x")])
+        assert code == 1, flag
 
 
 def test_duplicate_checkpoints_are_a_data_error(tmp_path):
@@ -293,7 +303,7 @@ NETWORK = {
     "risks": str(TOY / "risks.csv"), "pairs": str(TOY / "pairs.csv"),
     "scale": 5.0, "epsilon": 0.5, "year": "",
 }
-FIT_DEFAULTS = {"grid_points": 10, "top_k": 5, "fix_beta": None}
+FIT_DEFAULTS = {"fix_beta": None}
 VALIDATE_ARGS = ("--history", HISTORY, "--seed", "5", "--replicates", "6", "--runs", "20")
 VALIDATE_CONFIG = {
     **NETWORK, "history": HISTORY, "seed": 5, "replicates": 6, "months": 12,

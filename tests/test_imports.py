@@ -1,0 +1,38 @@
+import ast
+
+from conftest import ROOT
+
+# The package's __init__ imports names only to re-export them.
+SOURCES = sorted(
+    [p for p in (ROOT / "src" / "carpnet").glob("*.py") if p.name != "__init__.py"]
+    + list((ROOT / "tests").glob("*.py"))
+    + list((ROOT / "scripts").glob("*.py"))
+)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import statement and never referenced afterwards."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_scan_finds_an_unused_import():
+    assert unused_imports("import os\nfrom a import b as c\nos.sep\n") == ["line 2: c"]
+
+
+def test_no_unused_imports():
+    found = {
+        str(path.relative_to(ROOT)): unused
+        for path in SOURCES
+        if (unused := unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carpnet import (
-    FitConfig,
+    DataError,
     ImpossibleHistoryError,
     ModelParams,
     TransitionSummary,
@@ -151,9 +151,30 @@ def test_fit_is_deterministic(toy_fit):
 
 def test_fix_beta_pins_the_coupling(toy_fit):
     net, hist, _, _ = toy_fit
-    result = fit(hist, net, FitConfig(fix_beta=0.0))
+    result = fit(hist, net, fix_beta=0.0)
     assert result.params.beta == 0.0
     assert result.converged
+
+
+def test_fix_beta_must_be_finite_and_non_negative(toy_fit):
+    net, hist, _, _ = toy_fit
+    for bad in (math.nan, math.inf, -math.inf, -0.5):
+        with pytest.raises(DataError, match="fix_beta"):
+            fit(hist, net, fix_beta=bad)
+
+
+def test_fixture_fit_matches_recorded_values(fixture_network, fixture_history):
+    # Recorded from the grid-plus-simplex fit; any change to the search or
+    # to the objective's arithmetic moves these.
+    result = fit(fixture_history, fixture_network)
+    assert result.params.as_tuple() == pytest.approx(
+        (0.29161609440539726, 0.02359353781470288, 0.9782729135859364), rel=1e-12
+    )
+    assert result.iterations == 332
+    edgeless = fit(fixture_history, fixture_network.without_edges(), fix_beta=0.0)
+    assert edgeless.params.as_tuple() == pytest.approx(
+        (0.3185151517784925, 0.0, 0.9782743944734221), rel=1e-12
+    )
 
 
 def test_degenerate_history_is_flagged_not_failed():
