@@ -69,12 +69,12 @@ def _connected(adjacency: np.ndarray) -> bool:
 def _simulated_history(network, params, seed, months, burnin):
     initial = np.zeros(network.n_risks, dtype=bool)
     burn = run_cascades(
-        network, network.likelihoods, params, initial, burnin, seed, [0],
+        network, params, initial, burnin, seed, [0],
         rng_path_prefix=(10,),
     )
     start = burn.final_active[0]
     rest = run_cascades(
-        network, network.likelihoods, params, start, months - 1, seed, [0],
+        network, params, start, months - 1, seed, [0],
         rng_path_prefix=(11,), keep_states=True,
     )
     states = np.concatenate(

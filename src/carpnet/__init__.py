@@ -20,7 +20,6 @@ from .dynamics import (
     process_probabilities,
     run_cascades,
     run_cascades_parallel,
-    simulate_trajectory,
     statistics_from_batch,
     trajectory_from_batch,
 )

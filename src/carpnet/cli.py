@@ -314,7 +314,7 @@ def _cmd_simulate(args, out: Path) -> list[str]:
         args.checkpoints = default_checkpoints(args.horizon)
 
     batch = run_cascades_parallel(
-        network, network.likelihoods, params, initial, args.horizon,
+        network, params, initial, args.horizon,
         args.seed, range(args.runs), jobs=args.jobs, checkpoints=args.checkpoints,
     )
     traj = trajectory_from_batch(batch)

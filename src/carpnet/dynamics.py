@@ -11,6 +11,12 @@ probability ``1 - (1-L)**gamma`` and recovers with ``(1-L)**gamma``.
 Updates are synchronous: every risk transitions based on the previous
 month's active set.
 
+The engine's one input is a :class:`RiskNetwork` snapshot: it reads the
+co-mention adjacency and the likelihoods from the network, and draws
+against the probabilities :func:`process_probabilities` returns for them.
+Mean being-active frequencies over many runs come from
+``trajectory_from_batch(run_cascades(..., checkpoints=...))``.
+
 Randomness: internal and external activation are drawn separately (so the
 cause of each activation is observable) and the risk activates if either
 fired, which leaves the combined transition probability unchanged.  Each
@@ -101,15 +107,6 @@ def process_probabilities(L, params: ModelParams) -> ProcessProbabilities:
     return probs
 
 
-def _as_adjacency(network) -> np.ndarray:
-    if isinstance(network, RiskNetwork):
-        return network.adjacency_float
-    arr = np.asarray(network, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DataError(f"adjacency must be square, got shape {arr.shape}")
-    return arr
-
-
 @dataclass(frozen=True)
 class CascadeBatch:
     """Results of a batch of independent simulation runs."""
@@ -127,8 +124,7 @@ class CascadeBatch:
 
 
 def run_cascades(
-    network,
-    L,
+    network: RiskNetwork,
     params: ModelParams,
     initial,
     n_steps: int,
@@ -141,16 +137,17 @@ def run_cascades(
     track_step_activations: bool = False,
     track_causes: bool = False,
 ) -> CascadeBatch:
-    """Simulate many independent runs of the cascade in one vectorized pass.
+    """Simulate many independent runs of the cascade on ``network``.
 
+    Every run starts from the same ``(R,)`` state ``initial`` and steps
+    the adjacency and likelihoods of ``network`` for ``n_steps`` months.
     Run ``r`` draws from the stream ``(master_seed, *rng_path_prefix, r)``
     and its output is a function of that stream alone, so splitting the runs
     across any number of workers reproduces identical results.
     ``checkpoints`` are distinct steps in ``[1, n_steps]``.
     """
-    A = _as_adjacency(network)
-    R = A.shape[0]
-    L = check_likelihoods(L, R)
+    A = network.adjacency_float
+    R = network.n_risks
     if n_steps < 1:
         raise DataError("n_steps must be >= 1")
     run_indices = tuple(int(r) for r in run_indices)
@@ -159,17 +156,13 @@ def run_cascades(
         raise DataError("run_indices is empty")
 
     initial = np.asarray(initial, dtype=bool)
-    if initial.shape == (R,):
-        active = np.broadcast_to(initial, (n, R)).copy()
-    elif initial.shape == (n, R):
-        active = initial.copy()
-    else:
-        raise DataError(f"initial state must have shape ({R},) or ({n}, {R})")
+    if initial.shape != (R,):
+        raise DataError(f"initial state must have shape ({R},), got {initial.shape}")
+    active = np.broadcast_to(initial, (n, R)).copy()
 
-    log1m = np.log1p(-L)
-    p_int = -np.expm1(params.alpha * log1m)
-    p_rec = np.exp(params.gamma * log1m)
-    beta_log1m = params.beta * log1m  # per-neighbor external log-survival
+    probs = process_probabilities(network.likelihoods, params)
+    p_int, p_rec = probs.p_int, probs.p_rec
+    beta_log1m = params.beta * np.log1p(-network.likelihoods)  # per-neighbor log-survival
 
     checkpoints = tuple(int(c) for c in (checkpoints or ()))
     if any(c < 1 or c > n_steps for c in checkpoints):
@@ -263,8 +256,7 @@ def _merge_batches(parts: Sequence[CascadeBatch]) -> CascadeBatch:
 
 
 def run_cascades_parallel(
-    network,
-    L,
+    network: RiskNetwork,
     params: ModelParams,
     initial,
     n_steps: int,
@@ -274,25 +266,24 @@ def run_cascades_parallel(
     jobs: int = 1,
     **kwargs,
 ) -> CascadeBatch:
-    """Like :func:`run_cascades` but optionally split over worker processes.
+    """:func:`run_cascades`, optionally split over ``jobs`` worker processes.
 
-    Output is identical for every ``jobs`` value: runs are partitioned into
-    contiguous index blocks and reassembled in order.
+    Each worker receives the network itself.  Output is identical for every
+    ``jobs`` value: runs are partitioned into contiguous index blocks and
+    reassembled in order.
     """
     run_indices = tuple(int(r) for r in run_indices)
-    A = _as_adjacency(network)
     if jobs <= 1 or len(run_indices) < 2:
         return run_cascades(
-            A, L, params, initial, n_steps, master_seed, run_indices, **kwargs
+            network, params, initial, n_steps, master_seed, run_indices, **kwargs
         )
     jobs = min(jobs, len(run_indices))
     splits = np.array_split(np.asarray(run_indices), jobs)
     tasks = [
         dict(
-            network=A,
-            L=np.asarray(L, dtype=float),
+            network=network,
             params=params,
-            initial=np.asarray(initial, dtype=bool),
+            initial=initial,
             n_steps=n_steps,
             master_seed=master_seed,
             run_indices=tuple(int(r) for r in chunk),
@@ -329,7 +320,6 @@ class Trajectory:
     checkpoints: tuple[int, ...]
     mean_frequency: np.ndarray  # float (n_checkpoints, R)
     std_frequency: np.ndarray  # float (n_checkpoints, R), ddof=1
-    n_runs: int
 
 
 def trajectory_from_batch(batch: CascadeBatch) -> Trajectory:
@@ -342,44 +332,7 @@ def trajectory_from_batch(batch: CascadeBatch) -> Trajectory:
         checkpoints=batch.checkpoints,
         mean_frequency=freq.mean(axis=1),
         std_frequency=std,
-        n_runs=n,
     )
-
-
-def simulate_trajectory(
-    initial,
-    params: ModelParams,
-    network,
-    horizon: int,
-    n_runs: int,
-    master_seed: int,
-    *,
-    L=None,
-    checkpoints: Sequence[int] | None = None,
-    jobs: int = 1,
-) -> Trajectory:
-    """Monte Carlo being-active frequencies at log-spaced checkpoints.
-
-    Run r draws from stream (master_seed, r).
-    """
-    if L is None:
-        if not isinstance(network, RiskNetwork):
-            raise DataError("pass L explicitly when network is a bare adjacency matrix")
-        L = network.likelihoods
-    if checkpoints is None:
-        checkpoints = default_checkpoints(horizon)
-    batch = run_cascades_parallel(
-        network,
-        L,
-        params,
-        initial,
-        horizon,
-        master_seed,
-        range(n_runs),
-        jobs=jobs,
-        checkpoints=checkpoints,
-    )
-    return trajectory_from_batch(batch)
 
 
 @dataclass(frozen=True)
@@ -388,13 +341,8 @@ class ActivityStatistics:
 
     freq_active: np.ndarray  # float (R,): fraction of months active, averaged over runs
     activations: np.ndarray  # float (R,): passive->active flips per run, averaged over runs
-    per_run_activations: np.ndarray  # int (n_runs, R)
     mean_freq_active: float  # scalar: over risks and months (and runs)
     mean_activations: float  # scalar: flips per risk per run
-
-    @property
-    def n_runs(self) -> int:
-        return self.per_run_activations.shape[0]
 
 
 def statistics_from_batch(batch: CascadeBatch) -> ActivityStatistics:
@@ -403,7 +351,6 @@ def statistics_from_batch(batch: CascadeBatch) -> ActivityStatistics:
     return ActivityStatistics(
         freq_active=freq_active,
         activations=batch.activation_counts.mean(axis=0),
-        per_run_activations=batch.activation_counts,
         mean_freq_active=float((batch.active_months / batch.n_steps).mean()),
         mean_activations=float(batch.activation_counts.mean()),
     )

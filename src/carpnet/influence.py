@@ -15,6 +15,7 @@ provably coincides with deleting the node from the network outright.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,12 +128,7 @@ def external_fraction(
     return transition_fractions(steady, params, network, L=L).frac_external
 
 
-def risk_influence(
-    network: RiskNetwork,
-    params: ModelParams,
-    *,
-    L=None,
-) -> InfluenceMatrix:
+def risk_influence(network: RiskNetwork, params: ModelParams) -> InfluenceMatrix:
     """Pairwise influence values[i, j] for every ordered pair i != j.
 
     One baseline steady state plus one counterfactual solve per risk, with
@@ -140,8 +136,8 @@ def risk_influence(
     is meaningless once that risk is disabled).
     """
     R = network.n_risks
-    L = network.likelihoods if L is None else check_likelihoods(L, R)
-    base = external_fraction(params, network, L=L)
+    L = network.likelihoods
+    base = external_fraction(params, network)
     values = np.full((R, R), np.nan)
 
     for i in range(R):
@@ -179,8 +175,8 @@ def category_influence(
     """
     if aggregate not in ("sum", "mean"):
         raise DataError(f"aggregate must be 'sum' or 'mean', got {aggregate!r}")
-    if kappa <= 0:
-        raise DataError(f"kappa must be positive, got {kappa}")
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise DataError(f"kappa must be finite and positive, got {kappa}")
     if influence.ids != network.ids:
         raise DataError("influence matrix does not match the network")
 

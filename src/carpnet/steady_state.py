@@ -81,8 +81,9 @@ def solve_steady_state(
     such a risk can never activate and gets ``p_hat = 0`` -- which is what
     knockout experiments rely on.
     """
-    if tol <= 0 or max_iter < 1:
-        raise DataError("tol must be positive and max_iter >= 1")
+    # NaN fails the comparison too; a tol of 1 or more would pass the first sweep
+    if not 0 < tol < 1 or max_iter < 1:
+        raise DataError(f"need tol in (0, 1) and max_iter >= 1, got {tol} and {max_iter}")
     L = network.likelihoods if L is None else check_likelihoods(L, network.n_risks)
 
     def iterate(p0):

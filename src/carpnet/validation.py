@@ -162,7 +162,7 @@ def recovery_experiment(
     n_steps = history.n_months - 1
 
     ref = run_cascades(
-        network, network.likelihoods, fitted, initial, n_steps, master_seed,
+        network, fitted, initial, n_steps, master_seed,
         [0], rng_path_prefix=(0,), track_causes=True,
     )
     gt_fractions = AttributionFractions.from_counts(*ref.cause_counts[0])
@@ -175,7 +175,7 @@ def recovery_experiment(
         raise DataError("ground-truth vector has a zero coordinate; deviations undefined")
 
     batch = run_cascades(
-        network, network.likelihoods, fitted, initial, n_steps, master_seed,
+        network, fitted, initial, n_steps, master_seed,
         range(n_replicates), rng_path_prefix=(1,),
         keep_states=True, track_causes=True,
     )
@@ -282,7 +282,7 @@ def forward_statistics(
 ) -> ActivityStatistics:
     """Activity statistics of a simulated forward window (stream tag 2)."""
     batch = run_cascades(
-        network, network.likelihoods, params, initial, months, master_seed,
+        network, params, initial, months, master_seed,
         range(n_runs), rng_path_prefix=(2,),
     )
     return statistics_from_batch(batch)
@@ -413,7 +413,7 @@ def network_effect_comparison(
 
     def band(net, p):
         batch = run_cascades(
-            net, net.likelihoods, p, initial, n_steps, master_seed,
+            net, p, initial, n_steps, master_seed,
             range(runs), rng_path_prefix=(3,), track_step_activations=True,
         )
         counts = batch.step_activations.astype(float)

@@ -22,6 +22,7 @@ from carpnet import (
     build_history,
     build_network,
     category_influence,
+    default_checkpoints,
     fit,
     forward_error_bounds,
     month_sequence,
@@ -32,8 +33,8 @@ from carpnet import (
     risk_influence,
     run_cascades,
     sensitivity_suite,
-    simulate_trajectory,
     solve_steady_state,
+    trajectory_from_batch,
 )
 from carpnet.cli import main as cli_main
 from carpnet.rng import derive_rng
@@ -157,7 +158,7 @@ def test_05_recovery_error_shrinks_with_history(fixture_network):
 
     def one_error(T, seed):
         batch = run_cascades(
-            fixture_network, fixture_network.likelihoods, FIXTURE_PARAMS,
+            fixture_network, FIXTURE_PARAMS,
             np.zeros(50, bool), T + 240, master_seed=seed,
             run_indices=np.array([0]), rng_path_prefix=(20,), keep_states=True,
         )
@@ -202,7 +203,7 @@ def test_06_network_model_covers_its_own_histories_tighter():
         warnings.simplefilter("ignore")
         for trial in range(10):
             batch = run_cascades(
-                net, net.likelihoods, gen, np.zeros(50, bool), 600 + 240,
+                net, gen, np.zeros(50, bool), 600 + 240,
                 master_seed=1000 + trial, run_indices=np.array([0]),
                 rng_path_prefix=(21,), keep_states=True,
             )
@@ -278,10 +279,10 @@ def test_09_influence_sanity(toy_network):
 
 def test_10_trajectories_saturate_at_the_fixed_point(fixture_network):
     ss = solve_steady_state(FIXTURE_PARAMS, fixture_network)
-    traj = simulate_trajectory(
-        np.zeros(50, bool), FIXTURE_PARAMS, fixture_network,
-        horizon=10_000, n_runs=1000, master_seed=2013,
-    )
+    traj = trajectory_from_batch(run_cascades(
+        fixture_network, FIXTURE_PARAMS, np.zeros(50, bool), 10_000,
+        master_seed=2013, run_indices=range(1000), checkpoints=default_checkpoints(10_000),
+    ))
     cps = list(traj.checkpoints)
     f3 = traj.mean_frequency[cps.index(1000)]
     f4 = traj.mean_frequency[cps.index(10_000)]

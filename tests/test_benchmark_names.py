@@ -1,0 +1,78 @@
+"""The benchmark in ``perfbench/`` patches carpnet's names from outside the
+package; these tests fail when a rename would break it.
+
+``perfbench/tracing.py`` wraps the functions listed in its ``SPANS`` and
+``COUNTED`` tables and reads ``run_cascades``' arguments and result in a
+hook; ``perfbench/worker.py`` loads the fixture in its ``setup`` step.  Both
+modules are imported as they are, without carpnet-side stand-ins.
+"""
+import importlib
+import inspect
+
+import numpy as np
+import pytest
+
+import carpnet.cli
+import carpnet.dynamics
+from carpnet import ModelParams
+from conftest import ROOT, make_network
+from test_cli import toy_args
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """Imports from ``perfbench/``, with it on the path the way its scripts run."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    return importlib.import_module
+
+
+@pytest.fixture
+def tracing(perfbench):
+    return perfbench("tracing")
+
+
+def test_every_patched_name_resolves(tracing):
+    missing = [
+        f"{owner}.{attr}"
+        for owner, attr, _ in (*tracing.SPANS, *tracing.COUNTED)
+        if not callable(getattr(tracing._owner(owner), attr, None))
+    ]
+    assert missing == []
+
+
+def test_cascade_hook_reads_the_stream_and_the_batch(tracing):
+    net = make_network([0.2, 0.3, 0.4], edges=[(0, 1), (1, 2)])
+    args = (net, ModelParams(0.3, 0.3, 1.0), np.zeros(3, bool), 4, 9, [0])
+    kwargs = {"rng_path_prefix": (2,)}
+    batch = carpnet.dynamics.run_cascades(*args, **kwargs)
+    bound = inspect.signature(carpnet.dynamics.run_cascades).bind(*args, **kwargs).arguments
+    assert bound["master_seed"] == 9 and bound["rng_path_prefix"] == (2,)
+    assert batch.final_active.shape == (1, 3)
+    assert batch.run_indices == (0,) and batch.n_steps == 4
+
+    tracer = tracing.Tracer()
+    tracing.HOOKS["dynamics.run_cascades"](tracer, batch, args, kwargs)
+    assert tracer.streams == [(None, 9, (2,), (0,), 4, 3)]
+    assert tracer.counts["dynamics.risk_steps"] == 12
+
+
+def test_traced_cli_run_records_its_cascades(tracing, tmp_path):
+    tracer = tracing.Tracer()
+    tracer.install(run_id=0)
+    try:
+        code = carpnet.cli.main([str(a) for a in ["simulate", *toy_args(
+            "--params", "0.4,0.3,1.2", "--seed", "3", "--runs", "2", "--horizon", "20",
+            out=tmp_path / "x")]])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.streams == [(0, 3, (), (0, 1), 20, 6)]
+    names = {span[2] for span in tracer.spans}
+    assert {"cli.main", "dynamics.run_cascades_parallel", "dynamics.run_cascades"} <= names
+
+
+def test_worker_setup_loads_the_fixture(perfbench, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    worker = perfbench("worker")
+    for workload in ("cascade", "pipeline"):  # without and with the history
+        worker.setup(workload)

@@ -220,6 +220,15 @@ def test_out_of_scale_likelihood_is_a_data_error(tmp_path):
         code = run_cli(["fit", *toy_args("--history", TOY / "history.csv",
                                          f"--fix-beta={beta}", out=tmp_path / "x")])
         assert code == 2, beta
+    # a tolerance that is not finite, or not below 1, is rejected before any sweep
+    for tol in ("nan", "inf", "1e300", "1"):
+        code = run_cli(["steady-state", *toy_args("--params", "0.4,0.3,1.2",
+                                                  f"--tol={tol}", out=tmp_path / "x")])
+        assert code == 2, tol
+    for kappa in ("nan", "inf"):
+        code = run_cli(["influence", *toy_args("--params", "0.4,0.3,1.2",
+                                               f"--kappa={kappa}", out=tmp_path / "x")])
+        assert code == 2, kappa
 
 
 def test_non_convergence_is_a_numerical_error(tmp_path):

@@ -16,10 +16,8 @@ from carpnet import (
     log_likelihood,
     month_sequence,
     process_probabilities,
-    risk_influence,
     run_cascades,
     run_cascades_parallel,
-    simulate_trajectory,
     solve_steady_state,
     statistics_from_batch,
     trajectory_from_batch,
@@ -56,10 +54,8 @@ def test_continuation_and_recovery_are_exactly_complementary(L, gamma):
 _NET3 = make_network([0.2, 0.3, 0.4], edges=[(0, 1), (1, 2)])
 _P3 = ModelParams(0.3, 0.3, 1.0)
 _LIKELIHOOD_USERS = {
-    "run_cascades": lambda L: run_cascades(_NET3, L, _P3, np.zeros(3, bool), 5, 1, [0]),
     "solve_steady_state": lambda L: solve_steady_state(_P3, _NET3, L=L),
     "fixed_point_map": lambda L: fixed_point_map(np.zeros(3), _P3, _NET3, L=L),
-    "risk_influence": lambda L: risk_influence(_NET3, _P3, L=L),
     "external_fraction": lambda L: external_fraction(_P3, _NET3, L=L),
     "transition_fractions": lambda L: transition_fractions(
         solve_steady_state(_P3, _NET3), _P3, _NET3, L=L),
@@ -127,7 +123,7 @@ def test_step_matches_manual_transcription():
     params = ModelParams(0.3, 0.4, 0.8)
     active = np.array([True, False, True])
 
-    batch = run_cascades(net, net.likelihoods, params, active, 1,
+    batch = run_cascades(net, params, active, 1,
                          master_seed=42, run_indices=[0], track_causes=True)
 
     u = derive_rng(42, 0).random((2, 3))
@@ -155,7 +151,7 @@ def test_engine_equals_step_loop():
     n_steps = 130  # crosses at least one internal refill boundary
 
     batch = run_cascades(
-        net, net.likelihoods, params, initial, n_steps,
+        net, params, initial, n_steps,
         master_seed=6, run_indices=[7], rng_path_prefix=(5,), keep_states=True,
     )
 
@@ -181,9 +177,9 @@ def test_batch_is_independent_of_grouping():
     net = make_network([0.2, 0.3, 0.4, 0.25], edges=[(0, 1), (1, 2), (2, 3)])
     params = ModelParams(0.3, 0.3, 1.0)
     initial = np.zeros(4, bool)
-    whole = run_cascades(net, net.likelihoods, params, initial, 60, 9, [0, 1, 2], keep_states=True)
+    whole = run_cascades(net, params, initial, 60, 9, [0, 1, 2], keep_states=True)
     parts = [
-        run_cascades(net, net.likelihoods, params, initial, 60, 9, [r], keep_states=True)
+        run_cascades(net, params, initial, 60, 9, [r], keep_states=True)
         for r in (0, 1, 2)
     ]
     assert (whole.states == np.concatenate([p.states for p in parts])).all()
@@ -194,9 +190,9 @@ def test_parallel_workers_change_nothing():
     net = make_network([0.2, 0.3, 0.4], edges=[(0, 1), (1, 2)])
     params = ModelParams(0.3, 0.3, 1.0)
     initial = np.zeros(3, bool)
-    a = run_cascades_parallel(net, net.likelihoods, params, initial, 80, 3, range(6), jobs=1,
+    a = run_cascades_parallel(net, params, initial, 80, 3, range(6), jobs=1,
                               checkpoints=(10, 80))
-    b = run_cascades_parallel(net, net.likelihoods, params, initial, 80, 3, range(6), jobs=3,
+    b = run_cascades_parallel(net, params, initial, 80, 3, range(6), jobs=3,
                               checkpoints=(10, 80))
     assert (a.final_active == b.final_active).all()
     assert (a.checkpoint_frequency == b.checkpoint_frequency).all()
@@ -206,7 +202,7 @@ def test_parallel_workers_change_nothing():
 def test_duplicate_checkpoints_are_rejected():
     net = make_network([0.2, 0.3, 0.4], edges=[(0, 1), (1, 2)])
     with pytest.raises(DataError, match="distinct"):
-        run_cascades(net, net.likelihoods, ModelParams(0.3, 0.3, 1.0), np.zeros(3, bool),
+        run_cascades(net, ModelParams(0.3, 0.3, 1.0), np.zeros(3, bool),
                      20, 1, range(2), checkpoints=(10, 10, 20))
 
 
@@ -225,7 +221,7 @@ def _certain_statistics(initial, gamma, n_steps):
     and never when gamma = 1e6.
     """
     net = make_network([0.9])
-    batch = run_cascades(net, net.likelihoods, ModelParams(1e6, 0.0, gamma),
+    batch = run_cascades(net, ModelParams(1e6, 0.0, gamma),
                          [initial], n_steps, master_seed=0, run_indices=[0])
     return statistics_from_batch(batch)
 
@@ -250,11 +246,10 @@ def test_trajectory_matches_batch_statistics():
     net = make_network([0.2, 0.3, 0.4], edges=[(0, 1), (1, 2)])
     params = ModelParams(0.3, 0.2, 1.0)
     initial = np.zeros(3, bool)
-    traj = simulate_trajectory(initial, params, net, horizon=100, n_runs=5, master_seed=17)
-    batch = run_cascades(net, net.likelihoods, params, initial, 100, 17, range(5),
-                         checkpoints=(10, 100))
+    batch = run_cascades(net, params, initial, 100, 17, range(5),
+                         checkpoints=default_checkpoints(100))
+    traj = trajectory_from_batch(batch)
     assert traj.checkpoints == (10, 100)
-    assert np.allclose(traj.mean_frequency, trajectory_from_batch(batch).mean_frequency)
     stats = statistics_from_batch(batch)
     assert np.allclose(traj.mean_frequency[-1], stats.freq_active)
 
@@ -262,7 +257,7 @@ def test_trajectory_matches_batch_statistics():
 def test_zero_coupling_never_reports_external_causes():
     net = make_network([0.3, 0.4], edges=[(0, 1)])
     params = ModelParams(0.5, 1e-12, 1.0)
-    batch = run_cascades(net, net.likelihoods, params, np.zeros(2, bool), 200, 8,
+    batch = run_cascades(net, params, np.zeros(2, bool), 200, 8,
                          range(4), track_causes=True)
     internal, external, both = batch.cause_counts.sum(axis=0)
     assert internal > 0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from carpnet import (
     CATEGORIES,
+    DataError,
     ModelParams,
     category_influence,
     external_fraction,
@@ -127,6 +130,14 @@ def test_category_scaling_formula():
     assert np.allclose(cat.normalized[finite], expected_norm[finite])
     assert np.allclose(cat.log_scaled[finite], np.log1p(99.0 * expected_norm[finite]))
     assert not cat.degenerate
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, 0.0, -1.0])
+def test_kappa_must_be_finite_and_positive(kappa):
+    net = _block_diagonal_network()
+    inf = risk_influence(net, PARAMS)
+    with pytest.raises(DataError, match="kappa"):
+        category_influence(inf, net, kappa=kappa)
 
 
 def test_degenerate_flat_categories():

@@ -114,7 +114,7 @@ def test_log_likelihood_is_permutation_equivariant(data, seed):
 def toy_fit():
     net = make_network([0.25, 0.4, 0.3, 0.35], edges=[(0, 1), (1, 2), (2, 3), (0, 3)])
     truth = ModelParams(0.4, 0.3, 1.2)
-    batch = run_cascades(net, net.likelihoods, truth, np.zeros(4, bool), 3000,
+    batch = run_cascades(net, truth, np.zeros(4, bool), 3000,
                          master_seed=33, run_indices=[0], keep_states=True)
     hist = _history(net, batch.states[0])
     return net, hist, truth, fit(hist, net)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from carpnet import (
     ConvergenceError,
+    DataError,
     ModelParams,
     fixed_point_map,
     solve_steady_state,
@@ -68,6 +69,14 @@ def test_unreachable_budget_raises():
     net = make_network([0.2, 0.3], edges=[(0, 1)])
     with pytest.raises(ConvergenceError):
         solve_steady_state(ModelParams(0.3, 0.4, 1.0), net, max_iter=2)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 1e300, 1.0, 0.0, -1e-12])
+def test_tol_must_be_finite_and_below_one(tol):
+    # with tol >= 1 the first sweep from p = 0 would pass as converged
+    net = make_network([0.2, 0.3], edges=[(0, 1)])
+    with pytest.raises(DataError, match="tol"):
+        solve_steady_state(ModelParams(0.3, 0.4, 1.0), net, tol=tol)
 
 
 def test_pure_contagion_reports_non_unique_limits():
