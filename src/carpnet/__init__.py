@@ -49,21 +49,16 @@ from .likelihood import (
 )
 from .risks import (
     CATEGORIES,
-    CrossYearReport,
     ExpertPairCount,
     HistoryMatrix,
-    MappingRow,
     Risk,
     RiskNetwork,
     build_history,
     build_network,
-    bundled_mapping,
     load_history,
-    load_mapping,
     load_network,
     load_pairs,
     load_risks,
-    map_cross_year,
     month_sequence,
     normalize_likelihood,
     save_history,

@@ -40,9 +40,9 @@ from .dynamics import (
 )
 from .errors import CarpError, DataError, NumericalError, UsageError
 from .graph_stats import compute_properties
-from .influence import category_influence, risk_influence
+from .influence import category_influence, check_kappa, risk_influence
 from .likelihood import fit
-from .risks import HistoryMatrix, RiskNetwork, load_history, load_network
+from .risks import RiskNetwork, load_history, load_network
 from .steady_state import solve_steady_state
 from .validation import (
     forward_error_bounds,
@@ -174,20 +174,9 @@ def _require(args, command: str, dests) -> None:
 
 
 def _load_net(args) -> RiskNetwork:
-    try:
-        return load_network(
-            args.risks, args.pairs, year=args.year,
-            likelihood_scale=args.scale, epsilon=args.epsilon,
-        )
-    except OSError as exc:
-        raise DataError(f"cannot read network inputs: {exc}") from None
-
-
-def _load_hist(args, network: RiskNetwork) -> HistoryMatrix:
-    try:
-        return load_history(args.history, network)
-    except OSError as exc:
-        raise DataError(f"cannot read history: {exc}") from None
+    return load_network(
+        args.risks, args.pairs, year=args.year, likelihood_scale=args.scale, epsilon=args.epsilon
+    )
 
 
 def _parse_params(args, network, history, *, allow_fit=False):
@@ -287,7 +276,7 @@ def _influence_artifacts(out: Path, network, params, aggregate, kappa) -> list[s
 
 def _cmd_fit(args, out: Path) -> list[str]:
     network = _load_net(args)
-    history = _load_hist(args, network)
+    history = load_history(args.history, network)
     result = fit(history, network, fix_beta=args.fix_beta)
     write_json(out / "fit.json", _fit_json(result))
     return ["fit.json"]
@@ -299,7 +288,7 @@ def _cmd_simulate(args, out: Path) -> list[str]:
     if args.initial == "history-last":
         _require(args, "simulate", ("history",))
     if args.history is not None:
-        history = _load_hist(args, network)
+        history = load_history(args.history, network)
     params, _ = _parse_params(args, network, history)
 
     R = network.n_risks
@@ -354,14 +343,16 @@ def _cmd_stats(args, out: Path) -> list[str]:
 
 
 def _cmd_influence(args, out: Path) -> list[str]:
+    check_kappa(args.kappa)  # before any artifact is written
     network = _load_net(args)
     params, _ = _parse_params(args, network, None)
     return _influence_artifacts(out, network, params, args.aggregate, args.kappa)
 
 
 def _cmd_pipeline(args, out: Path) -> list[str]:
+    check_kappa(args.kappa)  # before any artifact is written
     network = _load_net(args)
-    history = _load_hist(args, network)
+    history = load_history(args.history, network)
     result = fit(history, network, fix_beta=args.fix_beta)
     write_json(out / "fit.json", _fit_json(result))
     steady = solve_steady_state(result.params, network)
@@ -373,7 +364,7 @@ def _cmd_pipeline(args, out: Path) -> list[str]:
 
 def _cmd_validate(args, out: Path) -> list[str]:
     network = _load_net(args)
-    history = _load_hist(args, network)
+    history = load_history(args.history, network)
     params, source = _parse_params(args, network, history, allow_fit=True)
     experiment = args.experiment
     outputs: list[str] = []

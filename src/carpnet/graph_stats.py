@@ -27,18 +27,13 @@ class NetworkProperties:
 
 
 def to_networkx(network: RiskNetwork) -> nx.Graph:
-    """Undirected graph on risk ids with expert-count edge weights."""
+    """Undirected graph on risk ids with expert co-mention counts on the edges."""
     g = nx.Graph()
     for risk in network.risks:
         g.add_node(risk.id, category=risk.category, likelihood=risk.normalized_likelihood)
     rows, cols = np.nonzero(np.triu(network.adjacency, k=1))
     for i, j in zip(rows, cols):
-        g.add_edge(
-            network.ids[i],
-            network.ids[j],
-            weight=float(network.edge_weights[i, j]),
-            count=int(network.pair_counts[i, j]),
-        )
+        g.add_edge(network.ids[i], network.ids[j], count=int(network.pair_counts[i, j]))
     return g
 
 

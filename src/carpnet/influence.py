@@ -155,6 +155,12 @@ def risk_influence(network: RiskNetwork, params: ModelParams) -> InfluenceMatrix
     return InfluenceMatrix(ids=network.ids, values=values, anomalies=anomalies)
 
 
+def check_kappa(kappa: float) -> None:
+    """Reject a log display compression that is not finite and positive."""
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise DataError(f"kappa must be finite and positive, got {kappa}")
+
+
 def category_influence(
     influence: InfluenceMatrix,
     network: RiskNetwork,
@@ -175,8 +181,7 @@ def category_influence(
     """
     if aggregate not in ("sum", "mean"):
         raise DataError(f"aggregate must be 'sum' or 'mean', got {aggregate!r}")
-    if not (math.isfinite(kappa) and kappa > 0):
-        raise DataError(f"kappa must be finite and positive, got {kappa}")
+    check_kappa(kappa)
     if influence.ids != network.ids:
         raise DataError("influence matrix does not match the network")
 

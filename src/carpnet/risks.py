@@ -7,11 +7,10 @@ CSV contracts (all UTF-8, comma-separated, one header row):
 * history: long form ``month,risk_id,state`` with month as ``YYYY-MM`` and
   state in {0,1}, or wide form ``month,<id1>,<id2>,...`` with one row per
   month
-* mapping: ``numeric_code,year,year_index`` -- cross-year identity of risks
 
-Edge weights are derived from pair counts as ``sqrt(count / max_count)``;
-they are reported for inspection only, the dynamics treat every edge as
-unweighted.
+A network is one year's snapshot.  Its only edge data is the symmetric
+``pair_counts`` matrix: any positive count makes an unweighted edge
+(``adjacency``), and the dynamics never read the counts themselves.
 """
 from __future__ import annotations
 
@@ -20,7 +19,6 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -119,42 +117,26 @@ class ExpertPairCount:
             )
 
 
-@dataclass(frozen=True)
-class MappingRow:
-    """Cross-year identity row: a stable numeric code and its per-year index."""
-
-    numeric_code: str
-    year: str
-    year_index: str
-
-
 @dataclass(frozen=True, eq=False)
 class RiskNetwork:
     """Immutable snapshot of one year's risks and their co-mention network."""
 
     year: str
     risks: tuple[Risk, ...]
-    adjacency: np.ndarray  # bool (R, R): count > 0
-    edge_weights: np.ndarray  # float (R, R): sqrt(count / max_count)
     pair_counts: np.ndarray  # int (R, R)
 
     def __post_init__(self):
         n = len(self.risks)
         if n == 0:
             raise DataError("risk catalog is empty")
-        for name in ("adjacency", "edge_weights", "pair_counts"):
-            arr = getattr(self, name)
-            if arr.shape != (n, n):
-                raise DataError(f"{name} must have shape ({n}, {n}), got {arr.shape}")
-            if not np.array_equal(arr, arr.T):
-                raise DataError(f"{name} must be symmetric")
-            if np.diagonal(arr).any():
-                raise DataError(f"{name} must have a zero diagonal")
-            arr.setflags(write=False)
-        if not np.array_equal(self.adjacency, self.pair_counts > 0):
-            raise DataError("adjacency must mark exactly the pairs with positive counts")
-        if np.any((self.edge_weights > 0) != self.adjacency):
-            raise DataError("edge weights must be positive exactly on edges")
+        counts = self.pair_counts
+        if counts.shape != (n, n):
+            raise DataError(f"pair_counts must have shape ({n}, {n}), got {counts.shape}")
+        if not np.array_equal(counts, counts.T):
+            raise DataError("pair_counts must be symmetric")
+        if np.diagonal(counts).any():
+            raise DataError("pair_counts must have a zero diagonal")
+        counts.setflags(write=False)
 
     @property
     def n_risks(self) -> int:
@@ -173,6 +155,12 @@ class RiskNetwork:
         v = np.array([r.normalized_likelihood for r in self.risks], dtype=float)
         v.setflags(write=False)
         return v
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        a = self.pair_counts > 0
+        a.setflags(write=False)
+        return a
 
     @cached_property
     def adjacency_float(self) -> np.ndarray:
@@ -199,15 +187,7 @@ class RiskNetwork:
 
     def without_edges(self) -> "RiskNetwork":
         """Copy of this network with every edge removed."""
-        n = self.n_risks
-        zeros_i = np.zeros((n, n), dtype=int)
-        return RiskNetwork(
-            year=self.year,
-            risks=self.risks,
-            adjacency=zeros_i.astype(bool),
-            edge_weights=zeros_i.astype(float),
-            pair_counts=zeros_i,
-        )
+        return RiskNetwork(self.year, self.risks, np.zeros_like(self.pair_counts))
 
 
 def build_network(
@@ -236,14 +216,7 @@ def build_network(
             raise DataError(f"duplicate pair ({pc.risk_a!r}, {pc.risk_b!r})")
         seen.add(key)
         counts[i, j] = counts[j, i] = pc.count
-
-    adjacency = counts > 0
-    weights = np.zeros((n, n), dtype=float)
-    if adjacency.any():
-        weights[adjacency] = np.sqrt(counts[adjacency] / counts.max())
-    return RiskNetwork(
-        year=year, risks=risks, adjacency=adjacency, edge_weights=weights, pair_counts=counts
-    )
+    return RiskNetwork(year=year, risks=risks, pair_counts=counts)
 
 
 def _read_rows(path, expected_fields: tuple[str, ...], kind: str) -> list[dict[str, str]]:
@@ -528,126 +501,3 @@ def save_history(history: HistoryMatrix, path, *, form: str = "wide") -> None:
                     writer.writerow([m, rid, str(int(history.states[i, t]))])
         else:
             raise ValueError(f"unknown history form {form!r}")
-
-
-def load_mapping(path) -> tuple[MappingRow, ...]:
-    rows = _read_rows(path, ("numeric_code", "year", "year_index"), "mapping")
-    mapping = tuple(
-        MappingRow(row["numeric_code"], row["year"], row["year_index"]) for row in rows
-    )
-    _validate_mapping(mapping)
-    return mapping
-
-
-def bundled_mapping() -> tuple[MappingRow, ...]:
-    """The packaged cross-year code table for the 2013-2017 survey rounds."""
-    ref = resources.files("carpnet").joinpath("data/risk_code_mapping.csv")
-    with resources.as_file(ref) as path:
-        return load_mapping(path)
-
-
-def _validate_mapping(mapping: Sequence[MappingRow]) -> None:
-    seen_code_year: set[tuple[str, str]] = set()
-    seen_year_index: dict[tuple[str, str], str] = {}
-    for row in mapping:
-        key = (row.numeric_code, row.year)
-        if key in seen_code_year:
-            raise DataError(f"mapping repeats code {row.numeric_code!r} for year {row.year}")
-        seen_code_year.add(key)
-        yi = (row.year, row.year_index)
-        if yi in seen_year_index:
-            raise DataError(
-                f"year {row.year} index {row.year_index!r} mapped to two codes: "
-                f"{seen_year_index[yi]!r} and {row.numeric_code!r}"
-            )
-        seen_year_index[yi] = row.numeric_code
-
-
-@dataclass(frozen=True)
-class CrossYearReport:
-    """How risk identities changed between two survey years.
-
-    ``merged``/``split``/``redefined`` list pairs of (codes only in year a,
-    codes only in year b) within one base-code family.
-    """
-
-    year_a: str
-    year_b: str
-    matched: tuple[str, ...]
-    vanished: tuple[str, ...]
-    appeared: tuple[str, ...]
-    merged: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
-    split: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
-    redefined: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
-
-
-def _base_code(code: str) -> str:
-    m = re.match(r"(\d+)", code)
-    return m.group(1) if m else code
-
-
-def map_cross_year(
-    risks_a: Sequence[Risk],
-    risks_b: Sequence[Risk],
-    mapping: Sequence[MappingRow],
-    year_a: str,
-    year_b: str,
-) -> CrossYearReport:
-    """Classify each risk family as matched, vanished, appeared, merged, split,
-    or redefined between two years.
-
-    Codes sharing a leading numeric base (e.g. ``14a``/``14b``/``14c``) form
-    one family; a family whose year-a-only variants outnumber its
-    year-b-only variants merged, the reverse split, equal counts mean a
-    redefinition.
-    """
-    _validate_mapping(mapping)
-    by_year: dict[str, set[str]] = {}
-    for row in mapping:
-        by_year.setdefault(row.year, set()).add(row.numeric_code)
-    for year, risks in ((year_a, risks_a), (year_b, risks_b)):
-        known = by_year.get(year, set())
-        for r in risks:
-            if r.numeric_code not in known:
-                raise DataError(
-                    f"risk {r.id!r} (code {r.numeric_code!r}) has no mapping row for year {year}"
-                )
-
-    codes_a = {r.numeric_code for r in risks_a}
-    codes_b = {r.numeric_code for r in risks_b}
-    matched = tuple(sorted(codes_a & codes_b))
-
-    families: dict[str, tuple[list[str], list[str]]] = {}
-    for code in sorted(codes_a - codes_b):
-        families.setdefault(_base_code(code), ([], []))[0].append(code)
-    for code in sorted(codes_b - codes_a):
-        families.setdefault(_base_code(code), ([], []))[1].append(code)
-
-    vanished: list[str] = []
-    appeared: list[str] = []
-    merged: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
-    split: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
-    redefined: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
-    for base in sorted(families):
-        only_a, only_b = families[base]
-        if only_a and not only_b:
-            vanished.extend(only_a)
-        elif only_b and not only_a:
-            appeared.extend(only_b)
-        elif len(only_a) > len(only_b):
-            merged.append((tuple(only_a), tuple(only_b)))
-        elif len(only_a) < len(only_b):
-            split.append((tuple(only_a), tuple(only_b)))
-        else:
-            redefined.append((tuple(only_a), tuple(only_b)))
-
-    return CrossYearReport(
-        year_a=year_a,
-        year_b=year_b,
-        matched=matched,
-        vanished=tuple(vanished),
-        appeared=tuple(appeared),
-        merged=tuple(merged),
-        split=tuple(split),
-        redefined=tuple(redefined),
-    )

@@ -97,9 +97,7 @@ def activation_rate(fractions: AttributionFractions, params: ModelParams) -> flo
 class ReplicateRecord:
     index: int
     failed: bool
-    flags: tuple[str, ...]
     params: ModelParams | None
-    fractions: AttributionFractions | None
     activation_param: float
     recovery_param: float
     activation_param_gt_fractions: float
@@ -184,32 +182,20 @@ def recovery_experiment(
     for r in range(n_replicates):
         fractions = AttributionFractions.from_counts(*batch.cause_counts[r])
         sim = _simulated_history(history, batch.states[r], initial)
-        failed = False
-        flags: tuple[str, ...] = ()
-        params = None
         try:
-            result = fit(sim, network)
-            params = result.params
-            flags = result.boundary_flags
-        except ConvergenceError as exc:
-            failed = True
-            flags = (f"fit_failed: {exc}",)
-        if not fractions.defined:
-            failed = True
-            flags = flags + ("no_activations_in_replicate",)
-
-        if failed or params is None:
+            params = fit(sim, network).params
+        except ConvergenceError:
+            params = None
+        if params is None or not fractions.defined:
             records.append(
-                ReplicateRecord(r, True, flags, params, fractions,
-                                math.nan, math.nan, math.nan, math.nan)
+                ReplicateRecord(r, True, params, math.nan, math.nan, math.nan, math.nan)
             )
             continue
         act = activation_rate(fractions, params)
         act_gt_frac = activation_rate(gt_fractions, params)
         ks = ks_distance((act, params.gamma), gt_vector)
         records.append(
-            ReplicateRecord(r, False, flags, params, fractions,
-                            act, params.gamma, act_gt_frac, ks)
+            ReplicateRecord(r, False, params, act, params.gamma, act_gt_frac, ks)
         )
 
     successes = [rec for rec in records if not rec.failed]
@@ -468,7 +454,6 @@ class SensitivityReport:
     all_likelihood: np.ndarray
     all_history: np.ndarray
     n_deactivated: np.ndarray
-    refit_flags: tuple[tuple[str, ...], ...]
 
 
 def sensitivity_suite(
@@ -521,16 +506,13 @@ def sensitivity_suite(
         drops.append(np.sort(rng.choice(active_cols, size=n_drop, replace=False)))
 
     single_history = np.zeros(R)
-    refit_flags: list[tuple[str, ...]] = []
     for i in range(R):
         if drops[i].size == 0:
-            refit_flags.append(())
             continue
         states = history.states.copy()
         states[i, drops[i]] = 0
-        result = fit(history.with_states(states), network)
-        refit_flags.append(result.boundary_flags)
-        p = solve_steady_state(result.params, network).p_hat
+        refit = fit(history.with_states(states), network).params
+        p = solve_steady_state(refit, network).p_hat
         single_history[i] = p[i] - base[i]
 
     if any(d.size for d in drops):
@@ -551,5 +533,4 @@ def sensitivity_suite(
         all_likelihood=all_likelihood,
         all_history=all_history,
         n_deactivated=n_deactivated,
-        refit_flags=tuple(refit_flags),
     )

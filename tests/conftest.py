@@ -79,8 +79,6 @@ def deletion_influence(network: RiskNetwork, params: ModelParams) -> np.ndarray:
         sub = RiskNetwork(
             year=network.year,
             risks=tuple(network.risks[j] for j in keep),
-            adjacency=network.adjacency[np.ix_(keep, keep)],
-            edge_weights=network.edge_weights[np.ix_(keep, keep)],
             pair_counts=network.pair_counts[np.ix_(keep, keep)],
         )
         values[i, keep] = base[keep] - external_fraction(params, sub)

@@ -200,12 +200,16 @@ def test_seed_beyond_64_bits_is_a_usage_error(tmp_path, capsys, command):
     assert run_cli([name, *toy_args(*extra, "--seed", 2**64 - 1, out=tmp_path / "y")]) == 0
 
 
-def test_missing_input_file_is_a_data_error(tmp_path):
-    code = run_cli([
-        "fit", "--risks", tmp_path / "ghost.csv", "--pairs", TOY / "pairs.csv",
-        "--history", TOY / "history.csv", "--out", tmp_path / "x",
-    ])
-    assert code == 2
+def test_missing_input_file_is_a_data_error(tmp_path, capsys):
+    for ghost in ("risks", "pairs", "history"):
+        inputs = {"risks": TOY / "risks.csv", "pairs": TOY / "pairs.csv",
+                  "history": TOY / "history.csv", ghost: tmp_path / "ghost.csv"}
+        code = run_cli([
+            "fit", "--risks", inputs["risks"], "--pairs", inputs["pairs"], "--scale", "5",
+            "--history", inputs["history"], "--out", tmp_path / "x",
+        ])
+        assert code == 2, ghost
+        assert f"cannot read {ghost} file" in capsys.readouterr().err
 
 
 def test_out_of_scale_likelihood_is_a_data_error(tmp_path):
@@ -229,6 +233,18 @@ def test_out_of_scale_likelihood_is_a_data_error(tmp_path):
         code = run_cli(["influence", *toy_args("--params", "0.4,0.3,1.2",
                                                f"--kappa={kappa}", out=tmp_path / "x")])
         assert code == 2, kappa
+
+
+@pytest.mark.parametrize("kappa", ["0", "nan"])
+@pytest.mark.parametrize("command, extra", [
+    ("influence", ("--params", "0.4,0.3,1.2")),
+    ("pipeline", ("--history", TOY / "history.csv")),
+], ids=["influence", "pipeline"])
+def test_bad_kappa_is_rejected_before_any_artifact(tmp_path, command, extra, kappa):
+    out = tmp_path / "x"
+    code = run_cli([command, *toy_args(*extra, f"--kappa={kappa}", out=out)])
+    assert code == 2
+    assert list(out.iterdir()) == []
 
 
 def test_non_convergence_is_a_numerical_error(tmp_path):

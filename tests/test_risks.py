@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,14 +8,12 @@ from hypothesis import strategies as st
 from carpnet import (
     DataError,
     ExpertPairCount,
-    MappingRow,
     Risk,
+    RiskNetwork,
     build_history,
     build_network,
-    bundled_mapping,
     load_history,
     load_network,
-    map_cross_year,
     month_sequence,
     normalize_likelihood,
     save_history,
@@ -53,21 +53,32 @@ def test_month_sequence_wraps_december():
     assert month_sequence("2010-11", 4) == ("2010-11", "2010-12", "2011-01", "2011-02")
 
 
-def test_edge_weights_scale_with_square_root_of_counts():
+def test_network_is_symmetric_and_hollow():
     net = make_network([0.2, 0.3, 0.4], edges=[(0, 1), (1, 2)], counts=[4, 1])
     i, j, k = (net.index_of(r) for r in ("r1", "r2", "r3"))
-    assert net.edge_weights[i, j] == 1.0
-    assert net.edge_weights[j, k] == 0.5
+    assert net.pair_counts[i, j] == net.pair_counts[j, i] == 4
     assert net.adjacency[i, j] == 1 and net.adjacency[i, k] == 0
-    assert net.pair_counts[i, j] == 4
-
-
-def test_network_is_symmetric_and_hollow():
-    net = make_network([0.2, 0.3], edges=[(0, 1)])
     assert (net.adjacency == net.adjacency.T).all()
     assert (np.diag(net.adjacency) == 0).all()
-    assert net.n_edges == 1
-    assert tuple(net.degrees()) == (1, 1)
+    assert net.n_edges == 2
+    assert tuple(net.degrees()) == (1, 2, 1)
+
+
+@pytest.mark.parametrize("counts, message", [
+    (np.zeros((2, 3), dtype=int), "shape"),
+    (np.array([[0, 1], [0, 0]]), "symmetric"),
+    (np.array([[1, 0], [0, 0]]), "diagonal"),
+])
+def test_network_rejects_bad_pair_counts(counts, message):
+    risks = tuple(Risk(f"r{i}", str(i), "x", "economic", 1.0, 0.2) for i in range(2))
+    with pytest.raises(DataError, match=message):
+        RiskNetwork("y", risks, counts)
+    # the pair counts are the only edge data; the adjacency is derived from them
+    assert [f.name for f in dataclasses.fields(RiskNetwork)] == ["year", "risks", "pair_counts"]
+    net = RiskNetwork("y", risks, np.array([[0, 3], [3, 0]]))
+    for arr in (net.pair_counts, net.adjacency):
+        with pytest.raises(ValueError):
+            arr[0, 1] = 0
 
 
 def test_duplicate_risk_ids_rejected():
@@ -96,7 +107,7 @@ def test_network_roundtrip(tmp_path):
     assert back.ids == net.ids
     assert np.allclose(back.likelihoods, net.likelihoods, atol=1e-15)
     assert (back.adjacency == net.adjacency).all()
-    assert np.allclose(back.edge_weights, net.edge_weights)
+    assert (back.pair_counts == net.pair_counts).all()
 
 
 @pytest.mark.parametrize("form", ["wide", "long"])
@@ -125,41 +136,3 @@ def test_with_states_replaces_only_states():
     swapped = hist.with_states(np.ones((2, 3), np.uint8))
     assert swapped.months == hist.months
     assert swapped.states.all() and not hist.states.any()
-
-
-def test_bundled_mapping_is_well_formed():
-    rows = bundled_mapping()
-    assert len(rows) > 100
-    assert {r.year for r in rows} == {"2013", "2014", "2015", "2016", "2017"}
-
-
-def _mrow(code, year):
-    return MappingRow(code, year, f"idx-{code}")
-
-
-def test_cross_year_merge_and_appear():
-    mapping = [
-        _mrow("1", "a"), _mrow("14a", "a"), _mrow("14b", "a"),
-        _mrow("1", "b"), _mrow("14", "b"), _mrow("9", "b"),
-    ]
-    ra = [
-        Risk("x1", "1", "one", "economic", 1.0, 0.2),
-        Risk("x2", "14a", "first half", "societal", 1.0, 0.2),
-        Risk("x3", "14b", "second half", "societal", 1.0, 0.2),
-    ]
-    rb = [
-        Risk("y1", "1", "one", "economic", 1.0, 0.2),
-        Risk("y2", "14", "united", "societal", 1.0, 0.2),
-        Risk("y3", "9", "new", "environmental", 1.0, 0.2),
-    ]
-    report = map_cross_year(ra, rb, mapping, "a", "b")
-    assert report.matched == ("1",)
-    assert report.appeared == ("9",)
-    assert report.merged == ((("14a", "14b"), ("14",)),)
-    assert report.vanished == () and report.split == ()
-
-
-def test_cross_year_requires_mapping_rows():
-    ra = [Risk("x1", "77", "one", "economic", 1.0, 0.2)]
-    with pytest.raises(DataError):
-        map_cross_year(ra, [], [_mrow("1", "a"), _mrow("1", "b")], "a", "b")
