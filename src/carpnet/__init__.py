@@ -65,7 +65,7 @@ from .risks import (
     save_network,
 )
 from .rng import derive_rng
-from .steady_state import SteadyState, fixed_point_map, solve_steady_state
+from .steady_state import SteadyState, fixed_point_map, solve_steady_state, solve_steady_states
 from .validation import (
     AttributionFractions,
     ForwardReport,

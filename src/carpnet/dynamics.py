@@ -27,7 +27,6 @@ depend on batching or worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -277,6 +276,7 @@ def run_cascades_parallel(
         return run_cascades(
             network, params, initial, n_steps, master_seed, run_indices, **kwargs
         )
+    from concurrent.futures import ProcessPoolExecutor  # ~30 ms to import; only pools need it
     jobs = min(jobs, len(run_indices))
     splits = np.array_split(np.asarray(run_indices), jobs)
     tasks = [

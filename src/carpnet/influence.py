@@ -23,7 +23,7 @@ import numpy as np
 from .dynamics import ModelParams, check_likelihoods
 from .errors import DataError
 from .risks import CATEGORIES, RiskNetwork
-from .steady_state import SteadyState, solve_steady_state
+from .steady_state import SteadyState, solve_steady_state, solve_steady_states
 
 _ANOMALY_TOL = -1e-12
 
@@ -132,19 +132,19 @@ def risk_influence(network: RiskNetwork, params: ModelParams) -> InfluenceMatrix
     """Pairwise influence values[i, j] for every ordered pair i != j.
 
     One baseline steady state plus one counterfactual solve per risk, with
-    L_i = 0.  The diagonal is NaN by construction (a risk's external share
-    is meaningless once that risk is disabled).
+    L_i = 0; the R counterfactuals are solved together as one batch.  The
+    diagonal is NaN by construction (a risk's external share is
+    meaningless once that risk is disabled).
     """
     R = network.n_risks
-    L = network.likelihoods
     base = external_fraction(params, network)
+    cuts = np.tile(network.likelihoods, (R, 1))
+    np.fill_diagonal(cuts, 0.0)
     values = np.full((R, R), np.nan)
 
-    for i in range(R):
-        others = [j for j in range(R) if j != i]
-        cut = L.copy()
-        cut[i] = 0.0
-        dropped = external_fraction(params, network, L=cut)
+    for i, steady in enumerate(solve_steady_states(params, network, cuts)):
+        others = np.arange(R) != i
+        dropped = transition_fractions(steady, params, network, L=cuts[i]).frac_external
         values[i, others] = base[others] - dropped[others]
 
     with np.errstate(invalid="ignore"):

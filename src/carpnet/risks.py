@@ -132,6 +132,9 @@ class RiskNetwork:
         counts = self.pair_counts
         if counts.shape != (n, n):
             raise DataError(f"pair_counts must have shape ({n}, {n}), got {counts.shape}")
+        if counts.dtype.kind not in "iu" or (counts < 0).any():
+            raise DataError(f"pair_counts must be non-negative integers, got dtype "
+                            f"{counts.dtype} with minimum {counts.min()}")
         if not np.array_equal(counts, counts.T):
             raise DataError("pair_counts must be symmetric")
         if np.diagonal(counts).any():

@@ -33,7 +33,7 @@ from .errors import ConvergenceError, DataError
 from .likelihood import fit
 from .risks import HistoryMatrix, RiskNetwork
 from .rng import derive_rng
-from .steady_state import solve_steady_state
+from .steady_state import solve_steady_state, solve_steady_states
 
 
 def ks_distance(v1, v2) -> float:
@@ -483,12 +483,10 @@ def sensitivity_suite(
     L = network.likelihoods
     base = solve_steady_state(params, network).p_hat
 
-    single_likelihood = np.zeros(R)
-    for i in range(R):
-        cut = L.copy()
-        cut[i] *= 1.0 - perturbation
-        p = solve_steady_state(params, network, L=cut).p_hat
-        single_likelihood[i] = p[i] - base[i]
+    cuts = np.tile(L, (R, 1))
+    cuts[np.diag_indices(R)] *= 1.0 - perturbation
+    cut_states = solve_steady_states(params, network, cuts)
+    single_likelihood = np.array([s.p_hat[i] for i, s in enumerate(cut_states)]) - base
 
     all_cut = L * (1.0 - perturbation)
     all_likelihood = solve_steady_state(params, network, L=all_cut).p_hat - base

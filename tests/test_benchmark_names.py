@@ -16,7 +16,7 @@ import carpnet.cli
 import carpnet.dynamics
 from carpnet import ModelParams
 from conftest import ROOT, make_network
-from test_cli import toy_args
+from test_cli import HISTORY, toy_args
 
 
 @pytest.fixture
@@ -69,6 +69,27 @@ def test_traced_cli_run_records_its_cascades(tracing, tmp_path):
     assert tracer.streams == [(0, 3, (), (0, 1), 20, 6)]
     names = {span[2] for span in tracer.spans}
     assert {"cli.main", "dynamics.run_cascades_parallel", "dynamics.run_cascades"} <= names
+
+
+@pytest.mark.parametrize("command", [
+    ["influence", "--params", "0.4,0.3,1.2"],
+    ["pipeline", "--history", HISTORY],
+])
+def test_traced_cli_run_records_its_solves(tracing, tmp_path, command):
+    # the solve hook reads scalar fields, so only single solves may sit behind
+    # the patched solve_steady_state names
+    tracer = tracing.Tracer()
+    tracer.install(run_id=0)
+    try:
+        name, *extra = command
+        code = carpnet.cli.main([name, *map(str, toy_args(*extra, out=tmp_path / "x"))])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = [span[2] for span in tracer.spans]
+    assert "influence.risk_influence" in names
+    assert "steady_state.solve" in names
+    assert tracer.counts["steady_state.lower_sweeps"] > 0
 
 
 def test_worker_setup_loads_the_fixture(perfbench, monkeypatch):

@@ -19,6 +19,7 @@ from carpnet import (
     run_cascades,
     run_cascades_parallel,
     solve_steady_state,
+    solve_steady_states,
     statistics_from_batch,
     trajectory_from_batch,
     transition_fractions,
@@ -55,6 +56,7 @@ _NET3 = make_network([0.2, 0.3, 0.4], edges=[(0, 1), (1, 2)])
 _P3 = ModelParams(0.3, 0.3, 1.0)
 _LIKELIHOOD_USERS = {
     "solve_steady_state": lambda L: solve_steady_state(_P3, _NET3, L=L),
+    "solve_steady_states": lambda L: solve_steady_states(_P3, _NET3, [_NET3.likelihoods, L]),
     "fixed_point_map": lambda L: fixed_point_map(np.zeros(3), _P3, _NET3, L=L),
     "external_fraction": lambda L: external_fraction(_P3, _NET3, L=L),
     "transition_fractions": lambda L: transition_fractions(

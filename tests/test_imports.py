@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 
 from conftest import ROOT
 
@@ -36,3 +39,14 @@ def test_no_unused_imports():
         if (unused := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # run_cascades_parallel imports it only when it starts worker processes
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, carpnet; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    assert proc.stdout.strip() == "False"

@@ -15,7 +15,7 @@ from carpnet import (
     solve_steady_state,
     transition_fractions,
 )
-from conftest import deletion_influence, make_network
+from conftest import FIXTURE_PARAMS, deletion_influence, make_network
 
 PARAMS = ModelParams(0.3, 0.5, 1.0)
 
@@ -76,6 +76,18 @@ def test_knockout_and_deletion_agree():
     delete = deletion_influence(net, PARAMS)
     mask = ~np.eye(4, dtype=bool)
     assert np.abs(disable[mask] - delete[mask]).max() <= 1e-10
+
+
+def test_batched_knockouts_match_one_solve_per_knockout(fixture_network):
+    net = fixture_network
+    values = risk_influence(net, FIXTURE_PARAMS).values
+    base = external_fraction(FIXTURE_PARAMS, net)
+    for i in range(net.n_risks):
+        cut = net.likelihoods.copy()
+        cut[i] = 0.0
+        expected = base - external_fraction(FIXTURE_PARAMS, net, L=cut)
+        expected[i] = np.nan
+        np.testing.assert_allclose(values[i], expected, rtol=0, atol=1e-12)
 
 
 def test_influence_is_nonnegative_on_small_nets():

@@ -68,6 +68,8 @@ def test_network_is_symmetric_and_hollow():
     (np.zeros((2, 3), dtype=int), "shape"),
     (np.array([[0, 1], [0, 0]]), "symmetric"),
     (np.array([[1, 0], [0, 0]]), "diagonal"),
+    (np.array([[0, -2], [-2, 0]]), "non-negative integers"),
+    (np.array([[0, 0.5], [0.5, 0]]), "non-negative integers"),
 ])
 def test_network_rejects_bad_pair_counts(counts, message):
     risks = tuple(Risk(f"r{i}", str(i), "x", "economic", 1.0, 0.2) for i in range(2))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from carpnet import (
     ModelParams,
     fixed_point_map,
     solve_steady_state,
+    solve_steady_states,
 )
-from conftest import make_network
+from conftest import TOY_PARAMS, make_network
 from oracles import exact_transition_matrix, stationary_distribution
 
 
@@ -77,6 +79,44 @@ def test_tol_must_be_finite_and_below_one(tol):
     net = make_network([0.2, 0.3], edges=[(0, 1)])
     with pytest.raises(DataError, match="tol"):
         solve_steady_state(ModelParams(0.3, 0.4, 1.0), net, tol=tol)
+
+
+def _knockouts(net):
+    cuts = np.tile(net.likelihoods, (net.n_risks, 1))
+    np.fill_diagonal(cuts, 0.0)
+    return cuts
+
+
+@pytest.mark.parametrize("case", ["toy", "fixture-critical"])
+def test_batched_solves_match_the_scalar_loop(case, toy_network, fixture_network):
+    if case == "toy":
+        net, params = toy_network, TOY_PARAMS
+        Ls = np.vstack([net.likelihoods, _knockouts(net)])
+    else:  # just below the contagion threshold, where solves take up to ~1,900 sweeps
+        net, params = fixture_network, ModelParams(1e-5, 0.08, 3.0)
+        Ls = _knockouts(net)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        batch = solve_steady_states(params, net, Ls)
+        loop = [solve_steady_state(params, net, L=row) for row in Ls]
+    assert len(batch) == len(Ls)
+    for b, s in zip(batch, loop):
+        assert (b.iterations, b.unique, b.monotone) == (s.iterations, s.unique, s.monotone)
+        assert np.abs(b.p_hat - s.p_hat).max() <= 1e-14
+        assert np.abs(b.upper_p_hat - s.upper_p_hat).max() <= 1e-14
+    nonunique = sum(not b.unique for b in batch)
+    assert nonunique == (0 if case == "toy" else 7)
+    # one warning per non-unique column from each path, pointing at the caller
+    assert len(caught) == 2 * nonunique
+    assert {w.filename for w in caught} <= {__file__}
+
+
+def test_batched_solver_checks_its_stack():
+    net = make_network([0.2, 0.3], edges=[(0, 1)])
+    params = ModelParams(0.3, 0.4, 1.0)
+    for bad in ([0.2, 0.3], [[[0.2, 0.3]]], [[0.2, 0.3, 0.1]]):
+        with pytest.raises(DataError, match="shape"):
+            solve_steady_states(params, net, bad)
 
 
 def test_pure_contagion_reports_non_unique_limits():
