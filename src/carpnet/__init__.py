@@ -37,7 +37,6 @@ from .influence import (
     InfluenceMatrix,
     TransitionFractions,
     category_influence,
-    external_fraction,
     risk_influence,
     transition_fractions,
 )

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -79,6 +80,13 @@ def _params(text: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("must be 'alpha,beta,gamma'")
     return tuple(float(p) for p in parts)
+
+
+def _jobs(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"jobs must be at least 1, got {text}")
+    return value
 
 
 def _checkpoints(text: str) -> tuple[int, ...]:
@@ -209,67 +217,55 @@ def _parse_params(args, network, history, *, allow_fit=False):
     raise UsageError("model parameters required: --params or --params-file")
 
 
-def _fit_json(result) -> dict:
-    return {
-        "alpha": result.params.alpha,
-        "beta": result.params.beta,
-        "gamma": result.params.gamma,
+def _write_table(path: Path, columns: dict) -> None:
+    """One CSV row per index of the equal-length ``columns``, headed by their names."""
+    # Python scalars format to the same text as numpy's, and faster
+    cells = (np.asarray(column).tolist() for column in columns.values())
+    write_csv(path, columns, zip(*cells, strict=True))
+
+
+def _summary(report, *names) -> dict:
+    """The named fields of a report, or all of them that are not arrays."""
+    fields = asdict(report)
+    if names:
+        return {name: fields[name] for name in names}
+    return {name: v for name, v in fields.items() if not isinstance(v, np.ndarray)}
+
+
+def _fit_artifacts(out: Path, result) -> list[str]:
+    write_json(out / "fit.json", {
+        **asdict(result.params),
         "loglik": result.log_likelihood,
-        "converged": result.converged,
-        "boundary_flags": list(result.boundary_flags),
-        "iterations": result.iterations,
-    }
+        **_summary(result, "converged", "boundary_flags", "iterations"),
+    })
+    return ["fit.json"]
 
 
 def _steady_artifacts(out: Path, network, steady) -> list[str]:
-    write_csv(
-        out / "steady_state.csv",
-        ("risk_id", "p_hat"),
-        zip(network.ids, steady.p_hat),
-    )
-    write_json(out / "convergence.json", {
-        "residual": steady.residual,
-        "iterations": steady.iterations,
-        "converged": steady.converged,
-        "monotone": steady.monotone,
-        "unique": steady.unique,
-        "limit_gap": steady.limit_gap,
-    })
+    _write_table(out / "steady_state.csv", {"risk_id": network.ids, "p_hat": steady.p_hat})
+    write_json(out / "convergence.json", _summary(steady))
     return ["steady_state.csv", "convergence.json"]
 
 
-def _influence_artifacts(out: Path, network, params, aggregate, kappa) -> list[str]:
-    matrix = risk_influence(network, params)
-    rows = [
-        (matrix.ids[i], matrix.ids[j], float(matrix.values[i, j]))
-        for i in range(network.n_risks)
-        for j in range(network.n_risks)
-        if i != j
-    ]
-    write_csv(out / "influence.csv", ("source_id", "target_id", "influence"), rows)
+def _influence_artifacts(out: Path, network, matrix, aggregate, kappa) -> list[str]:
+    ids = np.array(matrix.ids)
+    src, dst = np.nonzero(~np.eye(network.n_risks, dtype=bool))
+    _write_table(out / "influence.csv", {
+        "source_id": ids[src], "target_id": ids[dst], "influence": matrix.values[src, dst],
+    })
 
     cats = category_influence(matrix, network, aggregate=aggregate, kappa=kappa)
-    cat_rows = [
-        (
-            cats.categories[ci],
-            cats.categories[di],
-            float(cats.raw[ci, di]),
-            float(cats.normalized[ci, di]),
-            float(cats.log_scaled[ci, di]),
-        )
-        for ci in range(len(cats.categories))
-        for di in range(len(cats.categories))
-    ]
-    write_csv(
-        out / "category_influence.csv",
-        ("source_cat", "target_cat", "raw", "normalized", "log_scaled"),
-        cat_rows,
-    )
+    names = np.array(cats.categories)
+    src, dst = np.indices(cats.raw.shape).reshape(2, -1)
+    _write_table(out / "category_influence.csv", {
+        "source_cat": names[src],
+        "target_cat": names[dst],
+        "raw": cats.raw[src, dst],
+        "normalized": cats.normalized[src, dst],
+        "log_scaled": cats.log_scaled[src, dst],
+    })
     write_json(out / "influence.json", {
-        "aggregate": cats.aggregate,
-        "kappa": kappa,
-        "degenerate": cats.degenerate,
-        "anomalies": [list(a) for a in matrix.anomalies],
+        **_summary(cats, "aggregate", "degenerate"), "kappa": kappa, "anomalies": matrix.anomalies,
     })
     return ["influence.csv", "category_influence.csv", "influence.json"]
 
@@ -277,9 +273,7 @@ def _influence_artifacts(out: Path, network, params, aggregate, kappa) -> list[s
 def _cmd_fit(args, out: Path) -> list[str]:
     network = _load_net(args)
     history = load_history(args.history, network)
-    result = fit(history, network, fix_beta=args.fix_beta)
-    write_json(out / "fit.json", _fit_json(result))
-    return ["fit.json"]
+    return _fit_artifacts(out, fit(history, network, fix_beta=args.fix_beta))
 
 
 def _cmd_simulate(args, out: Path) -> list[str]:
@@ -309,23 +303,16 @@ def _cmd_simulate(args, out: Path) -> list[str]:
     traj = trajectory_from_batch(batch)
     stats = statistics_from_batch(batch)
 
-    write_csv(
-        out / "trajectory.csv",
-        ("t", "risk_id", "frequency"),
-        (
-            (t, network.ids[i], float(traj.mean_frequency[k, i]))
-            for k, t in enumerate(traj.checkpoints)
-            for i in range(R)
-        ),
-    )
-    write_csv(
-        out / "statistics.csv",
-        ("risk_id", "freq_active", "freq_activation"),
-        (
-            (network.ids[i], float(stats.freq_active[i]), float(stats.activations[i]))
-            for i in range(R)
-        ),
-    )
+    _write_table(out / "trajectory.csv", {
+        "t": np.repeat(traj.checkpoints, R),
+        "risk_id": np.tile(network.ids, len(traj.checkpoints)),
+        "frequency": traj.mean_frequency.ravel(),
+    })
+    _write_table(out / "statistics.csv", {
+        "risk_id": network.ids,
+        "freq_active": stats.freq_active,
+        "freq_activation": stats.activations,
+    })
     return ["trajectory.csv", "statistics.csv"]
 
 
@@ -346,7 +333,8 @@ def _cmd_influence(args, out: Path) -> list[str]:
     check_kappa(args.kappa)  # before any artifact is written
     network = _load_net(args)
     params, _ = _parse_params(args, network, None)
-    return _influence_artifacts(out, network, params, args.aggregate, args.kappa)
+    matrix = risk_influence(network, params)
+    return _influence_artifacts(out, network, matrix, args.aggregate, args.kappa)
 
 
 def _cmd_pipeline(args, out: Path) -> list[str]:
@@ -354,11 +342,10 @@ def _cmd_pipeline(args, out: Path) -> list[str]:
     network = _load_net(args)
     history = load_history(args.history, network)
     result = fit(history, network, fix_beta=args.fix_beta)
-    write_json(out / "fit.json", _fit_json(result))
-    steady = solve_steady_state(result.params, network)
-    outputs = ["fit.json"]
-    outputs += _steady_artifacts(out, network, steady)
-    outputs += _influence_artifacts(out, network, result.params, args.aggregate, args.kappa)
+    outputs = _fit_artifacts(out, result)
+    matrix = risk_influence(network, result.params)
+    outputs += _steady_artifacts(out, network, matrix.baseline)
+    outputs += _influence_artifacts(out, network, matrix, args.aggregate, args.kappa)
     return outputs
 
 
@@ -366,52 +353,33 @@ def _cmd_validate(args, out: Path) -> list[str]:
     network = _load_net(args)
     history = load_history(args.history, network)
     params, source = _parse_params(args, network, history, allow_fit=True)
-    experiment = args.experiment
-    outputs: list[str] = []
-
-    if experiment == "recovery":
+    if args.experiment in ("recovery", "forward"):
         report = recovery_experiment(
             network, history, params, n_replicates=args.replicates, master_seed=args.seed
         )
-        retained = set(report.retained)
+    if args.experiment == "recovery":
         write_json(out / "recovery.json", {
-            "ground_truth": asdict(report.ground_truth),
+            **_summary(report, "ground_truth", "gt_fractions", "gt_vector", "n_failed",
+                       "activation_bound", "recovery_bound", "activation_bound_gt_fractions"),
             "params_source": source,
-            "gt_fractions": asdict(report.gt_fractions),
-            "gt_vector": list(report.gt_vector),
-            "activation_bound": report.activation_bound,
-            "recovery_bound": report.recovery_bound,
-            "activation_bound_gt_fractions": report.activation_bound_gt_fractions,
             "n_replicates": args.replicates,
-            "n_failed": report.n_failed,
             "n_retained": len(report.retained),
             "n_discarded": len(report.discarded),
         })
-        write_csv(
-            out / "recovery_replicates.csv",
-            ("replicate", "failed", "alpha", "beta", "gamma",
-             "activation_param", "recovery_param", "ks", "retained"),
-            (
-                (
-                    rec.index,
-                    rec.failed,
-                    rec.params.alpha if rec.params else float("nan"),
-                    rec.params.beta if rec.params else float("nan"),
-                    rec.params.gamma if rec.params else float("nan"),
-                    rec.activation_param,
-                    rec.recovery_param,
-                    rec.ks,
-                    rec.index in retained,
-                )
-                for rec in report.replicates
-            ),
-        )
-        outputs = ["recovery.json", "recovery_replicates.csv"]
+        reps = report.replicates
+        _write_table(out / "recovery_replicates.csv", {
+            "replicate": [rec.index for rec in reps],
+            "failed": [rec.failed for rec in reps],
+            **{name: [getattr(rec.params, name, math.nan) for rec in reps]  # NaN if failed
+               for name in ("alpha", "beta", "gamma")},
+            "activation_param": [rec.activation_param for rec in reps],
+            "recovery_param": [rec.recovery_param for rec in reps],
+            "ks": [rec.ks for rec in reps],
+            "retained": [rec.index in report.retained for rec in reps],
+        })
+        return ["recovery.json", "recovery_replicates.csv"]
 
-    elif experiment == "forward":
-        report = recovery_experiment(
-            network, history, params, n_replicates=args.replicates, master_seed=args.seed
-        )
+    if args.experiment == "forward":
         by_index = {rec.index: rec for rec in report.replicates}
         sets = [by_index[i].params for i in report.retained]
         fw = forward_error_bounds(
@@ -419,110 +387,65 @@ def _cmd_validate(args, out: Path) -> list[str]:
             initial=history.states[:, -1].astype(bool),
             months=args.months, runs=args.runs, master_seed=args.seed,
         )
+        spread = ("mean", "worst_low", "worst_high")
         write_json(out / "forward.json", {
+            **_summary(fw, "months", "gt_freq_active", "worst_deviation"),
             "ground_truth": asdict(params),
             "params_source": source,
-            "months": fw.months,
-            "runs": fw.n_runs,
+            "runs": args.runs,
             "n_sets": len(sets),
-            "gt_freq_active": fw.gt_freq_active,
             "gt_freq_activation": fw.gt_activations,
-            "freq_active": {
-                "mean": fw.freq_summary[0],
-                "worst_low": fw.freq_summary[1],
-                "worst_high": fw.freq_summary[2],
-            },
-            "freq_activation": {
-                "mean": fw.activation_summary[0],
-                "worst_low": fw.activation_summary[1],
-                "worst_high": fw.activation_summary[2],
-            },
-            "worst_deviation": fw.worst_deviation,
+            "freq_active": dict(zip(spread, fw.freq_summary)),
+            "freq_activation": dict(zip(spread, fw.activation_summary)),
         })
-        write_csv(
-            out / "forward_sets.csv",
-            ("set_index", "replicate", "freq_active", "freq_activation",
-             "freq_active_deviation", "freq_activation_deviation"),
-            (
-                (
-                    s,
-                    report.retained[s],
-                    float(fw.set_freq_active[s]),
-                    float(fw.set_activations[s]),
-                    float(abs(fw.set_freq_active[s] / fw.gt_freq_active - 1.0)),
-                    float(abs(fw.set_activations[s] / fw.gt_activations - 1.0)),
-                )
-                for s in range(len(sets))
-            ),
-        )
-        outputs = ["forward.json", "forward_sets.csv"]
+        _write_table(out / "forward_sets.csv", {
+            "set_index": range(len(sets)),
+            "replicate": report.retained,
+            "freq_active": fw.set_freq_active,
+            "freq_activation": fw.set_activations,
+            "freq_active_deviation": abs(fw.set_freq_active / fw.gt_freq_active - 1.0),
+            "freq_activation_deviation": abs(fw.set_activations / fw.gt_activations - 1.0),
+        })
+        return ["forward.json", "forward_sets.csv"]
 
-    elif experiment == "network-effect":
+    if args.experiment == "network-effect":
         report = network_effect_comparison(
             network, history, params, runs=args.runs, master_seed=args.seed
         )
         write_json(out / "network_effect.json", {
-            "params_source": source,
-            "runs": args.runs,
-            "m_network": report.m_network,
-            "m_independent": report.m_independent,
-            "ratio": report.ratio,
-            "network_params": asdict(report.network_params),
-            "independent_params": asdict(report.independent_params),
-            "network_infinite_steps": list(report.network_infinite_steps),
-            "independent_infinite_steps": list(report.independent_infinite_steps),
+            **_summary(report), "params_source": source, "runs": args.runs,
         })
-        write_csv(
-            out / "network_effect_series.csv",
-            ("step", "historical", "network_mean", "network_std",
-             "independent_mean", "independent_std"),
-            (
-                (
-                    t,
-                    float(report.historical[t]),
-                    float(report.network_mean[t]),
-                    float(report.network_std[t]),
-                    float(report.independent_mean[t]),
-                    float(report.independent_std[t]),
-                )
-                for t in range(report.historical.size)
-            ),
-        )
-        outputs = ["network_effect.json", "network_effect_series.csv"]
+        _write_table(out / "network_effect_series.csv", {
+            "step": range(report.historical.size),
+            "historical": report.historical,
+            "network_mean": report.network_mean,
+            "network_std": report.network_std,
+            "independent_mean": report.independent_mean,
+            "independent_std": report.independent_std,
+        })
+        return ["network_effect.json", "network_effect_series.csv"]
 
-    else:  # sensitivity
-        report = sensitivity_suite(
-            network, history, params,
-            perturbation=args.perturbation, master_seed=args.seed,
-        )
-        write_json(out / "sensitivity.json", {
-            "params_source": source,
-            "params": asdict(report.baseline_params),
-            "perturbation": report.perturbation,
-        })
-        order = sorted(
-            range(network.n_risks), key=lambda i: (-report.baseline_p_hat[i], i)
-        )
-        write_csv(
-            out / "sensitivity.csv",
-            ("risk_id", "baseline_p_hat", "single_likelihood_delta",
-             "single_history_delta", "all_likelihood_delta", "all_history_delta",
-             "n_deactivated"),
-            (
-                (
-                    network.ids[i],
-                    float(report.baseline_p_hat[i]),
-                    float(report.single_likelihood[i]),
-                    float(report.single_history[i]),
-                    float(report.all_likelihood[i]),
-                    float(report.all_history[i]),
-                    int(report.n_deactivated[i]),
-                )
-                for i in order
-            ),
-        )
-        outputs = ["sensitivity.json", "sensitivity.csv"]
-    return outputs
+    report = sensitivity_suite(
+        network, history, params, perturbation=args.perturbation, master_seed=args.seed
+    )
+    write_json(out / "sensitivity.json", {
+        **_summary(report, "perturbation"),
+        "params_source": source,
+        "params": asdict(report.baseline_params),
+    })
+    order = np.lexsort((np.arange(network.n_risks), -report.baseline_p_hat))
+    table = {
+        "risk_id": network.ids,
+        "baseline_p_hat": report.baseline_p_hat,
+        "single_likelihood_delta": report.single_likelihood,
+        "single_history_delta": report.single_history,
+        "all_likelihood_delta": report.all_likelihood,
+        "all_history_delta": report.all_history,
+        "n_deactivated": report.n_deactivated,
+    }
+    _write_table(out / "sensitivity.csv", {name: np.asarray(column)[order]
+                                           for name, column in table.items()})
+    return ["sensitivity.json", "sensitivity.csv"]
 
 
 _COMMANDS = {
@@ -544,8 +467,9 @@ _COMMANDS = {
                                help="initial state (default passive)")),
             ("--checkpoints", dict(type=_checkpoints, help="comma-separated output times "
                                                            "(default: powers of 10 plus the horizon)")),
-            ("--jobs", dict(type=int, default=1,
-                            help="worker processes; any value produces identical output (default 1)")),
+            ("--jobs", dict(type=_jobs, default=1,
+                            help="worker processes, at most one per CPU; any value "
+                                 "produces identical output (default 1)")),
         )),
         ("risks", "pairs", "seed"),
         _cmd_simulate,

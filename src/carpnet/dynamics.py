@@ -27,6 +27,7 @@ depend on batching or worker count.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -269,7 +270,7 @@ def run_cascades_parallel(
 
     Each worker receives the network itself.  Output is identical for every
     ``jobs`` value: runs are partitioned into contiguous index blocks and
-    reassembled in order.
+    reassembled in order.  At most one worker starts per usable CPU.
     """
     run_indices = tuple(int(r) for r in run_indices)
     if jobs <= 1 or len(run_indices) < 2:
@@ -277,7 +278,7 @@ def run_cascades_parallel(
             network, params, initial, n_steps, master_seed, run_indices, **kwargs
         )
     from concurrent.futures import ProcessPoolExecutor  # ~30 ms to import; only pools need it
-    jobs = min(jobs, len(run_indices))
+    jobs = min(jobs, len(run_indices), len(os.sched_getaffinity(0)))
     splits = np.array_split(np.asarray(run_indices), jobs)
     tasks = [
         dict(

@@ -55,12 +55,14 @@ class InfluenceMatrix:
     ``anomalies`` lists (source_id, target_id, value) for any entry more
     negative than -1e-12; the mean-field system is monotone, so a
     materially negative influence signals a solver or modeling problem
-    and is surfaced instead of clipped.
+    and is surfaced instead of clipped.  ``baseline`` is the full model's
+    steady state that every knockout is measured against.
     """
 
     ids: tuple[str, ...]
     values: np.ndarray
     anomalies: tuple[tuple[str, str, float], ...]
+    baseline: SteadyState
 
 
 @dataclass(frozen=True)
@@ -120,14 +122,6 @@ def transition_fractions(
     )
 
 
-def external_fraction(
-    params: ModelParams, network: RiskNetwork, *, L=None
-) -> np.ndarray:
-    """Per-risk external share of steady-state transitions (solves, then splits)."""
-    steady = solve_steady_state(params, network, L=L)
-    return transition_fractions(steady, params, network, L=L).frac_external
-
-
 def risk_influence(network: RiskNetwork, params: ModelParams) -> InfluenceMatrix:
     """Pairwise influence values[i, j] for every ordered pair i != j.
 
@@ -137,7 +131,8 @@ def risk_influence(network: RiskNetwork, params: ModelParams) -> InfluenceMatrix
     meaningless once that risk is disabled).
     """
     R = network.n_risks
-    base = external_fraction(params, network)
+    baseline = solve_steady_state(params, network)
+    base = transition_fractions(baseline, params, network).frac_external
     cuts = np.tile(network.likelihoods, (R, 1))
     np.fill_diagonal(cuts, 0.0)
     values = np.full((R, R), np.nan)
@@ -152,7 +147,9 @@ def risk_influence(network: RiskNetwork, params: ModelParams) -> InfluenceMatrix
     anomalies = tuple(
         (network.ids[i], network.ids[j], float(values[i, j])) for i, j in zip(*bad)
     )
-    return InfluenceMatrix(ids=network.ids, values=values, anomalies=anomalies)
+    return InfluenceMatrix(
+        ids=network.ids, values=values, anomalies=anomalies, baseline=baseline
+    )
 
 
 def check_kappa(kappa: float) -> None:

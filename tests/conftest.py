@@ -13,9 +13,10 @@ from carpnet import (
     Risk,
     RiskNetwork,
     build_network,
-    external_fraction,
     load_history,
     load_network,
+    solve_steady_state,
+    transition_fractions,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,6 +64,12 @@ def make_network(
         c = counts[j] if counts else 1
         pairs.append(ExpertPairCount(f"r{u + 1}", f"r{v + 1}", int(c)))
     return build_network(risks, pairs, year=year)
+
+
+def external_fraction(params: ModelParams, network: RiskNetwork, *, L=None) -> np.ndarray:
+    """Per-risk external share of steady-state transitions (solves, then splits)."""
+    steady = solve_steady_state(params, network, L=L)
+    return transition_fractions(steady, params, network, L=L).frac_external
 
 
 def deletion_influence(network: RiskNetwork, params: ModelParams) -> np.ndarray:

@@ -271,6 +271,19 @@ def test_malformed_params_string(tmp_path):
         assert code == 1, flag
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_simulate_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    argv = ["simulate", *toy_args(*PARAMS, "--seed", "1", "--runs", "2", "--horizon", "5",
+                                  out=tmp_path / "x")]
+    assert run_cli([*argv, "--jobs", jobs]) == 1
+    assert "--jobs" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"jobs = {jobs}\n")
+    assert run_cli([*argv, "--config", cfg]) == 1
+    assert "jobs must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_duplicate_checkpoints_are_a_data_error(tmp_path):
     code = run_cli(["simulate", *toy_args("--params", "0.4,0.3,1.2", "--seed", "1",
                                           "--horizon", "20", "--checkpoints", "10,10,20",
@@ -317,9 +330,10 @@ def test_manifest_round_trip_reproduces_artifacts(tmp_path):
         assert read(first / name) == read(second / name), name
 
 
-# --- golden manifests -----------------------------------------------------
-# Expected manifest fields, one per command variant, written out by hand so
-# that a dropped, renamed or retyped config key fails here.
+# --- golden manifests and artifact layouts -------------------------------
+# Expected manifest fields and artifacts, one per command variant, written out
+# by hand so that a dropped, renamed or retyped config key, or a dropped,
+# renamed or reordered column or summary key, fails here.
 
 HISTORY = str(TOY / "history.csv")
 PARAMS = ("--params", "0.4,0.3,1.2")
@@ -335,30 +349,97 @@ VALIDATE_CONFIG = {
     "runs": 20, "perturbation": 0.1,
 }
 
-# name -> (argv after the network flags, seed, config, input roles)
+# Artifact layouts: file name -> a CSV's (header, row count) or a JSON's key set.
+# The toy network has 6 risks and 36 months of history; there are 5 categories.
+MANIFEST_KEYS = {"tool", "version", "command", "seed", "config", "inputs", "outputs"}
+FIT_LAYOUT = {
+    "fit.json": {"alpha", "beta", "gamma", "loglik", "converged", "boundary_flags", "iterations"},
+}
+STEADY_LAYOUT = {
+    "steady_state.csv": (("risk_id", "p_hat"), 6),
+    "convergence.json": {"residual", "iterations", "converged", "monotone", "unique",
+                         "limit_gap"},
+}
+INFLUENCE_LAYOUT = {
+    "influence.csv": (("source_id", "target_id", "influence"), 6 * 5),
+    "category_influence.csv": (
+        ("source_cat", "target_cat", "raw", "normalized", "log_scaled"), 5 * 5),
+    "influence.json": {"aggregate", "kappa", "degenerate", "anomalies"},
+}
+
+
+def simulate_layout(n_checkpoints):
+    return {
+        "trajectory.csv": (("t", "risk_id", "frequency"), n_checkpoints * 6),
+        "statistics.csv": (("risk_id", "freq_active", "freq_activation"), 6),
+    }
+
+
+def recovery_layout(replicates):
+    return {
+        "recovery.json": {
+            "ground_truth", "params_source", "gt_fractions", "gt_vector", "activation_bound",
+            "recovery_bound", "activation_bound_gt_fractions", "n_replicates", "n_failed",
+            "n_retained", "n_discarded",
+        },
+        "recovery_replicates.csv": (
+            ("replicate", "failed", "alpha", "beta", "gamma", "activation_param",
+             "recovery_param", "ks", "retained"), replicates),
+    }
+
+
+VALIDATE_LAYOUT = {
+    "recovery": recovery_layout(6),
+    "forward": {
+        "forward.json": {
+            "ground_truth", "params_source", "months", "runs", "n_sets", "gt_freq_active",
+            "gt_freq_activation", "freq_active", "freq_activation", "worst_deviation",
+        },
+        "forward_sets.csv": (
+            ("set_index", "replicate", "freq_active", "freq_activation",
+             "freq_active_deviation", "freq_activation_deviation"), 4),  # retained sets
+    },
+    "network-effect": {
+        "network_effect.json": {
+            "params_source", "runs", "m_network", "m_independent", "ratio", "network_params",
+            "independent_params", "network_infinite_steps", "independent_infinite_steps",
+        },
+        "network_effect_series.csv": (
+            ("step", "historical", "network_mean", "network_std", "independent_mean",
+             "independent_std"), 35),
+    },
+    "sensitivity": {
+        "sensitivity.json": {"params_source", "params", "perturbation"},
+        "sensitivity.csv": (
+            ("risk_id", "baseline_p_hat", "single_likelihood_delta", "single_history_delta",
+             "all_likelihood_delta", "all_history_delta", "n_deactivated"), 6),
+    },
+}
+
+# name -> (argv after the network flags, seed, config, input roles, artifact layout)
 GOLDEN = {
     "fit": (
         ["fit", "--history", HISTORY], None,
         {**NETWORK, "history": HISTORY, **FIT_DEFAULTS},
-        {"risks", "pairs", "history"},
+        {"risks", "pairs", "history"}, FIT_LAYOUT,
     ),
     "fit-fix-beta": (
         ["fit", "--history", HISTORY, "--fix-beta", "0.3"], None,
         {**NETWORK, "history": HISTORY, **FIT_DEFAULTS, "fix_beta": 0.3},
-        {"risks", "pairs", "history"},
+        {"risks", "pairs", "history"}, FIT_LAYOUT,
     ),
     "simulate-params": (
         ["simulate", *PARAMS, "--seed", "11", "--runs", "20", "--horizon", "120"], 11,
         {**NETWORK, "params": [0.4, 0.3, 1.2], "history": None, "initial": "passive",
          "runs": 20, "horizon": 120, "checkpoints": [10, 100, 120], "seed": 11},
-        {"risks", "pairs"},
+        {"risks", "pairs"}, simulate_layout(3),
     ),
     "simulate-params-file": (
         ["simulate", "--params-file", PARAMS_FILE, "--seed", "3", "--runs", "10",
          "--horizon", "50", "--checkpoints", "5,50"], 3,
         {**NETWORK, "params_file": PARAMS_FILE, "history": None, "initial": "passive",
          "runs": 10, "horizon": 50, "checkpoints": [5, 50], "seed": 3},
-        {"risks", "pairs", "params_file"},
+        {"risks", "pairs", "params_file"}, simulate_layout(2),
     ),
     "simulate-history-last": (
         ["simulate", *PARAMS, "--history", HISTORY, "--initial", "history-last",
@@ -366,54 +447,61 @@ GOLDEN = {
         {**NETWORK, "params": [0.4, 0.3, 1.2], "history": HISTORY,
          "initial": "history-last", "runs": 10, "horizon": 30, "checkpoints": [10, 30],
          "seed": 2},
-        {"risks", "pairs", "history"},
+        {"risks", "pairs", "history"}, simulate_layout(2),
     ),
     "steady-state-params": (
         ["steady-state", *PARAMS], None,
         {**NETWORK, "params": [0.4, 0.3, 1.2], "tol": 1e-12, "max_iter": 1_000_000},
-        {"risks", "pairs"},
+        {"risks", "pairs"}, STEADY_LAYOUT,
     ),
     "steady-state-params-file": (
         ["steady-state", "--params-file", PARAMS_FILE, "--tol", "1e-10"], None,
         {**NETWORK, "params_file": PARAMS_FILE, "tol": 1e-10, "max_iter": 1_000_000},
-        {"risks", "pairs", "params_file"},
+        {"risks", "pairs", "params_file"}, STEADY_LAYOUT,
     ),
     "influence": (
         ["influence", *PARAMS], None,
         {**NETWORK, "params": [0.4, 0.3, 1.2], "aggregate": "sum", "kappa": 99.0},
-        {"risks", "pairs"},
+        {"risks", "pairs"}, INFLUENCE_LAYOUT,
     ),
     "influence-params-file-mean": (
         ["influence", "--params-file", PARAMS_FILE, "--aggregate", "mean"], None,
         {**NETWORK, "params_file": PARAMS_FILE, "aggregate": "mean", "kappa": 99.0},
-        {"risks", "pairs", "params_file"},
+        {"risks", "pairs", "params_file"}, INFLUENCE_LAYOUT,
     ),
-    "stats": (["stats"], None, NETWORK, {"risks", "pairs"}),
+    "stats": (
+        ["stats"], None, NETWORK, {"risks", "pairs"},
+        {"network_stats.json": {
+            "node_count", "edge_count", "density", "average_degree", "degree_assortativity",
+            "average_clustering", "connected", "n_components", "largest_component_size",
+            "diameter", "average_shortest_path", "max_clique_size",
+        }},
+    ),
     "pipeline": (
         ["pipeline", "--history", HISTORY], None,
         {**NETWORK, "history": HISTORY, **FIT_DEFAULTS, "aggregate": "sum", "kappa": 99.0},
-        {"risks", "pairs", "history"},
+        {"risks", "pairs", "history"}, {**FIT_LAYOUT, **STEADY_LAYOUT, **INFLUENCE_LAYOUT},
     ),
     **{
         f"validate-{experiment}": (
             ["validate", "--experiment", experiment, *PARAMS, *VALIDATE_ARGS], 5,
             {**VALIDATE_CONFIG, "experiment": experiment, "params": [0.4, 0.3, 1.2]},
-            {"risks", "pairs", "history"},
+            {"risks", "pairs", "history"}, layout,
         )
-        for experiment in ("recovery", "forward", "network-effect", "sensitivity")
+        for experiment, layout in VALIDATE_LAYOUT.items()
     },
     "validate-fitted-params": (
         ["validate", "--experiment", "recovery", "--history", HISTORY, "--seed", "5",
          "--replicates", "4"], 5,
         {**VALIDATE_CONFIG, "experiment": "recovery", "replicates": 4, "runs": 100},
-        {"risks", "pairs", "history"},
+        {"risks", "pairs", "history"}, recovery_layout(4),
     ),
 }
 
 
 @pytest.mark.parametrize("name", list(GOLDEN))
 def test_manifest_matches_golden(tmp_path, name):
-    argv, seed, config, roles = GOLDEN[name]
+    argv, seed, config, roles, layout = GOLDEN[name]
     params_file = tmp_path / "params.json"
     params_file.write_text('{"alpha": 0.4, "beta": 0.3, "gamma": 1.2}')
 
@@ -421,12 +509,24 @@ def test_manifest_matches_golden(tmp_path, name):
         return str(params_file) if value == PARAMS_FILE else value
 
     command, *extra = map(resolve, argv)
-    assert run_cli([command, *toy_args(*extra, out=tmp_path / "out")]) == 0
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    out = tmp_path / "out"
+    assert run_cli([command, *toy_args(*extra, out=out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == MANIFEST_KEYS
     assert manifest["command"] == command
     assert manifest["seed"] == seed
     assert manifest["config"] == {key: resolve(value) for key, value in config.items()}
     assert set(manifest["inputs"]) == roles
+
+    assert manifest["outputs"] == sorted(layout)
+    assert sorted(p.name for p in out.iterdir()) == sorted([*layout, "manifest.json"])
+    for artifact, expected in layout.items():
+        text = (out / artifact).read_text()
+        if artifact.endswith(".csv"):
+            header, *rows = text.splitlines()
+            assert (tuple(header.split(",")), len(rows)) == expected, artifact
+        else:
+            assert set(json.loads(text)) == expected, artifact
 
 
 def test_console_script_is_wired(tmp_path):

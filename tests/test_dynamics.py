@@ -1,4 +1,7 @@
+import concurrent.futures
+import dataclasses
 import math
+import os
 
 import mpmath
 import numpy as np
@@ -11,7 +14,6 @@ from carpnet import (
     ModelParams,
     build_history,
     default_checkpoints,
-    external_fraction,
     fixed_point_map,
     log_likelihood,
     month_sequence,
@@ -58,7 +60,6 @@ _LIKELIHOOD_USERS = {
     "solve_steady_state": lambda L: solve_steady_state(_P3, _NET3, L=L),
     "solve_steady_states": lambda L: solve_steady_states(_P3, _NET3, [_NET3.likelihoods, L]),
     "fixed_point_map": lambda L: fixed_point_map(np.zeros(3), _P3, _NET3, L=L),
-    "external_fraction": lambda L: external_fraction(_P3, _NET3, L=L),
     "transition_fractions": lambda L: transition_fractions(
         solve_steady_state(_P3, _NET3), _P3, _NET3, L=L),
 }
@@ -199,6 +200,38 @@ def test_parallel_workers_change_nothing():
     assert (a.final_active == b.final_active).all()
     assert (a.checkpoint_frequency == b.checkpoint_frequency).all()
     assert (a.active_months == b.active_months).all()
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs tasks in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_parallel_workers_are_capped_at_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    net = make_network([0.2, 0.3, 0.4], edges=[(0, 1), (1, 2)])
+    args = (net, ModelParams(0.3, 0.3, 1.0), np.zeros(3, bool), 40, 3, range(8))
+    batch = run_cascades_parallel(*args, jobs=10_000, checkpoints=(10, 40))
+    assert _InlinePool.sizes == [3]
+    expected = run_cascades(*args, checkpoints=(10, 40))
+    for field in dataclasses.fields(expected):
+        got, want = getattr(batch, field.name), getattr(expected, field.name)
+        assert np.array_equal(got, want) if want is not None else got is None, field.name
 
 
 def test_duplicate_checkpoints_are_rejected():

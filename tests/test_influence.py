@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,12 +11,11 @@ from carpnet import (
     DataError,
     ModelParams,
     category_influence,
-    external_fraction,
     risk_influence,
     solve_steady_state,
     transition_fractions,
 )
-from conftest import FIXTURE_PARAMS, deletion_influence, make_network
+from conftest import FIXTURE_PARAMS, deletion_influence, external_fraction, make_network
 
 PARAMS = ModelParams(0.3, 0.5, 1.0)
 
@@ -80,7 +80,12 @@ def test_knockout_and_deletion_agree():
 
 def test_batched_knockouts_match_one_solve_per_knockout(fixture_network):
     net = fixture_network
-    values = risk_influence(net, FIXTURE_PARAMS).values
+    matrix = risk_influence(net, FIXTURE_PARAMS)
+    baseline = solve_steady_state(FIXTURE_PARAMS, net)
+    for field in dataclasses.fields(baseline):
+        name = field.name
+        assert np.array_equal(getattr(matrix.baseline, name), getattr(baseline, name)), name
+    values = matrix.values
     base = external_fraction(FIXTURE_PARAMS, net)
     for i in range(net.n_risks):
         cut = net.likelihoods.copy()
