@@ -31,7 +31,7 @@ from .errors import (
     NumericalError,
     UsageError,
 )
-from .graph_stats import NetworkProperties, compute_properties, to_networkx
+from .graph_stats import NetworkProperties, compute_properties
 from .influence import (
     CategoryInfluence,
     InfluenceMatrix,

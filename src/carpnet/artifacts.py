@@ -13,23 +13,7 @@ import math
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-__all__ = [
-    "format_float",
-    "dump_json",
-    "write_json",
-    "write_csv",
-    "sha256_file",
-    "write_manifest",
-]
-
-
-def format_float(x: float) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+import numpy as np
 
 
 def _json_fragment(obj: Any, out: list[str]) -> None:
@@ -100,24 +84,26 @@ def write_json(path, obj: Any) -> None:
     Path(path).write_text(dump_json(obj), encoding="utf-8", newline="\n")
 
 
-def _format_cell(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, int):
-        return str(value)
-    if hasattr(value, "item") and not isinstance(value, str):
-        return _format_cell(value.item())
-    return str(value)
+def _format_column(column: np.ndarray) -> list[str]:
+    if column.dtype.kind == "f":
+        return [format(x, ".17g") for x in column.tolist()]
+    if column.dtype.kind == "b":
+        return ["true" if x else "false" for x in column.tolist()]
+    return [str(x) for x in column.tolist()]
 
 
-def write_csv(path, header: Iterable[str], rows: Iterable[Iterable[Any]]) -> None:
+def write_csv(path, columns: Mapping[str, Any]) -> None:
+    """One CSV row per index of the equal-length ``columns``, headed by their names.
+
+    Each column is converted once by its dtype: floats with 17 significant
+    digits (``nan``, ``inf``, ``-inf`` for the non-finite ones), booleans
+    as ``true``/``false``, everything else with ``str``.
+    """
+    cells = [_format_column(np.asarray(column)) for column in columns.values()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(header))
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
+        writer.writerow(columns)
+        writer.writerows(zip(*cells, strict=True))
 
 
 def sha256_file(path) -> str:
@@ -137,7 +123,7 @@ def write_manifest(
     outputs: Iterable[str],
     seed: int | None,
     version: str,
-) -> Path:
+) -> None:
     """Write ``manifest.json`` describing a CLI run.
 
     ``config`` holds every semantic option (execution details like the
@@ -157,6 +143,4 @@ def write_manifest(
         },
         "outputs": sorted(outputs),
     }
-    path = Path(out_dir) / "manifest.json"
-    write_json(path, manifest)
-    return path
+    write_json(Path(out_dir) / "manifest.json", manifest)

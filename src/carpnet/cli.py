@@ -82,11 +82,14 @@ def _params(text: str) -> tuple[float, float, float]:
     return tuple(float(p) for p in parts)
 
 
-def _jobs(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"jobs must be at least 1, got {text}")
-    return value
+def _count(name: str) -> Callable[[str], int]:
+    """argparse type for a count: an integer of at least 1."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{name} must be at least 1, got {text}")
+        return value
+    return count
 
 
 def _checkpoints(text: str) -> tuple[int, ...]:
@@ -217,13 +220,6 @@ def _parse_params(args, network, history, *, allow_fit=False):
     raise UsageError("model parameters required: --params or --params-file")
 
 
-def _write_table(path: Path, columns: dict) -> None:
-    """One CSV row per index of the equal-length ``columns``, headed by their names."""
-    # Python scalars format to the same text as numpy's, and faster
-    cells = (np.asarray(column).tolist() for column in columns.values())
-    write_csv(path, columns, zip(*cells, strict=True))
-
-
 def _summary(report, *names) -> dict:
     """The named fields of a report, or all of them that are not arrays."""
     fields = asdict(report)
@@ -242,7 +238,7 @@ def _fit_artifacts(out: Path, result) -> list[str]:
 
 
 def _steady_artifacts(out: Path, network, steady) -> list[str]:
-    _write_table(out / "steady_state.csv", {"risk_id": network.ids, "p_hat": steady.p_hat})
+    write_csv(out / "steady_state.csv", {"risk_id": network.ids, "p_hat": steady.p_hat})
     write_json(out / "convergence.json", _summary(steady))
     return ["steady_state.csv", "convergence.json"]
 
@@ -250,14 +246,14 @@ def _steady_artifacts(out: Path, network, steady) -> list[str]:
 def _influence_artifacts(out: Path, network, matrix, aggregate, kappa) -> list[str]:
     ids = np.array(matrix.ids)
     src, dst = np.nonzero(~np.eye(network.n_risks, dtype=bool))
-    _write_table(out / "influence.csv", {
+    write_csv(out / "influence.csv", {
         "source_id": ids[src], "target_id": ids[dst], "influence": matrix.values[src, dst],
     })
 
     cats = category_influence(matrix, network, aggregate=aggregate, kappa=kappa)
     names = np.array(cats.categories)
     src, dst = np.indices(cats.raw.shape).reshape(2, -1)
-    _write_table(out / "category_influence.csv", {
+    write_csv(out / "category_influence.csv", {
         "source_cat": names[src],
         "target_cat": names[dst],
         "raw": cats.raw[src, dst],
@@ -303,12 +299,12 @@ def _cmd_simulate(args, out: Path) -> list[str]:
     traj = trajectory_from_batch(batch)
     stats = statistics_from_batch(batch)
 
-    _write_table(out / "trajectory.csv", {
+    write_csv(out / "trajectory.csv", {
         "t": np.repeat(traj.checkpoints, R),
         "risk_id": np.tile(network.ids, len(traj.checkpoints)),
         "frequency": traj.mean_frequency.ravel(),
     })
-    _write_table(out / "statistics.csv", {
+    write_csv(out / "statistics.csv", {
         "risk_id": network.ids,
         "freq_active": stats.freq_active,
         "freq_activation": stats.activations,
@@ -367,7 +363,7 @@ def _cmd_validate(args, out: Path) -> list[str]:
             "n_discarded": len(report.discarded),
         })
         reps = report.replicates
-        _write_table(out / "recovery_replicates.csv", {
+        write_csv(out / "recovery_replicates.csv", {
             "replicate": [rec.index for rec in reps],
             "failed": [rec.failed for rec in reps],
             **{name: [getattr(rec.params, name, math.nan) for rec in reps]  # NaN if failed
@@ -398,7 +394,7 @@ def _cmd_validate(args, out: Path) -> list[str]:
             "freq_active": dict(zip(spread, fw.freq_summary)),
             "freq_activation": dict(zip(spread, fw.activation_summary)),
         })
-        _write_table(out / "forward_sets.csv", {
+        write_csv(out / "forward_sets.csv", {
             "set_index": range(len(sets)),
             "replicate": report.retained,
             "freq_active": fw.set_freq_active,
@@ -415,7 +411,7 @@ def _cmd_validate(args, out: Path) -> list[str]:
         write_json(out / "network_effect.json", {
             **_summary(report), "params_source": source, "runs": args.runs,
         })
-        _write_table(out / "network_effect_series.csv", {
+        write_csv(out / "network_effect_series.csv", {
             "step": range(report.historical.size),
             "historical": report.historical,
             "network_mean": report.network_mean,
@@ -443,8 +439,8 @@ def _cmd_validate(args, out: Path) -> list[str]:
         "all_history_delta": report.all_history,
         "n_deactivated": report.n_deactivated,
     }
-    _write_table(out / "sensitivity.csv", {name: np.asarray(column)[order]
-                                           for name, column in table.items()})
+    write_csv(out / "sensitivity.csv", {name: np.asarray(column)[order]
+                                        for name, column in table.items()})
     return ["sensitivity.json", "sensitivity.csv"]
 
 
@@ -461,13 +457,14 @@ _COMMANDS = {
         (_COMMON, _NETWORK, _PARAMS, (
             ("--history", dict(help="history CSV (needed for --initial history-last)")),
             _SEED,
-            ("--runs", dict(type=int, default=1000, help="number of runs (default 1000)")),
-            ("--horizon", dict(type=int, default=10000, help="months to simulate (default 10000)")),
+            ("--runs", dict(type=_count("runs"), default=1000, help="number of runs (default 1000)")),
+            ("--horizon", dict(type=_count("horizon"), default=10000,
+                               help="months to simulate (default 10000)")),
             ("--initial", dict(default="passive", choices=("passive", "active", "history-last"),
                                help="initial state (default passive)")),
             ("--checkpoints", dict(type=_checkpoints, help="comma-separated output times "
                                                            "(default: powers of 10 plus the horizon)")),
-            ("--jobs", dict(type=_jobs, default=1,
+            ("--jobs", dict(type=_count("jobs"), default=1,
                             help="worker processes, at most one per CPU; any value "
                                  "produces identical output (default 1)")),
         )),
@@ -490,9 +487,11 @@ _COMMANDS = {
             ("--experiment", dict(choices=_EXPERIMENTS, help="which experiment to run")),
             ("--history", dict(help="state history CSV")),
             _SEED,
-            ("--replicates", dict(type=int, default=125, help="recovery replicates (default 125)")),
-            ("--months", dict(type=int, default=12, help="forward window length (default 12)")),
-            ("--runs", dict(type=int, default=100, help="runs per ensemble (default 100)")),
+            ("--replicates", dict(type=_count("replicates"), default=125,
+                                  help="recovery replicates (default 125)")),
+            ("--months", dict(type=_count("months"), default=12,
+                              help="forward window length (default 12)")),
+            ("--runs", dict(type=_count("runs"), default=100, help="runs per ensemble (default 100)")),
             ("--perturbation", dict(type=float, default=0.1,
                                     help="sensitivity perturbation size (default 0.1)")),
             ("--jobs", dict(type=int, default=1, help="accepted for symmetry; experiments "

@@ -119,7 +119,6 @@ class CascadeBatch:
     checkpoints: tuple[int, ...]
     checkpoint_frequency: np.ndarray | None  # float (n_cp, n_runs, R)
     states: np.ndarray | None  # uint8 (n_runs, R, n_steps)
-    step_activations: np.ndarray | None  # int (n_runs, n_steps)
     cause_counts: np.ndarray | None  # int (n_runs, 3): internal-only, external-only, both
 
 
@@ -134,7 +133,6 @@ def run_cascades(
     rng_path_prefix: tuple[int, ...] = (),
     checkpoints: Sequence[int] | None = None,
     keep_states: bool = False,
-    track_step_activations: bool = False,
     track_causes: bool = False,
 ) -> CascadeBatch:
     """Simulate many independent runs of the cascade on ``network``.
@@ -177,7 +175,6 @@ def run_cascades(
     active_months = np.zeros((n, R), dtype=np.int64)
     activation_counts = np.zeros((n, R), dtype=np.int64)
     states = np.zeros((n, R, n_steps), dtype=np.uint8) if keep_states else None
-    step_acts = np.zeros((n, n_steps), dtype=np.int64) if track_step_activations else None
     cause_counts = np.zeros((n, 3), dtype=np.int64) if track_causes else None
 
     gens = [derive_rng(master_seed, *rng_path_prefix, r) for r in run_indices]
@@ -205,8 +202,6 @@ def run_cascades(
         activation_counts += activated
         if states is not None:
             states[:, :, t] = active
-        if step_acts is not None:
-            step_acts[:, t] = activated.sum(axis=1)
         if cause_counts is not None:
             both = activated & int_fire & ext_fire
             cause_counts[:, 0] += (activated & int_fire & ~ext_fire).sum(axis=1)
@@ -224,7 +219,6 @@ def run_cascades(
         checkpoints=checkpoints,
         checkpoint_frequency=cp_freq,
         states=states,
-        step_activations=step_acts,
         cause_counts=cause_counts,
     )
 
@@ -250,7 +244,6 @@ def _merge_batches(parts: Sequence[CascadeBatch]) -> CascadeBatch:
         checkpoints=parts[0].checkpoints,
         checkpoint_frequency=cat("checkpoint_frequency"),
         states=cat("states"),
-        step_activations=cat("step_activations"),
         cause_counts=cat("cause_counts"),
     )
 

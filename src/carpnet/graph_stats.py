@@ -1,10 +1,8 @@
 """Descriptive statistics of a risk network's topology."""
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .risks import RiskNetwork
@@ -26,64 +24,89 @@ class NetworkProperties:
     largest_component_size: int
 
 
-def to_networkx(network: RiskNetwork) -> nx.Graph:
-    """Undirected graph on risk ids with expert co-mention counts on the edges."""
-    g = nx.Graph()
-    for risk in network.risks:
-        g.add_node(risk.id, category=risk.category, likelihood=risk.normalized_likelihood)
-    rows, cols = np.nonzero(np.triu(network.adjacency, k=1))
-    for i, j in zip(rows, cols):
-        g.add_edge(network.ids[i], network.ids[j], count=int(network.pair_counts[i, j]))
-    return g
+def _max_clique_size(adjacency: np.ndarray) -> int:
+    """Bron–Kerbosch with pivoting (CACM 16, 1973), pruned by the best size so far."""
+    neighbors = [set(np.flatnonzero(row).tolist()) for row in adjacency]
+    best = 0
+
+    def expand(size: int, candidates: set, excluded: set) -> None:
+        nonlocal best
+        if size + len(candidates) <= best:
+            return
+        if not candidates:
+            best = size
+            return
+        pivot = max(candidates | excluded, key=lambda u: len(candidates & neighbors[u]))
+        for v in candidates - neighbors[pivot]:
+            expand(size + 1, candidates & neighbors[v], excluded & neighbors[v])
+            candidates = candidates - {v}
+            excluded = excluded | {v}
+
+    expand(0, set(range(len(adjacency))), set())
+    return best
 
 
 def compute_properties(network: RiskNetwork) -> NetworkProperties:
-    """Summary statistics of the topology.
+    """Summary statistics of the topology, read from ``network.adjacency``.
 
     Path-based quantities (diameter, average shortest path) are computed
     on the largest connected component, so they stay defined for
-    fragmented networks; for a single-node component both are 0.  Degree
-    assortativity is NaN when degrees have no variance.  The maximum
-    clique is found exactly (branch and bound), which is fine at the
-    scale of these networks.
+    fragmented networks; for a single-node component both are 0.  Of
+    equally large components, the one holding the lowest-indexed risk
+    counts as the largest.  Degree assortativity is the Pearson
+    correlation of the degrees at the two ends of every edge (Newman,
+    PRL 89, 2002); it is NaN when there are no edges or the degrees have
+    no variance.  The maximum clique is found exactly by a Bron–Kerbosch
+    search, which is fine at the scale of these networks.
     """
-    g = to_networkx(network)
-    n = g.number_of_nodes()
-    m = g.number_of_edges()
+    A = network.adjacency
+    n = network.n_risks
+    m = network.n_edges
+    degrees = network.degrees()
 
-    if n < 2:
-        assort = float("nan")
-    else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            try:
-                assort = float(nx.degree_assortativity_coefficient(g))
-            except (ValueError, ZeroDivisionError):
-                assort = float("nan")
+    # Python integers keep the moments exact, so the one division rounds once.
+    ends = 2 * m
+    s1 = int(degrees @ degrees)
+    variance = ends * int((degrees**3).sum()) - s1 * s1
+    covariance = ends * int(degrees @ A @ degrees) - s1 * s1
+    assort = covariance / variance if variance else float("nan")
 
-    components = list(nx.connected_components(g))
-    largest = max(components, key=len)
-    sub = g.subgraph(largest)
-    if len(largest) < 2:
-        diameter = 0
-        avg_path = 0.0
-    else:
-        diameter = int(nx.diameter(sub))
-        avg_path = float(nx.average_shortest_path_length(sub))
+    # diag(A^3) counts each triangle at a node twice
+    twice_triangles = ((A.astype(np.int64) @ A) * A).sum(axis=1)
+    pairs = degrees * (degrees - 1)
+    clustering = np.divide(twice_triangles, pairs, out=np.zeros(n), where=pairs > 0)
 
-    clique, _ = nx.max_weight_clique(g, weight=None)
+    # Breadth-first search from every node at once, one frontier per row.
+    reached = np.eye(n, dtype=bool)
+    frontier = reached.copy()
+    distance_sums = np.zeros(n, dtype=np.int64)
+    eccentricity = np.zeros(n, dtype=np.int64)
+    step = 0
+    while frontier.any():
+        step += 1
+        frontier = (frontier @ A) & ~reached
+        reached |= frontier
+        distance_sums += step * frontier.sum(axis=1)
+        eccentricity[frontier.any(axis=1)] = step
+
+    # A component is labelled by its lowest-indexed member.
+    labels = reached.argmax(axis=1)
+    sizes = np.bincount(labels, minlength=n)
+    largest = labels == np.argmax(sizes)
+    k = int(sizes.max())
+    n_components = int(np.count_nonzero(sizes))
 
     return NetworkProperties(
         node_count=n,
         edge_count=m,
-        density=float(nx.density(g)),
+        density=2 * m / (n * (n - 1)) if n > 1 else 0.0,
         average_degree=2.0 * m / n,
         degree_assortativity=assort,
-        average_clustering=float(nx.average_clustering(g)),
-        diameter=diameter,
-        average_shortest_path=avg_path,
-        max_clique_size=len(clique),
-        connected=len(components) == 1,
-        n_components=len(components),
-        largest_component_size=len(largest),
+        average_clustering=sum(clustering.tolist()) / n,
+        diameter=int(eccentricity[largest].max()),
+        average_shortest_path=int(distance_sums[largest].sum()) / (k * (k - 1)) if k > 1 else 0.0,
+        max_clique_size=_max_clique_size(A),
+        connected=n_components == 1,
+        n_components=n_components,
+        largest_component_size=k,
     )

@@ -319,14 +319,12 @@ def save_network(network: RiskNetwork, risks_path, pairs_path) -> None:
     The likelihood column holds the raw scores, so a reload with the same
     normalization settings reproduces the network exactly.
     """
-    from .artifacts import format_float  # local import to avoid a cycle
-
     with open(risks_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "numeric_code", "name", "category", "likelihood"])
         for r in network.risks:
             writer.writerow(
-                [r.id, r.numeric_code, r.name, r.category, format_float(r.raw_likelihood)]
+                [r.id, r.numeric_code, r.name, r.category, format(r.raw_likelihood, ".17g")]
             )
     with open(pairs_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -398,11 +398,13 @@ def network_effect_comparison(
     independent_params = fit(history, edgeless, fix_beta=0.0).params
 
     def band(net, p):
-        batch = run_cascades(
+        states = run_cascades(
             net, p, initial, n_steps, master_seed,
-            range(runs), rng_path_prefix=(3,), track_step_activations=True,
-        )
-        counts = batch.step_activations.astype(float)
+            range(runs), rng_path_prefix=(3,), keep_states=True,
+        ).states.astype(bool)  # (runs, R, n_steps)
+        before = np.roll(states, 1, axis=2)  # the state each step starts from
+        before[:, :, 0] = initial
+        counts = (~before & states).sum(axis=1).astype(float)
         return counts.mean(axis=0), counts.std(axis=0, ddof=1)
 
     net_mean, net_std = band(network, params)

@@ -284,6 +284,29 @@ def test_simulate_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("command, flag", [
+    ("simulate", "runs"),
+    ("simulate", "horizon"),
+    ("validate", "replicates"),
+    ("validate", "months"),
+    ("validate", "runs"),
+], ids=lambda part: part)
+def test_count_below_one_is_a_usage_error(tmp_path, capsys, command, flag, value):
+    # rejected while parsing, before any input is read or --out is made
+    extra = ("--params", "0.4,0.3,1.2", "--seed", "1")
+    if command == "validate":
+        extra += ("--experiment", "forward", "--history", TOY / "history.csv")
+    argv = [command, *toy_args(*extra, out=tmp_path / "x")]
+    assert run_cli([*argv, f"--{flag}", value]) == 1
+    assert f"--{flag}" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag} = {value}\n")
+    assert run_cli([*argv, "--config", cfg]) == 1
+    assert f"{flag} must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_duplicate_checkpoints_are_a_data_error(tmp_path):
     code = run_cli(["simulate", *toy_args("--params", "0.4,0.3,1.2", "--seed", "1",
                                           "--horizon", "20", "--checkpoints", "10,10,20",

@@ -1,8 +1,11 @@
+import itertools
 import math
+import warnings
 
+import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carpnet import compute_properties
@@ -85,3 +88,55 @@ def test_density_and_degree_bookkeeping(n, seed):
     assert props.edge_count == m
     assert props.density == pytest.approx(2 * m / (n * (n - 1)))
     assert props.average_degree == pytest.approx(2 * m / n)
+
+
+@st.composite
+def graphs(draw):
+    """Random graphs with isolated nodes, sometimes followed by a second random
+    graph of the same size, so that the largest components can tie."""
+    n = draw(st.integers(1, 9))
+    parts = draw(st.integers(1, 2))
+    edges = [
+        pair
+        for start in range(0, parts * n, n)
+        for pair in itertools.combinations(range(start, start + n), 2)
+        if draw(st.booleans())
+    ]
+    return parts * n, edges
+
+
+TRIANGLE, PATH = [(0, 1), (1, 2), (0, 2)], [(0, 1), (1, 2)]
+
+
+@given(graphs())
+@example((1, []))
+@example((2, []))
+@example((2, [(0, 1)]))
+@example((6, TRIANGLE + [(u + 3, v + 3) for u, v in PATH]))  # equal components, diameters 1 and 2
+@example((6, PATH + [(u + 3, v + 3) for u, v in TRIANGLE]))
+@settings(max_examples=150, deadline=None)
+def test_matches_networkx(graph):
+    n, edges = graph
+    props = compute_properties(make_network([0.2] * n, edges=edges))
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    largest = g.subgraph(max(nx.connected_components(g), key=len))
+    assert props.node_count == g.number_of_nodes()
+    assert props.edge_count == g.number_of_edges()
+    assert props.density == nx.density(g)
+    assert props.average_degree == sum(d for _, d in g.degree()) / n
+    assert props.average_clustering == nx.average_clustering(g)
+    assert props.diameter == nx.diameter(largest)
+    assert props.average_shortest_path == nx.average_shortest_path_length(largest)
+    assert props.max_clique_size == len(nx.max_weight_clique(g, weight=None)[0])
+    assert props.connected == nx.is_connected(g)
+    assert props.n_components == nx.number_connected_components(g)
+    assert props.largest_component_size == len(largest)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # 0/0 when there is no degree variance
+        expected = nx.degree_assortativity_coefficient(g)
+    if math.isnan(expected):
+        assert math.isnan(props.degree_assortativity)
+    else:
+        assert props.degree_assortativity == pytest.approx(expected, rel=0, abs=1e-12)

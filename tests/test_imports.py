@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from conftest import ROOT
 
 # The package's __init__ imports names only to re-export them.
@@ -41,12 +43,14 @@ def test_no_unused_imports():
     assert found == {}
 
 
-def test_import_leaves_the_process_pool_unloaded():
-    # run_cascades_parallel imports it only when it starts worker processes
+@pytest.mark.parametrize("module", [
+    "concurrent.futures.process",  # run_cascades_parallel imports it when it starts workers
+    "networkx",  # only the tests use it, as a reference
+])
+def test_import_leaves_the_process_pool_unloaded(module):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, carpnet; print('concurrent.futures.process' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, carpnet; print({module!r} in sys.modules)"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
     )
     assert proc.stdout.strip() == "False"
