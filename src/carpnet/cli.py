@@ -476,7 +476,8 @@ _COMMANDS = {
         (_COMMON, _NETWORK, _PARAMS, (
             ("--tol", dict(type=float, default=1e-12,
                            help="sup-norm convergence tolerance (default 1e-12)")),
-            ("--max-iter", dict(type=int, default=1_000_000, help="iteration budget (default 1e6)")),
+            ("--max-iter", dict(type=_count("max-iter"), default=1_000_000,
+                                help="iteration budget (default 1e6)")),
         )),
         ("risks", "pairs"),
         _cmd_steady_state,

@@ -16,13 +16,15 @@ O(R), which keeps grid search and simplex refinement cheap.
 
 Fitting runs a coarse log-spaced grid over the box [0, 10] per parameter
 and refines the best cells with a deterministic Nelder-Mead simplex, so
-results are exactly reproducible.  The search settings are the module
-constants below; only ``fix_beta`` is chosen per call.
+results are exactly reproducible; (alpha, beta) and gamma enter separate
+terms, so the 10^3-point grid costs 10^2 + 10 dot products.  The search
+settings are the module constants below; only ``fix_beta`` is chosen per call.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -77,14 +79,14 @@ class TransitionSummary:
         kmax = int(k01.max()) if k01.size else 0
         key = i01 * (kmax + 1) + k01
         uniq, counts = np.unique(key, return_counts=True)
-        self.i01 = (uniq // (kmax + 1)).astype(np.int64)
+        self.l01 = log1m[uniq // (kmax + 1)]
         self.k01 = (uniq % (kmax + 1)).astype(np.float64)
         self.c01 = counts.astype(np.float64)
 
-        self.n11 = np.bincount(np.nonzero(m11)[0], minlength=network.n_risks).astype(float)
+        n11 = np.bincount(np.nonzero(m11)[0], minlength=network.n_risks).astype(float)
+        self.n11, self.l11 = n11[n11 > 0], log1m[n11 > 0]  # risks with an active -> active month
         self.s10_l = float(log1m[np.nonzero(m10)[0]].sum())
 
-        self.log1m = log1m
         self.n_activations = int(m01.sum())
         self.n_recoveries = int(m10.sum())
         self.n_active_source = int(m10.sum() + m11.sum())
@@ -92,23 +94,39 @@ class TransitionSummary:
 
     def loglik(self, alpha: float, beta: float, gamma: float) -> float:
         """Log-likelihood; ``-inf`` when an observed transition is impossible."""
-        log1m = self.log1m
         total = alpha * self.c00_l + beta * self.c00_kl
 
-        if self.i01.size:
-            e01 = (alpha + beta * self.k01) * log1m[self.i01]
+        if self.c01.size:
+            e01 = (alpha + beta * self.k01) * self.l01
             if (e01 == 0.0).any():
                 return -np.inf
             total += float(self.c01 @ np.log(-np.expm1(e01)))
 
         total += gamma * self.s10_l
 
-        act = self.n11 > 0
-        if act.any():
+        if self.n11.size:
             if gamma == 0.0:
                 return -np.inf
-            g = gamma * log1m[act]
-            total += float(self.n11[act] @ np.log(-np.expm1(g)))
+            total += float(self.n11 @ np.log(-np.expm1(gamma * self.l11)))
+        return total
+
+    def grid(self, alphas, betas, gammas) -> np.ndarray:
+        """``loglik``, bit for bit, at every point of three axes: an (alpha, beta, gamma) array.
+
+        The terms separate: one 1-D dot per (alpha, beta) pair and one per gamma.
+        """
+        a, b, g = (np.asarray(axis, dtype=float) for axis in (alphas, betas, gammas))
+        a, b = a[:, None, None], b[:, None]
+        dots = lambda w, e: np.array([float(w @ row) for row in np.log(-np.expm1(e))])
+        total = a * self.c00_l + b * self.c00_kl
+        with np.errstate(divide="ignore"):  # log(0) only in cells that become -inf
+            if self.c01.size:
+                e01 = (a + b * self.k01) * self.l01
+                d01 = dots(self.c01, e01.reshape(-1, self.l01.size)).reshape(total.shape)
+                total = np.where((e01 == 0.0).any(axis=2, keepdims=True), -np.inf, total + d01)
+            total = total + g * self.s10_l
+            if self.n11.size:
+                total = np.where(g == 0.0, -np.inf, total + dots(self.n11, g[:, None] * self.l11))
         return total
 
 
@@ -129,36 +147,42 @@ def _nelder_mead(fn, x0, lower, upper, fatol, max_iter):
 
     Returns (x_best, f_best, iterations, converged).  Convergence: the
     objective spread across the polytope falls below ``fatol`` (or the
-    polytope collapses geometrically).
+    polytope collapses geometrically).  Vertices are lists of floats, as
+    numpy's per-call cost would dominate with two or three coordinates.
     """
-    ndim = x0.size
-    clip = lambda x: np.clip(x, lower, upper)
+    ndim = len(x0)
+    clip = lambda x: [min(max(v, lower), upper) for v in x]
+    # base + t*(x - base); t = -1 and -2 give the reflection base + (base - x)
+    # and the expansion base + 2*(base - x) exactly, as negation rounds nothing
+    toward = lambda base, x, t: clip([b + t * (v - b) for b, v in zip(base, x)])
 
-    simplex = [clip(x0.copy())]
+    simplex = [clip(x0)]
     for d in range(ndim):
-        v = x0.copy()
+        v = list(x0)
         step = 0.05 * max(abs(v[d]), 0.1)
         v[d] = v[d] + step if v[d] + step <= upper else v[d] - step
         simplex.append(clip(v))
-    simplex = np.array(simplex)
-    fvals = np.array([fn(v) for v in simplex])
+    fvals = [fn(v) for v in simplex]
 
     iterations = 0
     converged = False
     while iterations < max_iter:
-        order = np.argsort(fvals, kind="stable")
-        simplex, fvals = simplex[order], fvals[order]
-        if fvals[-1] - fvals[0] < fatol or np.max(np.abs(simplex - simplex[0])) < 1e-12:
+        # stable, and fvals is never NaN (-loglik lies in (-inf, +inf])
+        order = sorted(range(ndim + 1), key=fvals.__getitem__)
+        simplex, fvals = [simplex[i] for i in order], [fvals[i] for i in order]
+        spread = max(abs(v - b) for x in simplex for v, b in zip(x, simplex[0]))
+        if fvals[-1] - fvals[0] < fatol or spread < 1e-12:
             converged = True
             break
         iterations += 1
 
-        centroid = simplex[:-1].mean(axis=0)
+        # summed vertex by vertex, as mean(axis=0) does
+        centroid = [reduce(lambda s, v: s + v, col) / ndim for col in zip(*simplex[:-1])]
         worst = simplex[-1]
-        reflected = clip(centroid + (centroid - worst))
+        reflected = toward(centroid, worst, -1.0)
         f_r = fn(reflected)
         if f_r < fvals[0]:
-            expanded = clip(centroid + 2.0 * (centroid - worst))
+            expanded = toward(centroid, worst, -2.0)
             f_e = fn(expanded)
             if f_e < f_r:
                 simplex[-1], fvals[-1] = expanded, f_e
@@ -168,22 +192,22 @@ def _nelder_mead(fn, x0, lower, upper, fatol, max_iter):
             simplex[-1], fvals[-1] = reflected, f_r
         else:
             if f_r < fvals[-1]:
-                contracted = clip(centroid + 0.5 * (reflected - centroid))
+                contracted = toward(centroid, reflected, 0.5)
                 f_c = fn(contracted)
                 better_than = f_r
             else:
-                contracted = clip(centroid + 0.5 * (worst - centroid))
+                contracted = toward(centroid, worst, 0.5)
                 f_c = fn(contracted)
                 better_than = fvals[-1]
             if f_c < better_than:
                 simplex[-1], fvals[-1] = contracted, f_c
             else:
                 for j in range(1, ndim + 1):
-                    simplex[j] = clip(simplex[0] + 0.5 * (simplex[j] - simplex[0]))
+                    simplex[j] = toward(simplex[0], simplex[j], 0.5)
                     fvals[j] = fn(simplex[j])
 
-    order = np.argsort(fvals, kind="stable")
-    return simplex[order[0]], fvals[order[0]], iterations, converged
+    best = min(range(ndim + 1), key=fvals.__getitem__)
+    return simplex[best], fvals[best], iterations, converged
 
 
 def fit(
@@ -225,9 +249,9 @@ def fit(
     axis = np.geomspace(_GRID_MIN, _GRID_MAX, _GRID_POINTS)
     grids = np.meshgrid(*([axis] * ndim), indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=1)
-    grid_vals = np.array([neg(p) for p in points])
+    grid_vals = -summary.grid(axis, axis if fix_beta is None else [fix_beta], axis).ravel()
     order = np.argsort(grid_vals, kind="stable")
-    starts = points[order[:_STARTS]]
+    starts = points[order[:_STARTS]].tolist()
 
     best_x = None
     best_f = np.inf

@@ -152,8 +152,8 @@ def recovery_experiment(
     are taken over the rest.  Failed refits are excluded with a warning
     before the outlier cut.
     """
-    if n_replicates < 1:
-        raise DataError("n_replicates must be >= 1")
+    if n_replicates < 2:  # the outlier cut would discard a lone replicate
+        raise DataError("n_replicates must be >= 2")
     if history.risk_ids != network.ids:
         raise DataError("history risks are not aligned to the network")
     initial = history.states[:, 0].astype(bool)

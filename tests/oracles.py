@@ -113,3 +113,112 @@ def brute_force_max_clique(adjacency):
             if all(adjacency[u, v] for u, v in itertools.combinations(combo, 2)):
                 return size
     return best
+
+
+def reference_nelder_mead(fn, x0, lower, upper, fatol, max_iter):
+    """The box-clipped Nelder-Mead simplex on numpy vectors.
+
+    Returns (x_best, f_best, iterations, converged).  carpnet's simplex runs
+    the same steps on lists of floats and must match this one bit for bit.
+    """
+    ndim = x0.size
+    clip = lambda x: np.clip(x, lower, upper)
+
+    simplex = [clip(x0.copy())]
+    for d in range(ndim):
+        v = x0.copy()
+        step = 0.05 * max(abs(v[d]), 0.1)
+        v[d] = v[d] + step if v[d] + step <= upper else v[d] - step
+        simplex.append(clip(v))
+    simplex = np.array(simplex)
+    fvals = np.array([fn(v) for v in simplex])
+
+    iterations = 0
+    converged = False
+    while iterations < max_iter:
+        order = np.argsort(fvals, kind="stable")
+        simplex, fvals = simplex[order], fvals[order]
+        if fvals[-1] - fvals[0] < fatol or np.max(np.abs(simplex - simplex[0])) < 1e-12:
+            converged = True
+            break
+        iterations += 1
+
+        centroid = simplex[:-1].mean(axis=0)
+        worst = simplex[-1]
+        reflected = clip(centroid + (centroid - worst))
+        f_r = fn(reflected)
+        if f_r < fvals[0]:
+            expanded = clip(centroid + 2.0 * (centroid - worst))
+            f_e = fn(expanded)
+            if f_e < f_r:
+                simplex[-1], fvals[-1] = expanded, f_e
+            else:
+                simplex[-1], fvals[-1] = reflected, f_r
+        elif f_r < fvals[-2]:
+            simplex[-1], fvals[-1] = reflected, f_r
+        else:
+            if f_r < fvals[-1]:
+                contracted = clip(centroid + 0.5 * (reflected - centroid))
+                f_c = fn(contracted)
+                better_than = f_r
+            else:
+                contracted = clip(centroid + 0.5 * (worst - centroid))
+                f_c = fn(contracted)
+                better_than = fvals[-1]
+            if f_c < better_than:
+                simplex[-1], fvals[-1] = contracted, f_c
+            else:
+                for j in range(1, ndim + 1):
+                    simplex[j] = clip(simplex[0] + 0.5 * (simplex[j] - simplex[0]))
+                    fvals[j] = fn(simplex[j])
+
+    order = np.argsort(fvals, kind="stable")
+    return simplex[order[0]], fvals[order[0]], iterations, converged
+
+
+def reference_fit(loglik, fix_beta=None):
+    """carpnet's grid-plus-simplex search with one ``loglik`` call per grid point.
+
+    ``loglik(alpha, beta, gamma)`` is the objective.  The grid is 10
+    log-spaced values in [1e-4, 10] per fitted parameter; the 5 best points
+    (stable order) seed simplices in the box [0, 10] with fatol 1e-8 and
+    2,000 steps each.  Returns ((alpha, beta, gamma), log_likelihood,
+    iterations, converged, bound_flags); raises ArithmeticError where the
+    fit raises ConvergenceError.
+    """
+    lower, upper = 0.0, 10.0
+    if fix_beta is None:
+        expand = lambda x: (x[0], x[1], x[2])
+        ndim = 3
+    else:
+        expand = lambda x: (x[0], fix_beta, x[1])
+        ndim = 2
+    neg = lambda x: -loglik(*expand(x))
+
+    axis = np.geomspace(1e-4, 10.0, 10)
+    grids = np.meshgrid(*([axis] * ndim), indexing="ij")
+    points = np.stack([g.ravel() for g in grids], axis=1)
+    grid_vals = np.array([neg(p) for p in points])
+    starts = points[np.argsort(grid_vals, kind="stable")[:5]]
+
+    best_x, best_f, best_converged = None, np.inf, False
+    total_iters, any_converged = 0, False
+    for x0 in starts:
+        x, f, iters, conv = reference_nelder_mead(neg, x0, lower, upper, 1e-8, 2000)
+        total_iters += iters
+        any_converged = any_converged or conv
+        if f < best_f:
+            best_x, best_f, best_converged = x, f, conv
+    if best_x is None or not np.isfinite(best_f) or not any_converged:
+        raise ArithmeticError("no usable simplex start")
+
+    params = tuple(float(v) for v in expand(best_x))
+    flags = []
+    for name, value in zip(("alpha", "beta", "gamma"), params):
+        if name == "beta" and fix_beta is not None:
+            continue
+        if value <= lower + 1e-3:
+            flags.append(f"{name}_at_lower_bound")
+        elif value >= upper - 1e-3:
+            flags.append(f"{name}_at_upper_bound")
+    return params, -best_f, total_iters, best_converged, tuple(flags)

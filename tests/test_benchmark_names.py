@@ -97,3 +97,14 @@ def test_worker_setup_loads_the_fixture(perfbench, monkeypatch):
     worker = perfbench("worker")
     for workload in ("cascade", "pipeline"):  # without and with the history
         worker.setup(workload)
+
+
+def test_recovery_seed0_meets_the_recorded_reference(perfbench, monkeypatch, tmp_path):
+    # one benchmark repetition, checked by the benchmark's own gate on the
+    # refits, so a change to the fit's floats shows here before it does there
+    monkeypatch.chdir(ROOT)
+    workloads = perfbench("workloads")
+    out = tmp_path / "out"
+    assert carpnet.cli.main([*workloads.argv("recovery", 0), "--out", str(out)]) == 0
+    want = workloads.load_reference()[workloads.reference_key("recovery", 0)]
+    assert workloads.check("recovery", workloads.observe("recovery", out), want) == []

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import carpnet.validation
 from carpnet.cli import main
 from conftest import ROOT
 
@@ -288,13 +289,16 @@ def test_simulate_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
 @pytest.mark.parametrize("command, flag", [
     ("simulate", "runs"),
     ("simulate", "horizon"),
+    ("steady-state", "max-iter"),
     ("validate", "replicates"),
     ("validate", "months"),
     ("validate", "runs"),
 ], ids=lambda part: part)
 def test_count_below_one_is_a_usage_error(tmp_path, capsys, command, flag, value):
     # rejected while parsing, before any input is read or --out is made
-    extra = ("--params", "0.4,0.3,1.2", "--seed", "1")
+    extra = ("--params", "0.4,0.3,1.2")
+    if command != "steady-state":
+        extra += ("--seed", "1")
     if command == "validate":
         extra += ("--experiment", "forward", "--history", TOY / "history.csv")
     argv = [command, *toy_args(*extra, out=tmp_path / "x")]
@@ -305,6 +309,19 @@ def test_count_below_one_is_a_usage_error(tmp_path, capsys, command, flag, value
     assert run_cli([*argv, "--config", cfg]) == 1
     assert f"{flag} must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("experiment", ["recovery", "forward"])
+def test_one_replicate_is_a_data_error_before_any_refit(tmp_path, monkeypatch, experiment):
+    # the outlier cut discards ceil(n/3) replicates, which leaves none of one
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated or refit despite a single replicate")
+    monkeypatch.setattr(carpnet.validation, "fit", refuse)
+    monkeypatch.setattr(carpnet.validation, "run_cascades", refuse)
+    code = run_cli(["validate", *toy_args(
+        "--experiment", experiment, "--params", "0.4,0.3,1.2", "--history", TOY / "history.csv",
+        "--seed", "1", "--replicates", "1", out=tmp_path / "x")])
+    assert code == 2
 
 
 def test_duplicate_checkpoints_are_a_data_error(tmp_path):

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carpnet import (
+    ConvergenceError,
     DataError,
     ImpossibleHistoryError,
     ModelParams,
@@ -17,7 +18,7 @@ from carpnet import (
     run_cascades,
 )
 from conftest import make_network
-from oracles import naive_log_likelihood
+from oracles import naive_log_likelihood, reference_fit
 
 
 def _history(net, states):
@@ -72,16 +73,20 @@ small_states = st.integers(2, 4).flatmap(
 )
 
 
-@given(data=small_states, alpha=st.floats(0.05, 2), beta=st.floats(0.05, 2), gamma=st.floats(0.05, 2))
-def test_log_likelihood_agrees_with_naive_loops(data, alpha, beta, gamma):
-    """Sufficient-statistic evaluation equals a cell-by-cell transcription."""
+def _small_case(data):
+    """(network, history, states) of one ``small_states`` draw."""
     r, rows, edge_bits = data
     states = np.array(rows, dtype=np.uint8)
     all_pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
     edges = [p for p, keep in zip(all_pairs, edge_bits) if keep]
-    L = [0.15 + 0.1 * i for i in range(r)]
-    net = make_network(L, edges=edges)
-    hist = _history(net, states)
+    net = make_network([0.15 + 0.1 * i for i in range(r)], edges=edges)
+    return net, _history(net, states), states
+
+
+@given(data=small_states, alpha=st.floats(0.05, 2), beta=st.floats(0.05, 2), gamma=st.floats(0.05, 2))
+def test_log_likelihood_agrees_with_naive_loops(data, alpha, beta, gamma):
+    """Sufficient-statistic evaluation equals a cell-by-cell transcription."""
+    net, hist, states = _small_case(data)
     params = ModelParams(alpha, beta, gamma)
 
     mine = log_likelihood(hist, params, net)
@@ -195,3 +200,55 @@ def test_summary_counts_match_hand_tally():
     assert s.n_activations == 2  # r1 in month 2, r2 in month 4
     assert s.n_recoveries == 2  # r1 in month 4, r2 in month 2
     assert s.n_active_source == 3  # final-month activity is not a source
+
+
+def _data_flags(summary):
+    return tuple(flag for flag, on in (
+        ("no_activations", summary.n_activations == 0),
+        ("no_recoveries", summary.n_recoveries == 0),
+        ("beta_unidentified", not summary.external_exposure),
+        ("gamma_unidentified", summary.n_active_source == 0),
+    ) if on)
+
+
+@given(data=small_states, fix_beta=st.sampled_from([None, 0.0, 0.3]))
+@settings(max_examples=40)
+@example(data=(3, [[0] * 5] * 3, [True] * 3), fix_beta=None)  # no activity at all
+@example(data=(2, [[1] * 4] * 2, [True]), fix_beta=0.3)  # never recovers
+@example(data=(3, [[0, 1, 0, 1], [1, 0, 0, 0], [0, 0, 1, 1]], [False] * 3),  # no exposure
+         fix_beta=None)
+@example(data=(2, [[0, 1, 1], [0, 0, 1]], [True]), fix_beta=0.0)  # no recoveries
+def test_fit_matches_the_numpy_reference_search(data, fix_beta):
+    """The fit equals the per-point-grid, numpy-simplex search bit for bit."""
+    net, hist, _ = _small_case(data)
+    summary = TransitionSummary(hist, net)
+    try:
+        params, loglik, iterations, converged, bound_flags = reference_fit(
+            summary.loglik, fix_beta)
+    except ArithmeticError:
+        with pytest.raises(ConvergenceError):
+            fit(hist, net, fix_beta=fix_beta)
+        return
+    result = fit(hist, net, fix_beta=fix_beta)
+    assert result.params.as_tuple() == params
+    assert result.log_likelihood == loglik
+    assert result.iterations == iterations
+    assert result.converged == converged
+    assert result.boundary_flags == _data_flags(summary) + bound_flags
+
+
+@pytest.mark.parametrize("dataset", ["toy", "fixture"])
+@pytest.mark.parametrize("axes", [
+    (np.geomspace(1e-4, 10, 10),) * 3,
+    (np.geomspace(1e-4, 10, 10), [0.3], np.geomspace(1e-4, 10, 10)),  # a fixed beta
+    ([0.0, 1e-3, 0.4], [0.0, 0.02, 2.0], [0.0, 0.5, 1.0, 7.0]),  # zeros give -inf cells
+], ids=["production", "fixed-beta", "zeros"])
+def test_grid_is_loglik_at_every_point(request, dataset, axes):
+    net = request.getfixturevalue(f"{dataset}_network")
+    summary = TransitionSummary(request.getfixturevalue(f"{dataset}_history"), net)
+    grid = summary.grid(*axes)
+    pointwise = np.array([[[summary.loglik(a, b, g) for g in axes[2]] for b in axes[1]]
+                          for a in axes[0]])
+    assert grid.shape == pointwise.shape
+    assert grid.tobytes() == pointwise.tobytes()
+    assert not np.isnan(grid).any()
