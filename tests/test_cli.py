@@ -248,6 +248,16 @@ def test_bad_kappa_is_rejected_before_any_artifact(tmp_path, command, extra, kap
     assert list(out.iterdir()) == []
 
 
+def test_malformed_history_is_rejected_before_any_artifact(tmp_path, capsys):
+    rows = (TOY / "history.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    bad = tmp_path / "gap.csv"
+    bad.write_text("".join(rows[:3] + rows[4:]), encoding="utf-8")  # drops 2010-03
+    out = tmp_path / "x"
+    assert run_cli(["fit", *toy_args("--history", bad, out=out)]) == 2
+    assert "2010-04" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_non_convergence_is_a_numerical_error(tmp_path):
     code = run_cli(["steady-state", *toy_args("--params", "0.4,0.3,1.2",
                                               "--max-iter", "2", out=tmp_path / "x")])

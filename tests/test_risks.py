@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +131,52 @@ def test_history_must_cover_network(tmp_path):
     save_history(hist, tmp_path / "h.csv")
     with pytest.raises(DataError):
         load_history(tmp_path / "h.csv", net)
+
+
+WIDE = "month,r1,r2\n"
+LONG = "month,risk_id,state\n"
+
+
+# Each malformed file, and a pattern for what its error message must name:
+# the offending id, month label or line number.  "<file>" stands for the
+# file's path, for faults that belong to no single cell.
+@pytest.mark.parametrize("text, names", [
+    pytest.param("", "<file>", id="wide-empty"),
+    pytest.param(WIDE, r"\b0\b", id="wide-header-only"),
+    pytest.param("date,r1,r2\n2010-01,0,1\n2010-02,1,0\n", "date", id="wide-first-column"),
+    pytest.param("month,r1,r1,r2\n2010-01,0,1,1\n2010-02,1,0,0\n", "<file>",
+                 id="wide-duplicate-column"),
+    pytest.param(WIDE + "2010-01,0,1\n2010-02,1\n", r"line 3\b", id="wide-field-count"),
+    pytest.param(WIDE + "2010-01,0,1\n2010-01,1,0\n2010-02,1,0\n", r"line 3\b",
+                 id="wide-duplicate-month"),
+    pytest.param(WIDE + "2010-01,0,1\n2010-02,0,2\n", "2010-02", id="wide-state-2"),
+    pytest.param("month,r1,r2,r9\n2010-01,0,1,0\n2010-02,1,0,0\n", "r9",
+                 id="wide-unknown-risk"),
+    pytest.param("month,r1\n2010-01,0\n2010-02,1\n", "r2", id="wide-missing-risk"),
+    pytest.param(WIDE + "2010-12,0,1\n2010-13,1,0\n", "2010-13", id="wide-month-13"),
+    pytest.param(WIDE + "2010-01,0,1\n2010-03,1,0\n", "2010-03", id="wide-gap"),
+    pytest.param(WIDE + "2010-01,0,1\n", r"\b1\b", id="wide-single-month"),
+    pytest.param(LONG + "2010-01,r1,0\n2010-01,r2,1\n2010-01,r1,1\n"
+                 "2010-02,r1,0\n2010-02,r2,0\n", r"line 4\b", id="long-duplicate-cell"),
+    pytest.param(LONG + "2010-01,r1,0\n2010-01,r2,1\n2010-02,r1,0\n", "r2",
+                 id="long-missing-cell"),
+    pytest.param(LONG + "2010-01,r1,0\n2010-01,r2,1\n2010-01,r9,1\n"
+                 "2010-02,r1,0\n2010-02,r2,0\n", "r9", id="long-unknown-risk"),
+    pytest.param(LONG + "2010-01,r1,0\n2010-01,r2,x\n2010-02,r1,0\n2010-02,r2,0\n",
+                 r"line 3\b", id="long-state-x"),
+    pytest.param(LONG + "2010-01,r1,0\n2010-01,r2\n2010-02,r1,0\n2010-02,r2,0\n",
+                 r"line 3\b", id="long-two-fields"),
+    pytest.param(LONG + "2010-01,r1,0\n2010-01,r2,1\n2010-03,r1,0\n2010-03,r2,0\n",
+                 "2010-03", id="long-gap"),
+    pytest.param(LONG + "2010-1,r1,0\n2010-1,r2,1\n2010-02,r1,0\n2010-02,r2,0\n",
+                 "'2010-1'", id="long-month-label"),
+])
+def test_malformed_history_is_rejected(tmp_path, text, names):
+    path = tmp_path / "h.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError) as excinfo:
+        load_history(path, make_network([0.2, 0.3]))
+    assert re.search(names, str(excinfo.value).replace(str(path), "<file>"))
 
 
 def test_with_states_replaces_only_states():
