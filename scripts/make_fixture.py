@@ -18,21 +18,22 @@ here must be intentional and committed together with the data.
 from __future__ import annotations
 
 import argparse
+import csv
 from pathlib import Path
 
 import numpy as np
 
 from carpnet import (
     ExpertPairCount,
+    HistoryMatrix,
     ModelParams,
     Risk,
+    RiskNetwork,
     build_history,
     build_network,
     month_sequence,
     normalize_likelihood,
     run_cascades,
-    save_history,
-    save_network,
 )
 from carpnet.artifacts import write_json
 from carpnet.rng import derive_rng
@@ -50,6 +51,39 @@ TOY_SEED = 77
 TOY_PARAMS = ModelParams(alpha=0.4, beta=0.3, gamma=1.2)
 TOY_MONTHS = 36
 TOY_BURNIN = 60
+
+
+def save_network(network: RiskNetwork, risks_path, pairs_path) -> None:
+    """Write a network back to the risks/pairs CSV formats.
+
+    The likelihood column holds the raw scores, so a reload with the same
+    normalization settings reproduces the network exactly.
+    """
+    with open(risks_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "numeric_code", "name", "category", "likelihood"])
+        for r in network.risks:
+            writer.writerow(
+                [r.id, r.numeric_code, r.name, r.category, format(r.raw_likelihood, ".17g")]
+            )
+    with open(pairs_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["risk_a", "risk_b", "count"])
+        ids = network.ids
+        counts = network.pair_counts
+        for i in range(network.n_risks):
+            for j in range(i + 1, network.n_risks):
+                if counts[i, j] > 0:
+                    writer.writerow([ids[i], ids[j], str(int(counts[i, j]))])
+
+
+def save_history(history: HistoryMatrix, path) -> None:
+    """Write a history in wide form: a ``month`` column plus one column per risk."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["month", *history.risk_ids])
+        for t, m in enumerate(history.months):
+            writer.writerow([m, *(str(int(s)) for s in history.states[:, t])])
 
 
 def _connected(adjacency: np.ndarray) -> bool:
@@ -130,7 +164,7 @@ def make_synthetic_2013(root: Path) -> None:
     )
 
     save_network(network, out / "risks.csv", out / "pairs.csv")
-    save_history(history, out / "history.csv", form="wide")
+    save_history(history, out / "history.csv")
     write_json(out / "fixture.json", {
         "seed": FIXTURE_SEED,
         "params": {
@@ -188,7 +222,7 @@ def make_toy(root: Path) -> None:
     )
 
     save_network(network, out / "risks.csv", out / "pairs.csv")
-    save_history(history, out / "history.csv", form="wide")
+    save_history(history, out / "history.csv")
     print(f"toy: {network.n_edges} edges, active fraction {history.states.mean():.3f}")
 
 

@@ -60,8 +60,6 @@ from .risks import (
     load_risks,
     month_sequence,
     normalize_likelihood,
-    save_history,
-    save_network,
 )
 from .rng import derive_rng
 from .steady_state import SteadyState, fixed_point_map, solve_steady_state, solve_steady_states

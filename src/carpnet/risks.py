@@ -4,9 +4,11 @@ CSV contracts (all UTF-8, comma-separated, one header row):
 
 * risks:   ``id,numeric_code,name,category,likelihood``
 * pairs:   ``risk_a,risk_b,count`` -- undirected expert co-mention counts
-* history: long form ``month,risk_id,state`` with month as ``YYYY-MM`` and
-  state in {0,1}, or wide form ``month,<id1>,<id2>,...`` with one row per
-  month
+* history: long form ``month,risk_id,state`` (one row per cell) or wide form
+  ``month,<id1>,<id2>,...`` (one row per month).  Either way each
+  (month, risk) cell appears exactly once, states are ``0`` or ``1``, months
+  are contiguous ``YYYY-MM`` labels in any row order, and the risks are
+  exactly the network's
 
 A network is one year's snapshot.  Its only edge data is the symmetric
 ``pair_counts`` matrix: any positive count makes an unweighted edge
@@ -68,10 +70,6 @@ def month_sequence(start: str, n_months: int) -> tuple[str, ...]:
             month = 1
             year += 1
     return tuple(labels)
-
-
-def _next_month(label: str) -> str:
-    return month_sequence(label, 2)[1]
 
 
 @dataclass(frozen=True)
@@ -313,30 +311,6 @@ def load_network(
     return build_network(risks, pairs, year=year)
 
 
-def save_network(network: RiskNetwork, risks_path, pairs_path) -> None:
-    """Write a network back to the risks/pairs CSV formats.
-
-    The likelihood column holds the raw scores, so a reload with the same
-    normalization settings reproduces the network exactly.
-    """
-    with open(risks_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "numeric_code", "name", "category", "likelihood"])
-        for r in network.risks:
-            writer.writerow(
-                [r.id, r.numeric_code, r.name, r.category, format(r.raw_likelihood, ".17g")]
-            )
-    with open(pairs_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["risk_a", "risk_b", "count"])
-        ids = network.ids
-        counts = network.pair_counts
-        for i in range(network.n_risks):
-            for j in range(i + 1, network.n_risks):
-                if counts[i, j] > 0:
-                    writer.writerow([ids[i], ids[j], str(int(counts[i, j]))])
-
-
 @dataclass(frozen=True, eq=False)
 class HistoryMatrix:
     """Binary risk-by-month activity matrix over contiguous months."""
@@ -353,15 +327,14 @@ class HistoryMatrix:
             raise DataError(f"states must have shape ({R}, {T}), got {self.states.shape}")
         if not np.isin(self.states, (0, 1)).all():
             raise DataError("history states must be 0 or 1")
-        for label in self.months:
-            if _MONTH_RE.match(label) is None:
-                raise DataError(f"month label {label!r} is not of the form YYYY-MM")
-        for a, b in zip(self.months, self.months[1:]):
-            if _next_month(a) != b:
-                raise DataError(
-                    f"months must be contiguous: {b!r} does not follow {a!r} "
-                    "(gaps are rejected, not imputed)"
-                )
+        expected = month_sequence(self.months[0], T)
+        if self.months != expected:
+            t = next(t for t, (a, b) in enumerate(zip(self.months, expected)) if a != b)
+            raise DataError(
+                f"months must be contiguous YYYY-MM labels: {self.months[t]!r} follows "
+                f"{self.months[t - 1]!r}, expected {expected[t]!r} "
+                "(gaps are rejected, not imputed)"
+            )
         self.states.setflags(write=False)
 
     @property
@@ -383,122 +356,53 @@ def build_history(
     return HistoryMatrix(network.ids, tuple(months), np.array(states, dtype=np.uint8))
 
 
-def _parse_state(text: str, where: str) -> int:
-    if text == "0":
-        return 0
-    if text == "1":
-        return 1
-    raise DataError(f"{where}: state must be 0 or 1, got {text!r}")
-
-
 def load_history(path, network: RiskNetwork) -> HistoryMatrix:
     """Read a history CSV (long or wide form) and align it to ``network``.
 
-    The matrix must be complete: every (month, risk) cell present exactly
-    once, months contiguous, every column id known to the network and every
-    network risk covered.
+    Both forms are read into one ``month -> {risk_id: state}`` table.  A
+    cell given twice, a row with the wrong field count or a state other
+    than ``0``/``1`` is rejected at its line; each month must then cover
+    exactly the network's risks.  The months may come in any row order;
+    :class:`HistoryMatrix` checks that they are contiguous ``YYYY-MM``
+    labels.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"history file {path} is empty") from None
-            rows = list(reader)
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read history file {path}: {exc}") from exc
-
-    if not header or header[0] != "month":
+    if not rows:
+        raise DataError(f"history file {path} is empty")
+    header = rows[0]
+    if header[:1] != ["month"]:
         raise DataError(f"history file {path}: first column must be 'month', got {header[:1]}")
-    if header[1:] == ["risk_id", "state"]:
-        return _history_from_long(path, rows, network)
-    return _history_from_wide(path, header, rows, network)
+    long_form = header[1:] == ["risk_id", "state"]
 
-
-def _history_from_long(path, rows, network: RiskNetwork) -> HistoryMatrix:
-    cells: dict[tuple[str, str], int] = {}
-    months_seen: dict[str, None] = {}
-    for line_no, row in enumerate(rows, start=2):
-        if len(row) != 3:
-            raise DataError(f"history file {path} line {line_no}: expected 3 fields")
-        month, risk_id, state = row
-        if _MONTH_RE.match(month) is None:
-            raise DataError(f"history file {path} line {line_no}: bad month {month!r}")
-        if risk_id not in network._index:
-            raise DataError(
-                f"history file {path} line {line_no}: risk {risk_id!r} absent from network"
-            )
-        key = (month, risk_id)
-        if key in cells:
-            raise DataError(
-                f"history file {path} line {line_no}: duplicate cell for {risk_id!r} in {month}"
-            )
-        cells[key] = _parse_state(state, f"history file {path} line {line_no}")
-        months_seen.setdefault(month, None)
-
-    months = tuple(sorted(months_seen))
-    missing = [
-        (m, rid) for m in months for rid in network.ids if (m, rid) not in cells
-    ]
-    if missing:
-        m, rid = missing[0]
-        raise DataError(
-            f"history file {path}: missing cell for risk {rid!r} in {m} "
-            f"({len(missing)} missing cells in total)"
-        )
-    states = np.zeros((network.n_risks, len(months)), dtype=np.uint8)
-    for t, m in enumerate(months):
-        for i, rid in enumerate(network.ids):
-            states[i, t] = cells[(m, rid)]
-    return HistoryMatrix(network.ids, months, states)
-
-
-def _history_from_wide(path, header, rows, network: RiskNetwork) -> HistoryMatrix:
-    col_ids = header[1:]
-    if len(set(col_ids)) != len(col_ids):
-        raise DataError(f"history file {path}: duplicate risk columns")
-    unknown = [c for c in col_ids if c not in network._index]
-    if unknown:
-        raise DataError(f"history file {path}: unknown risk columns {unknown}")
-    absent = [rid for rid in network.ids if rid not in col_ids]
-    if absent:
-        raise DataError(f"history file {path}: missing columns for risks {absent}")
-
-    months = []
-    by_month: dict[str, list[str]] = {}
-    for line_no, row in enumerate(rows, start=2):
+    table: dict[str, dict[str, bool]] = {}
+    for line_no, row in enumerate(rows[1:], start=2):
+        where = f"history file {path} line {line_no}"
         if len(row) != len(header):
-            raise DataError(f"history file {path} line {line_no}: wrong field count")
+            raise DataError(f"{where}: expected {len(header)} fields, got {len(row)}")
         month = row[0]
-        if _MONTH_RE.match(month) is None:
-            raise DataError(f"history file {path} line {line_no}: bad month {month!r}")
-        if month in by_month:
-            raise DataError(f"history file {path} line {line_no}: duplicate month {month!r}")
-        by_month[month] = row[1:]
-        months.append(month)
+        cells = table.setdefault(month, {})
+        for risk_id, state in [row[1:]] if long_form else zip(header[1:], row[1:]):
+            if risk_id in cells:
+                raise DataError(f"{where}: duplicate cell for {risk_id!r} in {month}")
+            if state not in ("0", "1"):
+                raise DataError(
+                    f"{where}: state of {risk_id!r} in {month} must be 0 or 1, got {state!r}"
+                )
+            cells[risk_id] = state == "1"
 
-    months = sorted(months)
-    states = np.zeros((network.n_risks, len(months)), dtype=np.uint8)
-    col_of = {c: k for k, c in enumerate(col_ids)}
-    for t, m in enumerate(months):
-        vals = by_month[m]
-        for i, rid in enumerate(network.ids):
-            states[i, t] = _parse_state(vals[col_of[rid]], f"history file {path} month {m}")
-    return HistoryMatrix(network.ids, tuple(months), states)
-
-
-def save_history(history: HistoryMatrix, path, *, form: str = "wide") -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if form == "wide":
-            writer.writerow(["month", *history.risk_ids])
-            for t, m in enumerate(history.months):
-                writer.writerow([m, *(str(int(s)) for s in history.states[:, t])])
-        elif form == "long":
-            writer.writerow(["month", "risk_id", "state"])
-            for t, m in enumerate(history.months):
-                for i, rid in enumerate(history.risk_ids):
-                    writer.writerow([m, rid, str(int(history.states[i, t]))])
-        else:
-            raise ValueError(f"unknown history form {form!r}")
+    months = tuple(sorted(table))
+    ids = set(network.ids)
+    for month in months:
+        if table[month].keys() != ids:
+            unknown = sorted(table[month].keys() - ids)
+            missing = [rid for rid in network.ids if rid not in table[month]]
+            raise DataError(
+                f"history file {path}: month {month} must cover exactly the network's "
+                f"risks; unknown {unknown}, missing {missing}"
+            )
+    states = np.array([[table[m][rid] for m in months] for rid in network.ids], dtype=np.uint8)
+    return HistoryMatrix(network.ids, months, states)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,16 @@ def make_network(
         c = counts[j] if counts else 1
         pairs.append(ExpertPairCount(f"r{u + 1}", f"r{v + 1}", int(c)))
     return build_network(risks, pairs, year=year)
+
+
+def load_generator():
+    """Import ``scripts/make_fixture.py``, which holds the data writers."""
+    spec = importlib.util.spec_from_file_location(
+        "make_fixture", ROOT / "scripts" / "make_fixture.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def external_fraction(params: ModelParams, network: RiskNetwork, *, L=None) -> np.ndarray:

@@ -5,18 +5,9 @@ or the data was edited by hand; regenerate with
 ``python3 scripts/make_fixture.py`` and commit the result.
 """
 
-import importlib.util
+from conftest import ROOT, load_generator
 
-from conftest import ROOT
-
-
-def _load_generator():
-    spec = importlib.util.spec_from_file_location(
-        "make_fixture", ROOT / "scripts" / "make_fixture.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+make_fixture = load_generator()
 
 
 def _compare_tree(generated, committed):
@@ -28,8 +19,7 @@ def _compare_tree(generated, committed):
 
 
 def test_committed_datasets_match_generator(tmp_path):
-    gen = _load_generator()
-    gen.make_toy(tmp_path)
-    gen.make_synthetic_2013(tmp_path)
+    make_fixture.make_toy(tmp_path)
+    make_fixture.make_synthetic_2013(tmp_path)
     _compare_tree(tmp_path / "data" / "toy", ROOT / "data" / "toy")
     _compare_tree(tmp_path / "data" / "synthetic_2013", ROOT / "data" / "synthetic_2013")

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from carpnet import (
@@ -17,10 +17,10 @@ from carpnet import (
     load_network,
     month_sequence,
     normalize_likelihood,
-    save_history,
-    save_network,
 )
-from conftest import make_network
+from conftest import load_generator, make_network
+
+make_fixture = load_generator()
 
 
 def test_normalize_top_of_scale_stays_below_one():
@@ -103,7 +103,7 @@ def test_self_pair_rejected():
 
 def test_network_roundtrip(tmp_path):
     net = make_network([0.2, 0.35, 0.5], edges=[(0, 1), (0, 2)], counts=[2, 5], year="y")
-    save_network(net, tmp_path / "risks.csv", tmp_path / "pairs.csv")
+    make_fixture.save_network(net, tmp_path / "risks.csv", tmp_path / "pairs.csv")
     back = load_network(
         tmp_path / "risks.csv", tmp_path / "pairs.csv", year="y", likelihood_scale=5.0
     )
@@ -113,13 +113,33 @@ def test_network_roundtrip(tmp_path):
     assert (back.pair_counts == net.pair_counts).all()
 
 
+@st.composite
+def histories(draw):
+    """A random 0/1 matrix of 1-5 risks by 2-30 months and its start month."""
+    n_risks, n_months = draw(st.integers(1, 5)), draw(st.integers(2, 30))
+    start = f"{draw(st.integers(1990, 2030)):04d}-{draw(st.integers(1, 12)):02d}"
+    cells = draw(st.lists(st.integers(0, 1), min_size=n_risks * n_months,
+                          max_size=n_risks * n_months))
+    return start, np.array(cells, dtype=np.uint8).reshape(n_risks, n_months)
+
+
 @pytest.mark.parametrize("form", ["wide", "long"])
-def test_history_roundtrip(tmp_path, form):
-    net = make_network([0.2, 0.3], edges=[(0, 1)])
-    states = np.array([[0, 1, 1, 0], [1, 0, 0, 0]], dtype=np.uint8)
-    hist = build_history(net, month_sequence("2011-01", 4), states)
-    save_history(hist, tmp_path / "h.csv", form=form)
-    back = load_history(tmp_path / "h.csv", net)
+@given(drawn=histories())
+@example(drawn=("2011-12", np.array([[0, 1, 1], [1, 0, 0]], dtype=np.uint8)))
+def test_history_roundtrip(tmp_path_factory, form, drawn):
+    start, states = drawn
+    net = make_network([0.2] * states.shape[0])
+    hist = build_history(net, month_sequence(start, states.shape[1]), states)
+    path = tmp_path_factory.mktemp("history") / "h.csv"
+    if form == "wide":
+        make_fixture.save_history(hist, path)
+    else:  # one row per cell, risk by risk, latest month first
+        path.write_text("month,risk_id,state\n" + "".join(
+            f"{m},{rid},{states[i, t]}\n"
+            for i, rid in enumerate(hist.risk_ids)
+            for t, m in reversed(list(enumerate(hist.months)))
+        ), encoding="utf-8")
+    back = load_history(path, net)
     assert back.months == hist.months
     assert (back.states == states).all()
 
@@ -128,7 +148,7 @@ def test_history_must_cover_network(tmp_path):
     net = make_network([0.2, 0.3], edges=[(0, 1)])
     other = make_network([0.2, 0.3, 0.4], edges=[(0, 1)])
     hist = build_history(other, month_sequence("2011-01", 2), np.zeros((3, 2), np.uint8))
-    save_history(hist, tmp_path / "h.csv")
+    make_fixture.save_history(hist, tmp_path / "h.csv")
     with pytest.raises(DataError):
         load_history(tmp_path / "h.csv", net)
 
