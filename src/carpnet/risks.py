@@ -328,7 +328,7 @@ class HistoryMatrix:
         if not np.isin(self.states, (0, 1)).all():
             raise DataError("history states must be 0 or 1")
         expected = month_sequence(self.months[0], T)
-        if self.months != expected:
+        if tuple(self.months) != expected:
             t = next(t for t, (a, b) in enumerate(zip(self.months, expected)) if a != b)
             raise DataError(
                 f"months must be contiguous YYYY-MM labels: {self.months[t]!r} follows "
