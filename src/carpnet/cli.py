@@ -149,7 +149,7 @@ def _load_config(parser: _Parser, command: str, path: str) -> dict:
     values: dict = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -202,7 +202,7 @@ def _parse_params(args, network, history, *, allow_fit=False):
     if args.params_file is not None:
         try:
             payload = json.loads(Path(args.params_file).read_text(encoding="utf-8"))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"cannot read params file: {exc}") from None
         except json.JSONDecodeError as exc:
             raise DataError(f"params file is not valid JSON: {exc}") from None

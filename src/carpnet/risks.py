@@ -237,7 +237,7 @@ def _read_rows(path, expected_fields: tuple[str, ...], kind: str) -> list[dict[s
                     raise DataError(f"{kind} file {path} line {line_no}: wrong field count")
                 rows.append(row)
             return rows
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {kind} file {path}: {exc}") from exc
 
 
@@ -369,7 +369,7 @@ def load_history(path, network: RiskNetwork) -> HistoryMatrix:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read history file {path}: {exc}") from exc
     if not rows:
         raise DataError(f"history file {path} is empty")

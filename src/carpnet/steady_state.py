@@ -7,11 +7,11 @@ probability turns the stationary condition into a fixed-point problem
     num_i = 1 - (1-L_i)**(alpha + beta * sum_j A_ij p_j),
     rec_i = (1-L_i)**gamma,
 
-whose right-hand side is monotone in p.  Iterating from the all-zero
-vector therefore climbs to the least fixed point; iterating from the
-all-ones vector descends to the greatest.  Both limits are computed and
-compared so a non-unique steady state is detected rather than silently
-picked.
+whose right-hand side F is monotone in p, so iterating from the all-zero
+vector climbs to the least fixed point.  The Jacobian J(p) = diag(F') beta A
+only falls as p rises, so an M-matrix test of I - J at the limit proves
+that fixed point unique and bounds the limit's distance to it (Berman &
+Plemmons, ch. 6); a solve that fails the test is reported, not hidden.
 """
 from __future__ import annotations
 
@@ -24,21 +24,16 @@ from .dynamics import ModelParams, check_likelihoods
 from .errors import ConvergenceError, DataError
 from .risks import RiskNetwork
 
-_GAP_FACTOR = 100.0
 _TOL, _MAX_ITER = 1e-12, 1_000_000
 
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Fixed point reached from below, plus uniqueness diagnostics.
+    """The limit ``p_hat`` of iteration from the all-passive vector, and its certificate.
 
-    ``p_hat`` is the limit of iteration from the all-passive vector; the
-    limit from the all-active vector is kept in ``upper_p_hat``.  Iterates
-    from 0 stay below the least fixed point and iterates from 1 stay above
-    the greatest, so ``limit_gap`` = max|upper_p_hat - p_hat| bounds
-    ``p_hat``'s distance to every fixed point.  When the gap exceeds about
-    100x the tolerance the model has multiple steady states and ``unique``
-    is False.
+    ``unique`` is True when the M-matrix test proves there is one fixed point
+    p*; ``error_bound`` >= max|p_hat - p*| then.  Otherwise ``error_bound`` is
+    inf and ``p_hat`` is the least of several fixed points, or a critical one.
     """
 
     p_hat: np.ndarray
@@ -46,18 +41,15 @@ class SteadyState:
     iterations: int
     converged: bool
     monotone: bool
-    upper_p_hat: np.ndarray
-    limit_gap: float
     unique: bool
+    error_bound: float
 
 
 def _sweep(p, A, params: ModelParams, log1m, rec):
     """The mean-field map, unchecked, on a vector or on each column of ``p``."""
     num = -np.expm1((params.alpha + params.beta * (A @ p)) * log1m)
     denom = num + rec
-    out = np.zeros_like(num)
-    np.divide(num, denom, out=out, where=denom > 0)
-    return out
+    return np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
 
 
 def fixed_point_map(p, params: ModelParams, network: RiskNetwork, L=None):
@@ -100,31 +92,39 @@ def _iterate(P, A, params: ModelParams, log1m, rec, tol: float, max_iter: int):
 
 
 def _solve(params: ModelParams, network: RiskNetwork, Ls, tol: float, max_iter: int):
-    """Both monotone iterations for each row of the checked (K, R) stack ``Ls``."""
+    """Sweep up from 0 and certify the limit l, for each row of the checked (K, R) stack.
+
+    J(p) falls as p rises, so if some y > 0 has z = (I - J(l))y > 0, the
+    fixed point p* >= l is unique and max|l - p*| <= residual max(y) / min(z).
+    The trial y is 1; only columns where a row sum of J reaches 1 solve for
+    y = (I - J)^-1 1.  For rounding, the residual gains R + 10 ulps of max(l).
+    """
     A, log1m = network.adjacency_float, np.log1p(-Ls.T)
     rec = np.exp(params.gamma * log1m)
     lower, residual, iterations, worst = _iterate(
         np.zeros(log1m.shape), A, params, log1m, rec, tol, max_iter)
-    upper = _iterate(np.ones(log1m.shape), A, params, log1m, rec, tol, max_iter)[0]
-    gaps = np.max(np.abs(upper - lower), axis=0)
-    for gap in gaps[gaps > _GAP_FACTOR * tol]:
-        warnings.warn(  # at the caller of the public solver
-            f"mean-field limits from p=0 and p=1 differ by {gap:.3g}; "
-            "the steady state is not unique and p_hat is the least fixed point",
-            stacklevel=3,
-        )
+    xlog = (params.alpha + params.beta * (A @ lower)) * log1m  # J(l) = diag(slope) A
+    slope = params.beta * rec * -log1m * np.exp(xlog) / (rec - np.expm1(xlog)) ** 2
+    y = np.ones_like(lower)
+    for k in np.flatnonzero((slope * A.sum(axis=1)[:, None] >= 1).any(axis=0)):
+        try:  # one column at a time keeps a single R x R matrix in memory
+            y[:, k] = np.linalg.solve(np.eye(len(A)) - slope[:, k, None] * A, y[:, k])
+        except np.linalg.LinAlgError:  # an exactly singular I - J: leave it unproven
+            y[:, k] = 0.0
+    z = y - slope * (A @ y)
+    proven = (y > 0).all(axis=0) & (z > 0).all(axis=0)
+    slack = (len(A) + 10) * np.finfo(float).eps * lower.max(axis=0)
+    bounds = np.divide((residual + slack) * y.max(axis=0), z.min(axis=0),
+                       out=np.full(len(residual), np.inf), where=proven)
+    for _ in np.flatnonzero(~proven):  # warn at the caller of the public solver
+        warnings.warn("the steady state is not unique or critical: I - J fails the M-matrix "
+                      "test at the limit from p=0; p_hat is the least fixed point", stacklevel=3)
     return [
-        SteadyState(
-            p_hat=lower[:, k].copy(),
-            residual=float(residual[k]),
-            iterations=int(iterations[k]),
-            converged=True,
-            monotone=bool(worst[k] >= -1e-15),
-            upper_p_hat=upper[:, k].copy(),
-            limit_gap=float(gap),
-            unique=bool(gap <= _GAP_FACTOR * tol),
-        )
-        for k, gap in enumerate(gaps)
+        SteadyState(p_hat=lower[:, k].copy(), residual=float(residual[k]),
+                    iterations=int(iterations[k]), converged=True,
+                    monotone=bool(worst[k] >= -1e-15), unique=bool(proven[k]),
+                    error_bound=float(bounds[k]))
+        for k in range(len(bounds))
     ]
 
 
@@ -136,15 +136,14 @@ def solve_steady_state(
     tol: float = _TOL,
     max_iter: int = _MAX_ITER,
 ) -> SteadyState:
-    """Iterate the mean-field map to convergence from both extremes.
+    """Iterate the mean-field map from 0 to convergence and certify the limit.
 
-    Convergence means the sup-norm residual ``|F(p) - p|`` of the lower
-    iteration falls below ``tol``; a budget overrun raises
-    ConvergenceError.  The lower sweep also verifies the iterates are
-    non-decreasing (up to 1e-15 slack), which is what guarantees the limit
-    is the least fixed point.  Entries of ``L`` may be exactly zero --
-    such a risk can never activate and gets ``p_hat = 0`` -- which is what
-    knockout experiments rely on.  A non-unique steady state warns.
+    Convergence means the sup-norm residual ``|F(p) - p|`` falls below
+    ``tol``; a budget overrun raises ConvergenceError.  ``monotone`` records
+    that no iterate fell (up to 1e-15), as iterates from 0 must.
+    Entries of ``L`` may be exactly zero -- such a risk never activates and
+    gets ``p_hat = 0`` -- which knockout experiments rely on.  A steady
+    state that is not proven unique warns.
     """
     # NaN fails the comparison too; a tol of 1 or more would pass the first sweep
     if not 0 < tol < 1 or max_iter < 1:

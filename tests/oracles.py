@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -100,6 +101,37 @@ def naive_log_likelihood(states, adjacency, L, alpha, beta, gamma):
                 return float("-inf")
             total += math.log(p)
     return total
+
+
+def newton_fixed_point(adjacency, L, alpha, beta, gamma, start, dps=50):
+    """The mean-field fixed point nearest ``start``, Newton-polished in mpmath.
+
+    Solves p = F(p) with F_i(p) = num_i / (num_i + rec_i), num_i =
+    1 - (1-L_i)^(alpha + beta*(A p)_i) and rec_i = (1-L_i)^gamma, at ``dps``
+    digits.  Returns the fixed point as a list of mpf.
+    """
+    with mpmath.workdps(dps):
+        A = mpmath.matrix([[int(a) for a in row] for row in np.asarray(adjacency)])
+        base = [1 - mpmath.mpf(float(x)) for x in L]
+        rec = [b ** gamma for b in base]
+        R = len(base)
+        p = mpmath.matrix([mpmath.mpf(float(x)) for x in start])
+        for _ in range(100):
+            x = [alpha + beta * sum(A[i, j] * p[j] for j in range(R)) for i in range(R)]
+            num = [1 - b ** xi for b, xi in zip(base, x)]
+            F = [n / (n + r) for n, r in zip(num, rec)]
+            dF = [r * -mpmath.log(b) * b ** xi / (n + r) ** 2
+                  for b, xi, n, r in zip(base, x, num, rec)]
+            G = mpmath.matrix([F[i] - p[i] for i in range(R)])
+            DG = mpmath.matrix(R, R)
+            for i in range(R):
+                for j in range(R):
+                    DG[i, j] = dF[i] * beta * A[i, j] - (i == j)
+            step = mpmath.lu_solve(DG, -G)
+            p += step
+            if mpmath.norm(step, mpmath.inf) < mpmath.mpf(10) ** (-dps + 5):
+                return list(p)
+        raise ArithmeticError("Newton did not converge")
 
 
 def brute_force_max_clique(adjacency):

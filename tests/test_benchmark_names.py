@@ -92,6 +92,21 @@ def test_traced_cli_run_records_its_solves(tracing, tmp_path, command):
     assert tracer.counts["steady_state.lower_sweeps"] > 0
 
 
+def test_traced_non_unique_solve_warns_and_is_counted(tracing, tmp_path):
+    # perfbench/worker.py counts warnings that say "not unique", and the solve
+    # hook counts results whose ``unique`` is False
+    tracer = tracing.Tracer()
+    tracer.install(run_id=0)
+    try:
+        with pytest.warns(UserWarning, match="not unique"):
+            code = carpnet.cli.main(["steady-state", *map(str, toy_args(
+                "--params", "0,0.5,1", out=tmp_path / "x"))])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.counts["steady_state.nonunique"] == 1
+
+
 def test_worker_setup_loads_the_fixture(perfbench, monkeypatch):
     monkeypatch.chdir(ROOT)
     worker = perfbench("worker")

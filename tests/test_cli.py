@@ -213,6 +213,24 @@ def test_missing_input_file_is_a_data_error(tmp_path, capsys):
         assert f"cannot read {ghost} file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, code", [
+    ("--risks", 2), ("--pairs", 2), ("--history", 2), ("--config", 1), ("--params-file", 2),
+])
+def test_input_that_is_not_utf8_is_an_error(tmp_path, capsys, flag, code):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"caf\xe9\n")  # one byte that cannot start a UTF-8 sequence here
+    files = {"--risks": TOY / "risks.csv", "--pairs": TOY / "pairs.csv", flag: bad}
+    if flag == "--history":
+        command, extra = "fit", ["--history", bad]
+    elif flag in ("--config", "--params-file"):
+        command, extra = "steady-state", [flag, bad]
+    else:
+        command, extra = "steady-state", ["--params", "0.4,0.3,1.2"]
+    assert run_cli([command, "--risks", files["--risks"], "--pairs", files["--pairs"],
+                    "--scale", "5", *extra, "--out", tmp_path / "x"]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_out_of_scale_likelihood_is_a_data_error(tmp_path):
     code = run_cli([
         "simulate", "--risks", TOY / "risks.csv", "--pairs", TOY / "pairs.csv",
@@ -408,7 +426,7 @@ FIT_LAYOUT = {
 STEADY_LAYOUT = {
     "steady_state.csv": (("risk_id", "p_hat"), 6),
     "convergence.json": {"residual", "iterations", "converged", "monotone", "unique",
-                         "limit_gap"},
+                         "error_bound"},
 }
 INFLUENCE_LAYOUT = {
     "influence.csv": (("source_id", "target_id", "influence"), 6 * 5),

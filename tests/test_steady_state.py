@@ -1,9 +1,10 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from carpnet import (
@@ -15,7 +16,7 @@ from carpnet import (
     solve_steady_states,
 )
 from conftest import TOY_PARAMS, make_network
-from oracles import exact_transition_matrix, stationary_distribution
+from oracles import exact_transition_matrix, newton_fixed_point, stationary_distribution
 
 
 def test_isolated_risk_has_closed_form():
@@ -34,7 +35,7 @@ def test_residual_and_monotonicity_flags():
     phi = fixed_point_map(ss.p_hat, ModelParams(0.3, 0.4, 1.0), net)
     assert np.abs(ss.p_hat - phi).max() <= 1e-12
     assert ss.residual <= 1e-12
-    assert np.abs(ss.upper_p_hat - ss.p_hat).max() <= 100 * 1e-12
+    assert 0 < ss.error_bound <= 100 * 1e-12
 
 
 def test_knockout_zero_likelihood_pins_risk_to_zero():
@@ -87,13 +88,16 @@ def _knockouts(net):
     return cuts
 
 
-@pytest.mark.parametrize("case", ["toy", "fixture-critical"])
+@pytest.mark.parametrize("case", ["toy", "fixture-critical", "fixture-contagion"])
 def test_batched_solves_match_the_scalar_loop(case, toy_network, fixture_network):
     if case == "toy":
         net, params = toy_network, TOY_PARAMS
         Ls = np.vstack([net.likelihoods, _knockouts(net)])
-    else:  # just below the contagion threshold, where solves take up to ~1,900 sweeps
+    elif case == "fixture-critical":  # just below the threshold: up to ~1,900 sweeps
         net, params = fixture_network, ModelParams(1e-5, 0.08, 3.0)
+        Ls = _knockouts(net)
+    else:  # alpha = 0 far above the threshold: p = 0 is one of several fixed points
+        net, params = fixture_network, ModelParams(0.0, 0.5, 1.0)
         Ls = _knockouts(net)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -103,9 +107,9 @@ def test_batched_solves_match_the_scalar_loop(case, toy_network, fixture_network
     for b, s in zip(batch, loop):
         assert (b.iterations, b.unique, b.monotone) == (s.iterations, s.unique, s.monotone)
         assert np.abs(b.p_hat - s.p_hat).max() <= 1e-14
-        assert np.abs(b.upper_p_hat - s.upper_p_hat).max() <= 1e-14
+        assert b.error_bound == pytest.approx(s.error_bound, rel=1e-3)
     nonunique = sum(not b.unique for b in batch)
-    assert nonunique == (0 if case == "toy" else 7)
+    assert nonunique == (len(Ls) if case == "fixture-contagion" else 0)
     # one warning per non-unique column from each path, pointing at the caller
     assert len(caught) == 2 * nonunique
     assert {w.filename for w in caught} <= {__file__}
@@ -121,12 +125,71 @@ def test_batched_solver_checks_its_stack():
 
 def test_pure_contagion_reports_non_unique_limits():
     net = make_network([0.5] * 4, edges=[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="not unique"):
         ss = solve_steady_state(ModelParams(0.0, 5.0, 0.5), net)
     assert not ss.unique
     assert ss.p_hat[0] == 0.0  # least fixed point: nothing ever starts
-    assert ss.upper_p_hat[0] > 0.5
-    assert ss.limit_gap > 0.5
+    assert ss.error_bound == math.inf
+
+
+def test_subcritical_pure_contagion_is_certified_exactly():
+    # alpha = 0 and rho(J(0)) = 0.999 < 1, so p = 0 is the only fixed point.
+    # A sweep from p = 1 stops about tol / (1 - rho) = 1e-9 above it, so
+    # comparing the limits from 0 and 1 would call this non-unique.
+    L = 0.3
+    beta = 0.999 * (1 - L) ** 0.5 / -math.log1p(-L)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ss = solve_steady_state(ModelParams(0.0, beta, 0.5), make_network([L, L], edges=[(0, 1)]))
+    assert ss.unique and ss.error_bound == 0.0
+    assert (ss.p_hat == 0.0).all()
+
+
+@pytest.mark.parametrize("singular", [False, True], ids=["solved", "singular"])
+def test_hub_is_certified_by_the_solved_trial_vector(monkeypatch, singular):
+    # alpha = 0 on a hub with three leaves: the hub's row of J(0) sums to 1.5,
+    # so y = 1 fails, but rho(J(0)) = 0.87 and y = (I - J)^-1 1 proves p = 0
+    # unique.  An exactly singular I - J must leave the solve unproven.
+    L, gamma = 0.3, 1.0
+    beta = 0.5 * (1 - L) ** gamma / -math.log1p(-L)
+    net = make_network([L] * 4, edges=[(0, 1), (0, 2), (0, 3)])
+    if singular:
+        def fail(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(np.linalg, "solve", fail)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ss = solve_steady_state(ModelParams(0.0, beta, gamma), net)
+    assert (ss.p_hat == 0.0).all()
+    assert ss.unique is not singular
+    assert ss.error_bound == (math.inf if singular else 0.0)
+    assert ["not unique" in str(w.message) for w in caught] == [True] * singular
+
+
+@st.composite
+def small_models(draw):
+    R = draw(st.integers(2, 6))
+    L = draw(st.lists(st.sampled_from([0.05, 0.2, 0.35, 0.5, 0.7, 0.9]), min_size=R, max_size=R))
+    pairs = [(i, j) for i in range(R) for j in range(i + 1, R)]
+    edges = [e for e, on in zip(pairs, draw(st.lists(st.booleans(), min_size=len(pairs),
+                                                     max_size=len(pairs)))) if on]
+    params = ModelParams(draw(st.sampled_from([0.0, 1e-3, 0.05, 0.3, 1.0])),
+                         draw(st.sampled_from([0.05, 0.3, 1.0, 3.0])),
+                         draw(st.sampled_from([0.5, 1.0, 3.0])))
+    return make_network(L, edges=edges), params
+
+
+@given(model=small_models())
+@settings(max_examples=60)
+def test_certified_error_bound_holds_against_newton_polished_fixed_point(model):
+    net, params = model
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ss = solve_steady_state(params, net)
+    assume(ss.unique)
+    exact = newton_fixed_point(net.adjacency, net.likelihoods, *params.as_tuple(), ss.p_hat)
+    error = max(abs(mpmath.mpf(float(p)) - q) for p, q in zip(ss.p_hat, exact))
+    assert error <= ss.error_bound
 
 
 grid = st.sampled_from([0.1, 0.3, 0.7])
