@@ -477,7 +477,7 @@ _COMMANDS = {
             ("--tol", dict(type=float, default=1e-12,
                            help="sup-norm convergence tolerance (default 1e-12)")),
             ("--max-iter", dict(type=_count("max-iter"), default=1_000_000,
-                                help="iteration budget (default 1e6)")),
+                                help="budget of sweeps plus Newton steps (default 1e6)")),
         )),
         ("risks", "pairs"),
         _cmd_steady_state,

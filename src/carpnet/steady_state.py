@@ -9,13 +9,16 @@ probability turns the stationary condition into a fixed-point problem
 
 whose right-hand side F is monotone in p, so iterating from the all-zero
 vector climbs to the least fixed point.  The Jacobian J(p) = diag(F') beta A
-only falls as p rises, so an M-matrix test of I - J at the limit proves
-that fixed point unique and bounds the limit's distance to it (Berman &
-Plemmons, ch. 6); a solve that fails the test is reported, not hidden.
+only falls as p rises, so an M-matrix test of I - J at an iterate l from 0
+proves that fixed point unique and bounds the distance to it of any point
+above l (Berman & Plemmons, ch. 6).  A slow sweep is tested every
+``_CHECK_EVERY`` sweeps and, once proven, finishes with Newton steps from
+above; a solve that fails the test never starts Newton and is reported.
 """
 from __future__ import annotations
 
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,15 +28,19 @@ from .errors import ConvergenceError, DataError
 from .risks import RiskNetwork
 
 _TOL, _MAX_ITER = 1e-12, 1_000_000
+_CHECK_EVERY, _CHUNK = 64, 8  # sweeps between M-matrix tests; columns per stacked LU
 
 
 @dataclass(frozen=True)
 class SteadyState:
-    """The limit ``p_hat`` of iteration from the all-passive vector, and its certificate.
+    """The steady state ``p_hat`` reached from the all-passive vector, and its certificate.
 
     ``unique`` is True when the M-matrix test proves there is one fixed point
     p*; ``error_bound`` >= max|p_hat - p*| then.  Otherwise ``error_bound`` is
     inf and ``p_hat`` is the least of several fixed points, or a critical one.
+    ``residual`` is max|F(p_hat) - p_hat| and ``iterations`` counts sweeps plus
+    Newton steps.  ``monotone`` covers the sweep from 0 only: Newton iterates
+    fall to p* from above.
     """
 
     p_hat: np.ndarray
@@ -62,67 +69,134 @@ def fixed_point_map(p, params: ModelParams, network: RiskNetwork, L=None):
     return _sweep(p, network.adjacency_float, params, log1m, np.exp(params.gamma * log1m))
 
 
+def _slope(P, A, params: ModelParams, log1m, rec):
+    """F' at each column of ``P``: J(p) = diag(slope) A."""
+    xlog = (params.alpha + params.beta * (A @ P)) * log1m
+    return params.beta * rec * -log1m * np.exp(xlog) / (rec - np.expm1(xlog)) ** 2
+
+
+def _solve_linear(slope, A, *rhs):
+    """(I - J)^-1 b per column of each (R, K) array b, in stacked LUs of ``_CHUNK`` columns.
+
+    A chunk with an exactly singular I - J gives NaN, which fails every test.
+    """
+    B = np.stack(rhs).transpose(2, 1, 0)
+    U = np.full_like(B, np.nan)
+    for c in (slice(s, s + _CHUNK) for s in range(0, len(B), _CHUNK)):
+        with suppress(np.linalg.LinAlgError):
+            U[c] = np.linalg.solve(np.eye(len(A)) - slope[:, c].T[:, :, None] * A, B[c])
+    return U.transpose(2, 1, 0)
+
+
+def _certificate(y, slope, A):
+    """max(y) and min(z), z = (I - J)y, per column; min(z) > 0 only if y > 0 and z > 0."""
+    z = y - slope * (A @ y)
+    return y.max(axis=0), np.where((y > 0).all(axis=0), z.min(axis=0), 0.0)
+
+
+def _prove_and_polish(lo, r, A, params: ModelParams, log1m, rec, tol: float, start: int,
+                      max_iter: int):
+    """Test columns at iterates ``lo`` from 0, r = F(lo) - lo, and Newton-polish the proven.
+
+    One solve of (I - J(lo)) [d y] = [r, 1] gives the test's y and the first
+    Newton step d.  Above a proven ``lo``, p - F(p) is convex and I - J(p) an
+    M-matrix, so Newton steps clipped to [lo, 1] fall to p* (Ortega &
+    Rheinboldt, 13.3).  Once below ``tol`` a column takes one more step and
+    keeps the better point.  Returns the proven mask and, for those columns,
+    the point, residual, step count (on from ``start``), max(y) and min(z).
+    """
+    slope = _slope(lo, A, params, log1m, rec)
+    d, y = _solve_linear(slope, A, r, np.ones_like(lo))
+    ymax, zmin = _certificate(y, slope, A)
+    ok = zmin > 0
+    lo, log1m, rec, active = lo[:, ok], log1m[:, ok], rec[:, ok], np.arange(ok.sum())
+    X = np.clip(lo + d[:, ok], lo, 1.0)
+    out, residual, steps = np.empty_like(X), np.full(len(active), np.inf), np.empty_like(active)
+    for it in range(start + 1, max_iter + 1):
+        r = _sweep(X, A, params, log1m, rec) - X
+        res, last = np.max(np.abs(r), axis=0), residual[active] < tol
+        better = res < residual[active]
+        out[:, active[better]], residual[active[better]] = X[:, better], res[better]
+        steps[active[last]] = it
+        if last.all():
+            return ok, out, residual, steps, ymax[ok], zmin[ok]
+        active, X, r, lo, log1m, rec = (v[..., ~last] for v in (active, X, r, lo, log1m, rec))
+        X = np.clip(X + _solve_linear(_slope(X, A, params, log1m, rec), A, r)[0], lo, 1.0)
+    raise ConvergenceError(f"mean-field iteration did not reach tol={tol} in {max_iter} steps")
+
+
 def _iterate(P, A, params: ModelParams, log1m, rec, tol: float, max_iter: int):
     """Sweep the columns of ``P`` until each residual |F(p) - p| is below ``tol``.
 
     A column freezes at that pre-map iterate, so its residual is its
-    stationarity defect; later sweeps map only the active columns.  Also
-    returns each column's sweep count and most negative step.
+    stationarity defect; later sweeps map only the active columns, and every
+    ``_CHECK_EVERY`` sweeps those that :func:`_prove_and_polish` proves leave.
+    Also returns each column's step count, most negative sweep step, and
+    max(y), min(z) of a passed test (else 0).
     """
     K = P.shape[1]
     out, residual = np.empty_like(P), np.empty(K)
-    sweeps, worst = np.empty(K, dtype=np.int64), np.empty(K)
+    steps, worst = np.empty(K, dtype=np.int64), np.empty(K)
+    ymax, zmin = np.zeros(K), np.zeros(K)
     active, drop = np.arange(K), np.zeros(K)
     for it in range(1, max_iter + 1):
         nxt = _sweep(P, A, params, log1m, rec)
         step = nxt - P
         res = np.max(np.abs(step), axis=0)
         drop = np.minimum(drop, np.min(step, axis=0))
-        done = res < tol
+        leave = done = res < tol
         if done.any():
-            cols, keep = active[done], ~done
+            cols = active[done]
             out[:, cols] = P[:, done]
-            residual[cols], sweeps[cols], worst[cols] = res[done], it, drop[done]
+            residual[cols], steps[cols], worst[cols] = res[done], it, drop[done]
+        if it % _CHECK_EVERY == 0 and not done.all():
+            test = np.flatnonzero(~done)
+            ok, *polished = _prove_and_polish(P[:, test], step[:, test], A, params,
+                                              log1m[:, test], rec[:, test], tol, it, max_iter)
+            test, leave = test[ok], done.copy()
+            leave[test] = True
+            cols = active[test]
+            out[:, cols], residual[cols], steps[cols], ymax[cols], zmin[cols] = polished
+            worst[cols] = drop[test]
+        if leave.any():
+            keep = ~leave
             if not keep.any():
-                return out, residual, sweeps, worst
-            active, drop = active[keep], drop[keep]
-            nxt, log1m, rec = nxt[:, keep], log1m[:, keep], rec[:, keep]
+                return out, residual, steps, worst, ymax, zmin
+            active, drop, nxt, log1m, rec = (v[..., keep] for v in (active, drop, nxt, log1m, rec))
         P = nxt
     raise ConvergenceError(f"mean-field iteration did not reach tol={tol} in {max_iter} steps")
 
 
 def _solve(params: ModelParams, network: RiskNetwork, Ls, tol: float, max_iter: int):
-    """Sweep up from 0 and certify the limit l, for each row of the checked (K, R) stack.
+    """Solve and certify the steady state for each row of the checked (K, R) stack.
 
-    J(p) falls as p rises, so if some y > 0 has z = (I - J(l))y > 0, the
-    fixed point p* >= l is unique and max|l - p*| <= residual max(y) / min(z).
-    The trial y is 1; only columns where a row sum of J reaches 1 solve for
-    y = (I - J)^-1 1.  For rounding, the residual gains R + 10 ulps of max(l).
+    J(p) falls as p rises, so if some y > 0 has z = (I - J(l))y > 0 at an
+    iterate l from 0, the fixed point p* >= l is unique and any q >= l has
+    max|q - p*| <= residual(q) max(y) / min(z).  A column that converges by
+    sweeping is tested at its limit with the trial y = 1, or y = (I - J)^-1 1
+    where a row sum of J reaches 1; a polished one keeps the test that let it
+    leave the sweep.  For rounding, the residual gains R + 10 ulps of max(q).
     """
     A, log1m = network.adjacency_float, np.log1p(-Ls.T)
     rec = np.exp(params.gamma * log1m)
-    lower, residual, iterations, worst = _iterate(
+    p_hat, residual, iterations, worst, ymax, zmin = _iterate(
         np.zeros(log1m.shape), A, params, log1m, rec, tol, max_iter)
-    xlog = (params.alpha + params.beta * (A @ lower)) * log1m  # J(l) = diag(slope) A
-    slope = params.beta * rec * -log1m * np.exp(xlog) / (rec - np.expm1(xlog)) ** 2
-    y = np.ones_like(lower)
-    for k in np.flatnonzero((slope * A.sum(axis=1)[:, None] >= 1).any(axis=0)):
-        try:  # one column at a time keeps a single R x R matrix in memory
-            y[:, k] = np.linalg.solve(np.eye(len(A)) - slope[:, k, None] * A, y[:, k])
-        except np.linalg.LinAlgError:  # an exactly singular I - J: leave it unproven
-            y[:, k] = 0.0
-    z = y - slope * (A @ y)
-    proven = (y > 0).all(axis=0) & (z > 0).all(axis=0)
-    slack = (len(A) + 10) * np.finfo(float).eps * lower.max(axis=0)
-    bounds = np.divide((residual + slack) * y.max(axis=0), z.min(axis=0),
-                       out=np.full(len(residual), np.inf), where=proven)
-    for _ in np.flatnonzero(~proven):  # warn at the caller of the public solver
+    swept = np.flatnonzero(zmin == 0)
+    slope = _slope(p_hat[:, swept], A, params, log1m[:, swept], rec[:, swept])
+    y = np.ones_like(slope)
+    solve = np.flatnonzero((slope * A.sum(axis=1)[:, None] >= 1).any(axis=0))
+    y[:, solve] = _solve_linear(slope[:, solve], A, y[:, solve])[0]
+    ymax[swept], zmin[swept] = _certificate(y, slope, A)
+    slack = (len(A) + 10) * np.finfo(float).eps * p_hat.max(axis=0)
+    bounds = np.divide((residual + slack) * ymax, zmin,
+                       out=np.full(len(residual), np.inf), where=zmin > 0)
+    for _ in np.flatnonzero(zmin <= 0):  # warn at the caller of the public solver
         warnings.warn("the steady state is not unique or critical: I - J fails the M-matrix "
                       "test at the limit from p=0; p_hat is the least fixed point", stacklevel=3)
     return [
-        SteadyState(p_hat=lower[:, k].copy(), residual=float(residual[k]),
+        SteadyState(p_hat=p_hat[:, k].copy(), residual=float(residual[k]),
                     iterations=int(iterations[k]), converged=True,
-                    monotone=bool(worst[k] >= -1e-15), unique=bool(proven[k]),
+                    monotone=bool(worst[k] >= -1e-15), unique=bool(zmin[k] > 0),
                     error_bound=float(bounds[k]))
         for k in range(len(bounds))
     ]
@@ -136,11 +210,12 @@ def solve_steady_state(
     tol: float = _TOL,
     max_iter: int = _MAX_ITER,
 ) -> SteadyState:
-    """Iterate the mean-field map from 0 to convergence and certify the limit.
+    """Sweep the mean-field map up from 0, polish with Newton once proven unique, and certify.
 
     Convergence means the sup-norm residual ``|F(p) - p|`` falls below
-    ``tol``; a budget overrun raises ConvergenceError.  ``monotone`` records
-    that no iterate fell (up to 1e-15), as iterates from 0 must.
+    ``tol``; ``max_iter`` bounds sweeps plus Newton steps, and an overrun
+    raises ConvergenceError.  ``monotone`` records that no sweep iterate fell
+    (up to 1e-15), as iterates from 0 must.
     Entries of ``L`` may be exactly zero -- such a risk never activates and
     gets ``p_hat = 0`` -- which knockout experiments rely on.  A steady
     state that is not proven unique warns.
@@ -159,5 +234,7 @@ def solve_steady_states(params: ModelParams, network: RiskNetwork, Ls) -> list[S
     alone, so every field keeps its meaning; only the product's summation
     order differs (about 1e-16).  Any solve out of budget raises.
     """
-    Ls = np.array([check_likelihoods(L, network.n_risks) for L in Ls])
-    return _solve(params, network, Ls, _TOL, _MAX_ITER)
+    stack = np.array([check_likelihoods(L, network.n_risks) for L in Ls])
+    if not len(stack):
+        raise DataError(f"need a non-empty (K, {network.n_risks}) stack, got shape {np.shape(Ls)}")
+    return _solve(params, network, stack, _TOL, _MAX_ITER)

@@ -115,10 +115,80 @@ def test_batched_solves_match_the_scalar_loop(case, toy_network, fixture_network
     assert {w.filename for w in caught} <= {__file__}
 
 
+def _sweep_only(net, params, L=None, tol=1e-12):
+    """Sweep count and limit of the plain iteration from 0, without any Newton step."""
+    p, sweeps = np.zeros(net.n_risks), 0
+    while True:
+        sweeps += 1
+        q = fixed_point_map(p, params, net, L=L)
+        if np.abs(q - p).max() < tol:
+            return sweeps, p.tolist()
+        p = q
+
+
+def _beta_at_radius(net, alpha, gamma, rho):
+    """The beta at which J(0) = diag(F'(alpha)) beta A has spectral radius ``rho``."""
+    log1m = np.log1p(-net.likelihoods)
+    rec, base = np.exp(gamma * log1m), np.exp(alpha * log1m)
+    slope = rec * -log1m * base / (1 - base + rec) ** 2
+    return rho / np.abs(np.linalg.eigvals(slope[:, None] * net.adjacency)).max()
+
+
+def _oracle_error(net, params, ss):
+    """max|p_hat - p*| against the mpmath Newton-polished fixed point."""
+    exact = newton_fixed_point(net.adjacency, net.likelihoods, *params.as_tuple(), ss.p_hat)
+    return max(abs(mpmath.mpf(float(p)) - q) for p, q in zip(ss.p_hat, exact))
+
+
+def test_near_critical_knockouts_finish_with_newton(fixture_network):
+    # sweeping alone takes 229-1,884 sweeps per knockout here
+    states = solve_steady_states(ModelParams(1e-5, 0.08, 3.0), fixture_network,
+                                 _knockouts(fixture_network))
+    assert max(s.iterations for s in states) < 229
+    assert all(s.unique and s.monotone for s in states)
+    assert max(s.residual for s in states) < 1e-15  # the step after tol lands on rounding
+    assert max(s.error_bound for s in states) < 1e-11
+
+
+def test_unproven_knockouts_keep_the_sweep_limit(fixture_network):
+    # alpha = 0 far above the threshold: every knockout stops at p = 0 unproven
+    params, Ls = ModelParams(0.0, 0.5, 1.0), _knockouts(fixture_network)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        states = solve_steady_states(params, fixture_network, Ls)
+    for L, s in zip(Ls, states):
+        assert (s.iterations, s.p_hat.tolist()) == _sweep_only(fixture_network, params, L=L)
+        assert not s.unique and s.error_bound == math.inf
+
+
+def test_failed_test_keeps_the_column_sweeping():
+    # rho(J(0)) = 1.05: while l is near 0 the M-matrix test fails, and Newton
+    # started there does not converge.  The tests at sweeps 64 and 128 fail,
+    # so the column sweeps on until one passes.
+    net = make_network([0.3, 0.5, 0.2, 0.7], edges=[(0, 1), (1, 2), (2, 3), (0, 3)])
+    params = ModelParams(1e-6, _beta_at_radius(net, 1e-6, 1.0, 1.05), 1.0)
+    ss = solve_steady_state(params, net, max_iter=5_000)
+    assert ss.unique and ss.monotone
+    assert 128 < ss.iterations < _sweep_only(net, params)[0]
+    assert _oracle_error(net, params, ss) <= ss.error_bound
+
+
+def test_budget_counts_sweeps_and_newton_steps():
+    L = [0.3, 0.5, 0.2]
+    net = make_network(L, edges=[(0, 1), (1, 2)])
+    params = ModelParams(1e-3, _beta_at_radius(net, 1e-3, 1.0, 0.999), 1.0)
+    ss = solve_steady_state(params, net)
+    assert ss.iterations < _sweep_only(net, params)[0]
+    again = solve_steady_state(params, net, max_iter=ss.iterations)
+    assert (again.iterations, again.p_hat.tolist()) == (ss.iterations, ss.p_hat.tolist())
+    with pytest.raises(ConvergenceError):
+        solve_steady_state(params, net, max_iter=ss.iterations - 1)
+
+
 def test_batched_solver_checks_its_stack():
     net = make_network([0.2, 0.3], edges=[(0, 1)])
     params = ModelParams(0.3, 0.4, 1.0)
-    for bad in ([0.2, 0.3], [[[0.2, 0.3]]], [[0.2, 0.3, 0.1]]):
+    for bad in ([0.2, 0.3], [[[0.2, 0.3]]], [[0.2, 0.3, 0.1]], [], np.zeros((0, 2))):
         with pytest.raises(DataError, match="shape"):
             solve_steady_states(params, net, bad)
 
@@ -130,6 +200,7 @@ def test_pure_contagion_reports_non_unique_limits():
     assert not ss.unique
     assert ss.p_hat[0] == 0.0  # least fixed point: nothing ever starts
     assert ss.error_bound == math.inf
+    assert (ss.iterations, ss.p_hat.tolist()) == _sweep_only(net, ModelParams(0.0, 5.0, 0.5))
 
 
 def test_subcritical_pure_contagion_is_certified_exactly():
@@ -190,6 +261,32 @@ def test_certified_error_bound_holds_against_newton_polished_fixed_point(model):
     exact = newton_fixed_point(net.adjacency, net.likelihoods, *params.as_tuple(), ss.p_hat)
     error = max(abs(mpmath.mpf(float(p)) - q) for p, q in zip(ss.p_hat, exact))
     assert error <= ss.error_bound
+
+
+@st.composite
+def near_critical_models(draw):
+    R = draw(st.integers(2, 6))
+    # small L, alpha and gamma keep p* near 0, where J is largest, so the
+    # sweep alone needs hundreds of sweeps
+    L = draw(st.lists(st.sampled_from([0.05, 0.2, 0.35, 0.5]), min_size=R, max_size=R))
+    pairs = [(i, j) for i in range(R) for j in range(i + 1, R)]
+    on = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    net = make_network(L, edges=[(0, 1)] + [e for e, b in zip(pairs[1:], on[1:]) if b])
+    alpha = draw(st.sampled_from([1e-5, 1e-4, 1e-3]))
+    gamma = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    rho = draw(st.floats(0.95, 0.999))
+    return net, ModelParams(alpha, _beta_at_radius(net, alpha, gamma, rho), gamma)
+
+
+@given(model=near_critical_models())
+@settings(max_examples=40)
+def test_newton_polished_solves_keep_their_certificate(model):
+    # rho(J(0)) in [0.95, 0.999] takes the sweep past its first M-matrix test
+    net, params = model
+    ss = solve_steady_state(params, net)
+    assert ss.unique and ss.monotone
+    assert ss.iterations < _sweep_only(net, params)[0]
+    assert _oracle_error(net, params, ss) <= ss.error_bound
 
 
 grid = st.sampled_from([0.1, 0.3, 0.7])
