@@ -158,7 +158,7 @@ def make_synthetic_2013(root: Path) -> None:
                     ExpertPairCount(risks[i].id, risks[j].id, int(counts[i, j]))
                 )
 
-    network = build_network(tuple(risks), tuple(pairs), year="2013")
+    network = build_network(tuple(risks), tuple(pairs))
     history = _simulated_history(
         network, FIXTURE_PARAMS, FIXTURE_SEED, FIXTURE_MONTHS, FIXTURE_BURNIN
     )
@@ -215,7 +215,7 @@ def make_toy(root: Path) -> None:
         ExpertPairCount("r04", "r05", 2),
         ExpertPairCount("r05", "r06", 1),
     )
-    network = build_network(risks, pairs, year="toy")
+    network = build_network(risks, pairs)
     history = _simulated_history(network, TOY_PARAMS, TOY_SEED, TOY_MONTHS, TOY_BURNIN)
     history = build_history(
         network, month_sequence("2010-01", TOY_MONTHS), history.states

@@ -27,7 +27,6 @@ from .errors import (
     CarpError,
     ConvergenceError,
     DataError,
-    ImpossibleHistoryError,
     NumericalError,
     UsageError,
 )
@@ -40,12 +39,7 @@ from .influence import (
     risk_influence,
     transition_fractions,
 )
-from .likelihood import (
-    FitResult,
-    TransitionSummary,
-    fit,
-    log_likelihood,
-)
+from .likelihood import FitResult, TransitionSummary, fit
 from .risks import (
     CATEGORIES,
     ExpertPairCount,

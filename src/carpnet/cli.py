@@ -108,7 +108,6 @@ _NETWORK = (
                                       "omit if the likelihood column is already in (0,1)")),
     ("--epsilon", dict(type=float, default=0.5,
                        help="offset in the likelihood normalization denominator (default 0.5)")),
-    ("--year", dict(default="", help="snapshot label stored on the network")),
 )
 _PARAMS = (
     ("--params", dict(type=_params, help="model parameters as 'alpha,beta,gamma'")),
@@ -185,9 +184,7 @@ def _require(args, command: str, dests) -> None:
 
 
 def _load_net(args) -> RiskNetwork:
-    return load_network(
-        args.risks, args.pairs, year=args.year, likelihood_scale=args.scale, epsilon=args.epsilon
-    )
+    return load_network(args.risks, args.pairs, likelihood_scale=args.scale, epsilon=args.epsilon)
 
 
 def _parse_params(args, network, history, *, allow_fit=False):
@@ -315,8 +312,7 @@ def _cmd_simulate(args, out: Path) -> list[str]:
 def _cmd_steady_state(args, out: Path) -> list[str]:
     network = _load_net(args)
     params, _ = _parse_params(args, network, None)
-    steady = solve_steady_state(params, network, tol=args.tol, max_iter=args.max_iter)
-    return _steady_artifacts(out, network, steady)
+    return _steady_artifacts(out, network, solve_steady_state(params, network))
 
 
 def _cmd_stats(args, out: Path) -> list[str]:
@@ -473,12 +469,7 @@ _COMMANDS = {
     ),
     "steady-state": _Command(
         "mean-field fixed point of the dynamics",
-        (_COMMON, _NETWORK, _PARAMS, (
-            ("--tol", dict(type=float, default=1e-12,
-                           help="sup-norm convergence tolerance (default 1e-12)")),
-            ("--max-iter", dict(type=_count("max-iter"), default=1_000_000,
-                                help="budget of sweeps plus Newton steps (default 1e6)")),
-        )),
+        (_COMMON, _NETWORK, _PARAMS),
         ("risks", "pairs"),
         _cmd_steady_state,
     ),
@@ -495,8 +486,9 @@ _COMMANDS = {
             ("--runs", dict(type=_count("runs"), default=100, help="runs per ensemble (default 100)")),
             ("--perturbation", dict(type=float, default=0.1,
                                     help="sensitivity perturbation size (default 0.1)")),
-            ("--jobs", dict(type=int, default=1, help="accepted for symmetry; experiments "
-                                                      "are already deterministic reductions")),
+            ("--jobs", dict(type=_count("jobs"), default=1,
+                            help="accepted for symmetry; experiments are already "
+                                 "deterministic reductions")),
         )),
         ("risks", "pairs", "history", "seed", "experiment"),
         _cmd_validate,

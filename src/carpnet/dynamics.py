@@ -271,7 +271,11 @@ def run_cascades_parallel(
             network, params, initial, n_steps, master_seed, run_indices, **kwargs
         )
     from concurrent.futures import ProcessPoolExecutor  # ~30 ms to import; only pools need it
-    jobs = min(jobs, len(run_indices), len(os.sched_getaffinity(0)))
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:  # macOS and Windows cannot tell which CPUs the process may use
+        usable = os.cpu_count() or 1
+    jobs = min(jobs, len(run_indices), usable)
     splits = np.array_split(np.asarray(run_indices), jobs)
     tasks = [
         dict(

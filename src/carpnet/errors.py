@@ -19,7 +19,3 @@ class NumericalError(CarpError):
 
 class ConvergenceError(NumericalError):
     """An iterative routine exhausted its budget before converging."""
-
-
-class ImpossibleHistoryError(NumericalError):
-    """An observed transition has probability zero under the given parameters."""

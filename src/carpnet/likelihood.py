@@ -29,7 +29,7 @@ from functools import reduce
 import numpy as np
 
 from .dynamics import ModelParams
-from .errors import ConvergenceError, DataError, ImpossibleHistoryError
+from .errors import ConvergenceError, DataError
 from .risks import HistoryMatrix, RiskNetwork
 
 
@@ -128,18 +128,6 @@ class TransitionSummary:
             if self.n11.size:
                 total = np.where(g == 0.0, -np.inf, total + dots(self.n11, g[:, None] * self.l11))
         return total
-
-
-def log_likelihood(
-    history: HistoryMatrix, params: ModelParams, network: RiskNetwork
-) -> float:
-    """Total log-likelihood of the history under ``params``."""
-    value = TransitionSummary(history, network).loglik(*params.as_tuple())
-    if value == -np.inf:
-        raise ImpossibleHistoryError(
-            "history contains a transition with probability zero under these parameters"
-        )
-    return value
 
 
 def _nelder_mead(fn, x0, lower, upper, fatol, max_iter):

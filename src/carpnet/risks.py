@@ -119,7 +119,6 @@ class ExpertPairCount:
 class RiskNetwork:
     """Immutable snapshot of one year's risks and their co-mention network."""
 
-    year: str
     risks: tuple[Risk, ...]
     pair_counts: np.ndarray  # int (R, R)
 
@@ -169,16 +168,6 @@ class RiskNetwork:
         a.setflags(write=False)
         return a
 
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {r.id: i for i, r in enumerate(self.risks)}
-
-    def index_of(self, risk_id: str) -> int:
-        try:
-            return self._index[risk_id]
-        except KeyError:
-            raise DataError(f"unknown risk id {risk_id!r}") from None
-
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1).astype(int)
 
@@ -188,12 +177,10 @@ class RiskNetwork:
 
     def without_edges(self) -> "RiskNetwork":
         """Copy of this network with every edge removed."""
-        return RiskNetwork(self.year, self.risks, np.zeros_like(self.pair_counts))
+        return RiskNetwork(self.risks, np.zeros_like(self.pair_counts))
 
 
-def build_network(
-    risks: Sequence[Risk], pairs: Iterable[ExpertPairCount], year: str = ""
-) -> RiskNetwork:
+def build_network(risks: Sequence[Risk], pairs: Iterable[ExpertPairCount]) -> RiskNetwork:
     """Assemble a RiskNetwork from parsed rows, validating referential integrity."""
     risks = tuple(risks)
     if not risks:
@@ -217,7 +204,7 @@ def build_network(
             raise DataError(f"duplicate pair ({pc.risk_a!r}, {pc.risk_b!r})")
         seen.add(key)
         counts[i, j] = counts[j, i] = pc.count
-    return RiskNetwork(year=year, risks=risks, pair_counts=counts)
+    return RiskNetwork(risks=risks, pair_counts=counts)
 
 
 def _read_rows(path, expected_fields: tuple[str, ...], kind: str) -> list[dict[str, str]]:
@@ -299,16 +286,10 @@ def load_pairs(path) -> tuple[ExpertPairCount, ...]:
 
 
 def load_network(
-    risks_path,
-    pairs_path,
-    *,
-    year: str = "",
-    likelihood_scale: float | None = None,
-    epsilon: float = 0.5,
+    risks_path, pairs_path, *, likelihood_scale: float | None = None, epsilon: float = 0.5
 ) -> RiskNetwork:
     risks = load_risks(risks_path, likelihood_scale=likelihood_scale, epsilon=epsilon)
-    pairs = load_pairs(pairs_path)
-    return build_network(risks, pairs, year=year)
+    return build_network(risks, load_pairs(pairs_path))
 
 
 @dataclass(frozen=True, eq=False)

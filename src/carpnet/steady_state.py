@@ -27,7 +27,7 @@ from .dynamics import ModelParams, check_likelihoods
 from .errors import ConvergenceError, DataError
 from .risks import RiskNetwork
 
-_TOL, _MAX_ITER = 1e-12, 1_000_000
+_TOL, _MAX_ITER = 1e-12, 1_000_000  # sup-norm residual that ends a solve; budget of steps
 _CHECK_EVERY, _CHUNK = 64, 8  # sweeps between M-matrix tests; columns per stacked LU
 
 
@@ -94,14 +94,13 @@ def _certificate(y, slope, A):
     return y.max(axis=0), np.where((y > 0).all(axis=0), z.min(axis=0), 0.0)
 
 
-def _prove_and_polish(lo, r, A, params: ModelParams, log1m, rec, tol: float, start: int,
-                      max_iter: int):
+def _prove_and_polish(lo, r, A, params: ModelParams, log1m, rec, start: int):
     """Test columns at iterates ``lo`` from 0, r = F(lo) - lo, and Newton-polish the proven.
 
     One solve of (I - J(lo)) [d y] = [r, 1] gives the test's y and the first
     Newton step d.  Above a proven ``lo``, p - F(p) is convex and I - J(p) an
     M-matrix, so Newton steps clipped to [lo, 1] fall to p* (Ortega &
-    Rheinboldt, 13.3).  Once below ``tol`` a column takes one more step and
+    Rheinboldt, 13.3).  Once below ``_TOL`` a column takes one more step and
     keeps the better point.  Returns the proven mask and, for those columns,
     the point, residual, step count (on from ``start``), max(y) and min(z).
     """
@@ -112,9 +111,9 @@ def _prove_and_polish(lo, r, A, params: ModelParams, log1m, rec, tol: float, sta
     lo, log1m, rec, active = lo[:, ok], log1m[:, ok], rec[:, ok], np.arange(ok.sum())
     X = np.clip(lo + d[:, ok], lo, 1.0)
     out, residual, steps = np.empty_like(X), np.full(len(active), np.inf), np.empty_like(active)
-    for it in range(start + 1, max_iter + 1):
+    for it in range(start + 1, _MAX_ITER + 1):
         r = _sweep(X, A, params, log1m, rec) - X
-        res, last = np.max(np.abs(r), axis=0), residual[active] < tol
+        res, last = np.max(np.abs(r), axis=0), residual[active] < _TOL
         better = res < residual[active]
         out[:, active[better]], residual[active[better]] = X[:, better], res[better]
         steps[active[last]] = it
@@ -122,11 +121,11 @@ def _prove_and_polish(lo, r, A, params: ModelParams, log1m, rec, tol: float, sta
             return ok, out, residual, steps, ymax[ok], zmin[ok]
         active, X, r, lo, log1m, rec = (v[..., ~last] for v in (active, X, r, lo, log1m, rec))
         X = np.clip(X + _solve_linear(_slope(X, A, params, log1m, rec), A, r)[0], lo, 1.0)
-    raise ConvergenceError(f"mean-field iteration did not reach tol={tol} in {max_iter} steps")
+    raise ConvergenceError(f"mean-field residual stayed above {_TOL} after {_MAX_ITER} steps")
 
 
-def _iterate(P, A, params: ModelParams, log1m, rec, tol: float, max_iter: int):
-    """Sweep the columns of ``P`` until each residual |F(p) - p| is below ``tol``.
+def _iterate(P, A, params: ModelParams, log1m, rec):
+    """Sweep the columns of ``P`` until each residual |F(p) - p| is below ``_TOL``.
 
     A column freezes at that pre-map iterate, so its residual is its
     stationarity defect; later sweeps map only the active columns, and every
@@ -139,12 +138,12 @@ def _iterate(P, A, params: ModelParams, log1m, rec, tol: float, max_iter: int):
     steps, worst = np.empty(K, dtype=np.int64), np.empty(K)
     ymax, zmin = np.zeros(K), np.zeros(K)
     active, drop = np.arange(K), np.zeros(K)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         nxt = _sweep(P, A, params, log1m, rec)
         step = nxt - P
         res = np.max(np.abs(step), axis=0)
         drop = np.minimum(drop, np.min(step, axis=0))
-        leave = done = res < tol
+        leave = done = res < _TOL
         if done.any():
             cols = active[done]
             out[:, cols] = P[:, done]
@@ -152,7 +151,7 @@ def _iterate(P, A, params: ModelParams, log1m, rec, tol: float, max_iter: int):
         if it % _CHECK_EVERY == 0 and not done.all():
             test = np.flatnonzero(~done)
             ok, *polished = _prove_and_polish(P[:, test], step[:, test], A, params,
-                                              log1m[:, test], rec[:, test], tol, it, max_iter)
+                                              log1m[:, test], rec[:, test], it)
             test, leave = test[ok], done.copy()
             leave[test] = True
             cols = active[test]
@@ -164,10 +163,10 @@ def _iterate(P, A, params: ModelParams, log1m, rec, tol: float, max_iter: int):
                 return out, residual, steps, worst, ymax, zmin
             active, drop, nxt, log1m, rec = (v[..., keep] for v in (active, drop, nxt, log1m, rec))
         P = nxt
-    raise ConvergenceError(f"mean-field iteration did not reach tol={tol} in {max_iter} steps")
+    raise ConvergenceError(f"mean-field residual stayed above {_TOL} after {_MAX_ITER} steps")
 
 
-def _solve(params: ModelParams, network: RiskNetwork, Ls, tol: float, max_iter: int):
+def _solve(params: ModelParams, network: RiskNetwork, Ls):
     """Solve and certify the steady state for each row of the checked (K, R) stack.
 
     J(p) falls as p rises, so if some y > 0 has z = (I - J(l))y > 0 at an
@@ -180,7 +179,7 @@ def _solve(params: ModelParams, network: RiskNetwork, Ls, tol: float, max_iter: 
     A, log1m = network.adjacency_float, np.log1p(-Ls.T)
     rec = np.exp(params.gamma * log1m)
     p_hat, residual, iterations, worst, ymax, zmin = _iterate(
-        np.zeros(log1m.shape), A, params, log1m, rec, tol, max_iter)
+        np.zeros(log1m.shape), A, params, log1m, rec)
     swept = np.flatnonzero(zmin == 0)
     slope = _slope(p_hat[:, swept], A, params, log1m[:, swept], rec[:, swept])
     y = np.ones_like(slope)
@@ -202,29 +201,19 @@ def _solve(params: ModelParams, network: RiskNetwork, Ls, tol: float, max_iter: 
     ]
 
 
-def solve_steady_state(
-    params: ModelParams,
-    network: RiskNetwork,
-    *,
-    L=None,
-    tol: float = _TOL,
-    max_iter: int = _MAX_ITER,
-) -> SteadyState:
+def solve_steady_state(params: ModelParams, network: RiskNetwork, *, L=None) -> SteadyState:
     """Sweep the mean-field map up from 0, polish with Newton once proven unique, and certify.
 
     Convergence means the sup-norm residual ``|F(p) - p|`` falls below
-    ``tol``; ``max_iter`` bounds sweeps plus Newton steps, and an overrun
+    ``_TOL``; ``_MAX_ITER`` bounds sweeps plus Newton steps, and an overrun
     raises ConvergenceError.  ``monotone`` records that no sweep iterate fell
     (up to 1e-15), as iterates from 0 must.
     Entries of ``L`` may be exactly zero -- such a risk never activates and
     gets ``p_hat = 0`` -- which knockout experiments rely on.  A steady
     state that is not proven unique warns.
     """
-    # NaN fails the comparison too; a tol of 1 or more would pass the first sweep
-    if not 0 < tol < 1 or max_iter < 1:
-        raise DataError(f"need tol in (0, 1) and max_iter >= 1, got {tol} and {max_iter}")
     L = network.likelihoods if L is None else check_likelihoods(L, network.n_risks)
-    return _solve(params, network, L[None, :], tol, max_iter)[0]
+    return _solve(params, network, L[None, :])[0]
 
 
 def solve_steady_states(params: ModelParams, network: RiskNetwork, Ls) -> list[SteadyState]:
@@ -237,4 +226,4 @@ def solve_steady_states(params: ModelParams, network: RiskNetwork, Ls) -> list[S
     stack = np.array([check_likelihoods(L, network.n_risks) for L in Ls])
     if not len(stack):
         raise DataError(f"need a non-empty (K, {network.n_risks}) stack, got shape {np.shape(Ls)}")
-    return _solve(params, network, stack, _TOL, _MAX_ITER)
+    return _solve(params, network, stack)

@@ -42,7 +42,6 @@ def make_network(
     edges=(),
     counts=None,
     categories=None,
-    year: str = "",
 ) -> RiskNetwork:
     """Build a small in-memory network with explicit normalized likelihoods."""
     likelihoods = list(likelihoods)
@@ -64,7 +63,7 @@ def make_network(
     for j, (u, v) in enumerate(edges):
         c = counts[j] if counts else 1
         pairs.append(ExpertPairCount(f"r{u + 1}", f"r{v + 1}", int(c)))
-    return build_network(risks, pairs, year=year)
+    return build_network(risks, pairs)
 
 
 def load_generator():
@@ -95,7 +94,6 @@ def deletion_influence(network: RiskNetwork, params: ModelParams) -> np.ndarray:
     for i in range(R):
         keep = [j for j in range(R) if j != i]
         sub = RiskNetwork(
-            year=network.year,
             risks=tuple(network.risks[j] for j in keep),
             pair_counts=network.pair_counts[np.ix_(keep, keep)],
         )
@@ -108,7 +106,6 @@ def toy_network():
     return load_network(
         ROOT / "data/toy/risks.csv",
         ROOT / "data/toy/pairs.csv",
-        year="toy",
         likelihood_scale=5.0,
     )
 
@@ -123,7 +120,6 @@ def fixture_network():
     return load_network(
         ROOT / "data/synthetic_2013/risks.csv",
         ROOT / "data/synthetic_2013/pairs.csv",
-        year="2013",
         likelihood_scale=5.0,
     )
 

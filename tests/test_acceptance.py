@@ -192,7 +192,7 @@ def _hub_network(seed=314):
         ExpertPairCount(risks[u].id, risks[v].id, int(crng.integers(1, 7)))
         for u, v in sorted(g.edges())
     ]
-    return build_network(risks, pairs, year="hub")
+    return build_network(risks, pairs)
 
 
 def test_06_network_model_covers_its_own_histories_tighter():

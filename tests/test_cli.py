@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import carpnet.steady_state
 import carpnet.validation
 from carpnet.cli import main
 from conftest import ROOT
@@ -165,7 +166,9 @@ def test_flags_override_config(tmp_path):
 
 def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    for command, key in ((["simulate", "--seed", "1"], "wibble"), (["fit"], "grid-points")):
+    for command, key in ((["simulate", "--seed", "1"], "wibble"), (["fit"], "grid-points"),
+                         (["steady-state"], "tol"), (["steady-state"], "max-iter"),
+                         (["stats"], "year")):
         cfg.write_text(f"{key} = 3\n")
         code = run_cli([*command, "--config", cfg, "--out", tmp_path / "x"])
         assert code == 1
@@ -243,11 +246,6 @@ def test_out_of_scale_likelihood_is_a_data_error(tmp_path):
         code = run_cli(["fit", *toy_args("--history", TOY / "history.csv",
                                          f"--fix-beta={beta}", out=tmp_path / "x")])
         assert code == 2, beta
-    # a tolerance that is not finite, or not below 1, is rejected before any sweep
-    for tol in ("nan", "inf", "1e300", "1"):
-        code = run_cli(["steady-state", *toy_args("--params", "0.4,0.3,1.2",
-                                                  f"--tol={tol}", out=tmp_path / "x")])
-        assert code == 2, tol
     for kappa in ("nan", "inf"):
         code = run_cli(["influence", *toy_args("--params", "0.4,0.3,1.2",
                                                f"--kappa={kappa}", out=tmp_path / "x")])
@@ -276,9 +274,9 @@ def test_malformed_history_is_rejected_before_any_artifact(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
-def test_non_convergence_is_a_numerical_error(tmp_path):
-    code = run_cli(["steady-state", *toy_args("--params", "0.4,0.3,1.2",
-                                              "--max-iter", "2", out=tmp_path / "x")])
+def test_non_convergence_is_a_numerical_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(carpnet.steady_state, "_MAX_ITER", 2)
+    code = run_cli(["steady-state", *toy_args("--params", "0.4,0.3,1.2", out=tmp_path / "x")])
     assert code == 3
 
 
@@ -290,14 +288,20 @@ def test_params_and_params_file_conflict(tmp_path):
     assert code == 1
 
 
-def test_malformed_params_string(tmp_path):
+def test_malformed_params_string(tmp_path, capsys):
     code = run_cli(["simulate", *toy_args("--params", "1,2", "--seed", "1", out=tmp_path / "x")])
     assert code == 1
-    # so are the grid-search flags, which the fit no longer has
-    for command, flag in (("fit", "--grid-points"), ("pipeline", "--top-k")):
-        code = run_cli([command, *toy_args("--history", TOY / "history.csv", flag, "5",
-                                           out=tmp_path / "x")])
+    # so are removed flags: the fit's grid search, the steady state's solver
+    # settings and the network's snapshot label
+    history = ("--history", TOY / "history.csv")
+    for command, extra, flag in (("fit", history, "--grid-points"),
+                                 ("pipeline", history, "--top-k"),
+                                 ("steady-state", PARAMS, "--tol"),
+                                 ("steady-state", PARAMS, "--max-iter"),
+                                 ("stats", (), "--year")):
+        code = run_cli([command, *toy_args(*extra, flag, "5", out=tmp_path / "x")])
         assert code == 1, flag
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -317,16 +321,14 @@ def test_simulate_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
 @pytest.mark.parametrize("command, flag", [
     ("simulate", "runs"),
     ("simulate", "horizon"),
-    ("steady-state", "max-iter"),
     ("validate", "replicates"),
     ("validate", "months"),
     ("validate", "runs"),
+    ("validate", "jobs"),
 ], ids=lambda part: part)
 def test_count_below_one_is_a_usage_error(tmp_path, capsys, command, flag, value):
     # rejected while parsing, before any input is read or --out is made
-    extra = ("--params", "0.4,0.3,1.2")
-    if command != "steady-state":
-        extra += ("--seed", "1")
+    extra = ("--params", "0.4,0.3,1.2", "--seed", "1")
     if command == "validate":
         extra += ("--experiment", "forward", "--history", TOY / "history.csv")
     argv = [command, *toy_args(*extra, out=tmp_path / "x")]
@@ -408,7 +410,7 @@ PARAMS = ("--params", "0.4,0.3,1.2")
 PARAMS_FILE = "<params file>"  # stands for a JSON file written by the test
 NETWORK = {
     "risks": str(TOY / "risks.csv"), "pairs": str(TOY / "pairs.csv"),
-    "scale": 5.0, "epsilon": 0.5, "year": "",
+    "scale": 5.0, "epsilon": 0.5,
 }
 FIT_DEFAULTS = {"fix_beta": None}
 VALIDATE_ARGS = ("--history", HISTORY, "--seed", "5", "--replicates", "6", "--runs", "20")
@@ -519,12 +521,12 @@ GOLDEN = {
     ),
     "steady-state-params": (
         ["steady-state", *PARAMS], None,
-        {**NETWORK, "params": [0.4, 0.3, 1.2], "tol": 1e-12, "max_iter": 1_000_000},
+        {**NETWORK, "params": [0.4, 0.3, 1.2]},
         {"risks", "pairs"}, STEADY_LAYOUT,
     ),
     "steady-state-params-file": (
-        ["steady-state", "--params-file", PARAMS_FILE, "--tol", "1e-10"], None,
-        {**NETWORK, "params_file": PARAMS_FILE, "tol": 1e-10, "max_iter": 1_000_000},
+        ["steady-state", "--params-file", PARAMS_FILE], None,
+        {**NETWORK, "params_file": PARAMS_FILE},
         {"risks", "pairs", "params_file"}, STEADY_LAYOUT,
     ),
     "influence": (

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from carpnet import (
     DataError,
     ModelParams,
+    TransitionSummary,
     build_history,
     default_checkpoints,
     fixed_point_map,
-    log_likelihood,
     month_sequence,
     process_probabilities,
     run_cascades,
@@ -90,7 +90,7 @@ def _star_activation(L, params, k):
     states = np.array([[0, 1]] + [[1, 1]] * k, dtype=np.uint8)
     hist = build_history(net, month_sequence("2001-01", 2), states)
     leaves = k * math.log(1 - (1 - L) ** params.gamma)
-    return math.exp(log_likelihood(hist, params, net) - leaves)
+    return math.exp(TransitionSummary(hist, net).loglik(*params.as_tuple()) - leaves)
 
 
 def test_combined_activation_hand_value():
@@ -223,7 +223,7 @@ class _InlinePool:
 def test_parallel_workers_are_capped_at_the_usable_cpus(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     net = make_network([0.2, 0.3, 0.4], edges=[(0, 1), (1, 2)])
     args = (net, ModelParams(0.3, 0.3, 1.0), np.zeros(3, bool), 40, 3, range(8))
     batch = run_cascades_parallel(*args, jobs=10_000, checkpoints=(10, 40))
@@ -232,6 +232,14 @@ def test_parallel_workers_are_capped_at_the_usable_cpus(monkeypatch):
     for field in dataclasses.fields(expected):
         got, want = getattr(batch, field.name), getattr(expected, field.name)
         assert np.array_equal(got, want) if want is not None else got is None, field.name
+    # macOS and Windows have no sched_getaffinity: every CPU counts, and at
+    # least one when even their number is unknown
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for cpus, size in ((2, 2), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        batch = run_cascades_parallel(*args, jobs=10_000, checkpoints=(10, 40))
+        assert _InlinePool.sizes[-1] == size
+        assert np.array_equal(batch.checkpoint_frequency, expected.checkpoint_frequency)
 
 
 def test_duplicate_checkpoints_are_rejected():

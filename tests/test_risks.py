@@ -56,7 +56,7 @@ def test_month_sequence_wraps_december():
 
 def test_network_is_symmetric_and_hollow():
     net = make_network([0.2, 0.3, 0.4], edges=[(0, 1), (1, 2)], counts=[4, 1])
-    i, j, k = (net.index_of(r) for r in ("r1", "r2", "r3"))
+    i, j, k = (net.ids.index(r) for r in ("r1", "r2", "r3"))
     assert net.pair_counts[i, j] == net.pair_counts[j, i] == 4
     assert net.adjacency[i, j] == 1 and net.adjacency[i, k] == 0
     assert (net.adjacency == net.adjacency.T).all()
@@ -75,10 +75,10 @@ def test_network_is_symmetric_and_hollow():
 def test_network_rejects_bad_pair_counts(counts, message):
     risks = tuple(Risk(f"r{i}", str(i), "x", "economic", 1.0, 0.2) for i in range(2))
     with pytest.raises(DataError, match=message):
-        RiskNetwork("y", risks, counts)
+        RiskNetwork(risks, counts)
     # the pair counts are the only edge data; the adjacency is derived from them
-    assert [f.name for f in dataclasses.fields(RiskNetwork)] == ["year", "risks", "pair_counts"]
-    net = RiskNetwork("y", risks, np.array([[0, 3], [3, 0]]))
+    assert [f.name for f in dataclasses.fields(RiskNetwork)] == ["risks", "pair_counts"]
+    net = RiskNetwork(risks, np.array([[0, 3], [3, 0]]))
     for arr in (net.pair_counts, net.adjacency):
         with pytest.raises(ValueError):
             arr[0, 1] = 0
@@ -102,11 +102,9 @@ def test_self_pair_rejected():
 
 
 def test_network_roundtrip(tmp_path):
-    net = make_network([0.2, 0.35, 0.5], edges=[(0, 1), (0, 2)], counts=[2, 5], year="y")
+    net = make_network([0.2, 0.35, 0.5], edges=[(0, 1), (0, 2)], counts=[2, 5])
     make_fixture.save_network(net, tmp_path / "risks.csv", tmp_path / "pairs.csv")
-    back = load_network(
-        tmp_path / "risks.csv", tmp_path / "pairs.csv", year="y", likelihood_scale=5.0
-    )
+    back = load_network(tmp_path / "risks.csv", tmp_path / "pairs.csv", likelihood_scale=5.0)
     assert back.ids == net.ids
     assert np.allclose(back.likelihoods, net.likelihoods, atol=1e-15)
     assert (back.adjacency == net.adjacency).all()
