@@ -78,8 +78,7 @@ def dead_definitions(library: dict[str, str], callers: list[str], text: str = ""
                        and not (item.name.startswith("__") and item.name.endswith("__"))]
             for qualname, defn in [(node.name, node),
                                    *((f"{node.name}.{m.name}", m) for m in methods)]:
-                name = defn.name
-                if named[name] <= references(defn)[name] and name not in words:
+                if named[defn.name] <= references(defn)[defn.name] and defn.name not in words:
                     dead.append(f"{file}: {qualname}")
     return dead
 
@@ -99,7 +98,7 @@ def test_scan_finds_a_dead_definition():
 def test_no_dead_definitions():
     # The tests do not count as callers: a name only they reach is test-only API.
     library = {p.name: p.read_text(encoding="utf-8")
-               for p in (ROOT / "src" / "carpnet").glob("*.py") if p.name != "__init__.py"}
+               for p in sorted((ROOT / "src" / "carpnet").glob("*.py")) if p.name != "__init__.py"}
     callers = [p.read_text(encoding="utf-8")
                for p in sorted((ROOT / "scripts").glob("*.py"))
                + sorted((ROOT / "perfbench").glob("*.py"))]
