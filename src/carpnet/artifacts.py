@@ -1,14 +1,16 @@
 """Deterministic output serialization: CSV/JSON writers and run manifests.
 
-Every float is written with 17 significant digits so artifacts are
-byte-stable across reruns and platforms and values round-trip exactly.
-JSON is emitted with sorted keys and no whitespace variation; non-finite
-floats become ``null``.
+Every float is written so that it reads back exactly and the bytes are
+the same across reruns and platforms.  CSV floats carry 17 significant
+digits.  JSON is the standard library's, with sorted keys, no whitespace
+and Python's shortest round-trip float form (an integral float stays a
+float, ``1.0``); non-finite floats become ``null``.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import math
 from pathlib import Path
 from typing import Any, Iterable, Mapping
@@ -16,72 +18,27 @@ from typing import Any, Iterable, Mapping
 import numpy as np
 
 
-def _json_fragment(obj: Any, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(_json_string(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append("null" if not math.isfinite(obj) else format(obj, ".17g"))
-    elif isinstance(obj, Mapping):
-        out.append("{")
-        first = True
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            if not first:
-                out.append(",")
-            first = False
-            out.append(_json_string(key))
-            out.append(":")
-            _json_fragment(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for k, item in enumerate(obj):
-            if k:
-                out.append(",")
-            _json_fragment(item, out)
-        out.append("]")
-    else:
-        # numpy scalars and similar: fall back on their python equivalents
-        if hasattr(obj, "item"):
-            _json_fragment(obj.item(), out)
-        else:
-            raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+def _plain(obj: Any) -> Any:
+    """``obj`` as the dicts, lists and Python scalars that ``json`` writes.
 
-
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-
-
-def _json_string(s: str) -> str:
-    parts = ['"']
-    for ch in s:
-        if ch in _ESCAPES:
-            parts.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            parts.append(f"\\u{ord(ch):04x}")
-        else:
-            parts.append(ch)
-    parts.append('"')
-    return "".join(parts)
-
-
-def dump_json(obj: Any) -> str:
-    out: list[str] = []
-    _json_fragment(obj, out)
-    out.append("\n")
-    return "".join(out)
+    Mappings become dicts and tuples lists, numpy scalars their Python
+    values, and non-finite floats ``None``.
+    """
+    if isinstance(obj, Mapping):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(item) for item in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def write_json(path, obj: Any) -> None:
-    Path(path).write_text(dump_json(obj), encoding="utf-8", newline="\n")
+    text = json.dumps(_plain(obj), sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=False, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
 def _format_column(column: np.ndarray) -> list[str]:

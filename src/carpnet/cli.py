@@ -4,9 +4,10 @@ Design rules, enforced here rather than per command:
 
 * every stochastic command requires an explicit ``--seed`` (no wall-clock
   fallback), so any artifact can be regenerated exactly;
-* options may come from a flat key=value config file (``--config``);
-  command-line flags override file values, and environment variables are
-  never consulted;
+* options may come from a flat key=value config file (``--config``).
+  Each line stands for one ``--key=value`` flag, placed before the
+  command line's own flags: the same parser checks it and the flags
+  override it.  Environment variables are never consulted;
 * every command is one entry of ``_COMMANDS``: its options, required
   options and handler.  Handlers only compute and write artifacts;
 * every run writes ``manifest.json`` recording the tool version, the
@@ -113,7 +114,13 @@ _PARAMS = (
     ("--params", dict(type=_params, help="model parameters as 'alpha,beta,gamma'")),
     ("--params-file", dict(help="JSON file with alpha/beta/gamma keys (e.g. a fit.json)")),
 )
+_HISTORY = ("--history", dict(help="state history CSV (long or wide form)"))
 _FIX_BETA = ("--fix-beta", dict(type=float, help="pin the coupling parameter and fit the rest"))
+_CATEGORIES = (
+    ("--aggregate", dict(default="sum", choices=("sum", "mean"),
+                         help="category aggregation (default sum)")),
+    ("--kappa", dict(type=float, default=99.0, help="log display compression (default 99)")),
+)
 _SEED = ("--seed", dict(type=_seed, help="master RNG seed (required)"))
 
 
@@ -124,56 +131,41 @@ class _Command(NamedTuple):
     handler: Callable  # (args, out) -> names of the artifacts it wrote
 
 
-def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+def build_parser() -> _Parser:
     parser = _Parser(prog="carpnet", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"carpnet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    commands: dict[str, _Parser] = {}
     for name, command in _COMMANDS.items():
-        p = commands[name] = sub.add_parser(name, help=command.help)
+        p = sub.add_parser(name, help=command.help)
         for group in command.options:
             for flag, kwargs in group:
                 p.add_argument(flag, **kwargs)
-    return parser, commands
+    return parser
 
 
-def _load_config(parser: _Parser, command: str, path: str) -> dict:
-    """Parse a flat ``key = value`` file into typed option defaults.
+def _config_args(path: str) -> list[str]:
+    """A flat ``key = value`` file as the ``--key=value`` flags it stands for.
 
     One option per line; blank lines and ``#`` comments ignored; keys are
-    long option names with ``-`` or ``_``.  Values get the same conversion
-    and choices as the matching flag.
+    long option names with ``-`` or ``_``.
     """
-    actions = {action.dest: action for action in parser._actions if action.dest != "help"}
-    values: dict = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
+    flags = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, raw = (part.strip() for part in line.split("=", 1))
-        dest = key.replace("-", "_")
-        if dest == "config":
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.replace("_", "-")
+        if key == "config":
             raise UsageError(f"{path}:{lineno}: config files cannot nest")
-        if dest not in actions:
-            raise UsageError(f"{path}:{lineno}: unknown option {key!r} for command {command!r}")
-        action = actions[dest]
-        try:
-            value = action.type(raw) if action.type else raw
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
-        if action.choices is not None and value not in action.choices:
-            raise UsageError(
-                f"{path}:{lineno}: {key!r} got {value!r}, "
-                f"must be one of {', '.join(map(str, action.choices))}"
-            )
-        values[dest] = value
-    return values
+        flags.append(f"--{key}={value}")
+    return flags
 
 
 def _require(args, command: str, dests) -> None:
@@ -443,8 +435,7 @@ def _cmd_validate(args, out: Path) -> list[str]:
 _COMMANDS = {
     "fit": _Command(
         "maximum-likelihood parameters from a history",
-        (_COMMON, _NETWORK,
-         (("--history", dict(help="state history CSV (long or wide form)")), _FIX_BETA)),
+        (_COMMON, _NETWORK, (_HISTORY, _FIX_BETA)),
         ("risks", "pairs", "history"),
         _cmd_fit,
     ),
@@ -477,7 +468,7 @@ _COMMANDS = {
         "recovery / forward / network-effect / sensitivity experiments",
         (_COMMON, _NETWORK, _PARAMS, (
             ("--experiment", dict(choices=_EXPERIMENTS, help="which experiment to run")),
-            ("--history", dict(help="state history CSV")),
+            _HISTORY,
             _SEED,
             ("--replicates", dict(type=_count("replicates"), default=125,
                                   help="recovery replicates (default 125)")),
@@ -495,11 +486,7 @@ _COMMANDS = {
     ),
     "influence": _Command(
         "risk-on-risk and category influence matrices",
-        (_COMMON, _NETWORK, _PARAMS, (
-            ("--aggregate", dict(default="sum", choices=("sum", "mean"),
-                                 help="category aggregation (default sum)")),
-            ("--kappa", dict(type=float, default=99.0, help="log display compression (default 99)")),
-        )),
+        (_COMMON, _NETWORK, _PARAMS, _CATEGORIES),
         ("risks", "pairs"),
         _cmd_influence,
     ),
@@ -511,12 +498,7 @@ _COMMANDS = {
     ),
     "pipeline": _Command(
         "fit, steady state, and influence in one run",
-        (_COMMON, _NETWORK, (
-            ("--history", dict(help="state history CSV")),
-            _FIX_BETA,
-            ("--aggregate", dict(default="sum", choices=("sum", "mean"))),
-            ("--kappa", dict(type=float, default=99.0)),
-        )),
+        (_COMMON, _NETWORK, (_HISTORY, _FIX_BETA), _CATEGORIES),
         ("risks", "pairs", "history"),
         _cmd_pipeline,
     ),
@@ -524,14 +506,16 @@ _COMMANDS = {
 
 
 def run(argv) -> None:
-    parser, commands = build_parser()
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.config is not None:
-        # The file's values become the command's defaults; parsing again
-        # lets the flags override them.
-        subparser = commands[args.command]
-        subparser.set_defaults(**_load_config(subparser, args.command, args.config))
-        args = parser.parse_args(argv)
+        # The file's flags go first so that the command line's override them.
+        # Those parsed cleanly on their own, so an error now is the file's.
+        file_flags = _config_args(args.config)
+        try:
+            args = parser.parse_args([args.command, *file_flags, *argv[1:]])
+        except UsageError as exc:
+            raise UsageError(f"config file {args.config}: {exc}") from None
 
     command = _COMMANDS[args.command]
     _require(args, args.command, ("out", *command.required))

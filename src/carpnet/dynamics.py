@@ -266,16 +266,16 @@ def run_cascades_parallel(
     reassembled in order.  At most one worker starts per usable CPU.
     """
     run_indices = tuple(int(r) for r in run_indices)
-    if jobs <= 1 or len(run_indices) < 2:
-        return run_cascades(
-            network, params, initial, n_steps, master_seed, run_indices, **kwargs
-        )
-    from concurrent.futures import ProcessPoolExecutor  # ~30 ms to import; only pools need it
     if hasattr(os, "sched_getaffinity"):
         usable = len(os.sched_getaffinity(0))
     else:  # macOS and Windows cannot tell which CPUs the process may use
         usable = os.cpu_count() or 1
     jobs = min(jobs, len(run_indices), usable)
+    if jobs <= 1:
+        return run_cascades(
+            network, params, initial, n_steps, master_seed, run_indices, **kwargs
+        )
+    from concurrent.futures import ProcessPoolExecutor  # ~30 ms to import; only pools need it
     splits = np.array_split(np.asarray(run_indices), jobs)
     tasks = [
         dict(

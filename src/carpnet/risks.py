@@ -207,25 +207,36 @@ def build_network(risks: Sequence[Risk], pairs: Iterable[ExpertPairCount]) -> Ri
     return RiskNetwork(risks=risks, pair_counts=counts)
 
 
-def _read_rows(path, expected_fields: tuple[str, ...], kind: str) -> list[dict[str, str]]:
+def _read_csv(
+    path, kind: str, expected: tuple[str, ...] | None = None
+) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header of a CSV input and its ``(line, row)`` pairs.
+
+    The header must equal ``expected`` when that is given.  Blank lines are
+    skipped, every other row must have as many fields as the header, and
+    ``line`` is the row's last line in the file.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames
+            reader = csv.reader(fh)
+            header = next(reader, None)
             if header is None:
                 raise DataError(f"{kind} file {path} is empty")
-            if tuple(header) != expected_fields:
+            if expected is not None and tuple(header) != expected:
                 raise DataError(
-                    f"{kind} file {path} has header {header}, expected {list(expected_fields)}"
+                    f"{kind} file {path} has header {header}, expected {list(expected)}"
                 )
             rows = []
-            for line_no, row in enumerate(reader, start=2):
-                if any(v is None for v in row.values()) or None in row:
-                    raise DataError(f"{kind} file {path} line {line_no}: wrong field count")
-                rows.append(row)
-            return rows
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(f"{kind} file {path} line {reader.line_num}: "
+                                    f"expected {len(header)} fields, got {len(row)}")
+                rows.append((reader.line_num, row))
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {kind} file {path}: {exc}") from exc
+    return header, rows
 
 
 def _parse_float(text: str, what: str) -> float:
@@ -252,20 +263,20 @@ def load_risks(
     ``likelihood_scale=None`` the column is taken as already normalized and
     must lie strictly inside (0, 1).
     """
-    rows = _read_rows(path, ("id", "numeric_code", "name", "category", "likelihood"), "risks")
+    _, rows = _read_csv(path, "risks", ("id", "numeric_code", "name", "category", "likelihood"))
     risks = []
-    for row in rows:
-        raw = _parse_float(row["likelihood"], f"risk {row['id']!r} likelihood")
+    for _, (rid, numeric_code, name, category, likelihood) in rows:
+        raw = _parse_float(likelihood, f"risk {rid!r} likelihood")
         if likelihood_scale is None:
             normalized = raw
         else:
             normalized = normalize_likelihood(raw, likelihood_scale, epsilon)
         risks.append(
             Risk(
-                id=row["id"],
-                numeric_code=row["numeric_code"],
-                name=row["name"],
-                category=row["category"],
+                id=rid,
+                numeric_code=numeric_code,
+                name=name,
+                category=category,
                 raw_likelihood=raw,
                 normalized_likelihood=normalized,
             )
@@ -274,14 +285,10 @@ def load_risks(
 
 
 def load_pairs(path) -> tuple[ExpertPairCount, ...]:
-    rows = _read_rows(path, ("risk_a", "risk_b", "count"), "pairs")
+    _, rows = _read_csv(path, "pairs", ("risk_a", "risk_b", "count"))
     return tuple(
-        ExpertPairCount(
-            risk_a=row["risk_a"],
-            risk_b=row["risk_b"],
-            count=_parse_int(row["count"], f"pair ({row['risk_a']}, {row['risk_b']}) count"),
-        )
-        for row in rows
+        ExpertPairCount(a, b, _parse_int(count, f"pair ({a}, {b}) count"))
+        for _, (a, b, count) in rows
     )
 
 
@@ -342,28 +349,20 @@ def load_history(path, network: RiskNetwork) -> HistoryMatrix:
 
     Both forms are read into one ``month -> {risk_id: state}`` table.  A
     cell given twice, a row with the wrong field count or a state other
-    than ``0``/``1`` is rejected at its line; each month must then cover
+    than ``0``/``1`` is rejected at its line (blank lines are skipped, as
+    in every CSV input); each month must then cover
     exactly the network's risks.  The months may come in any row order;
     :class:`HistoryMatrix` checks that they are contiguous ``YYYY-MM``
     labels.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read history file {path}: {exc}") from exc
-    if not rows:
-        raise DataError(f"history file {path} is empty")
-    header = rows[0]
+    header, rows = _read_csv(path, "history")
     if header[:1] != ["month"]:
         raise DataError(f"history file {path}: first column must be 'month', got {header[:1]}")
     long_form = header[1:] == ["risk_id", "state"]
 
     table: dict[str, dict[str, bool]] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
-        where = f"history file {path} line {line_no}"
-        if len(row) != len(header):
-            raise DataError(f"{where}: expected {len(header)} fields, got {len(row)}")
+    for line, row in rows:
+        where = f"history file {path} line {line}"
         month = row[0]
         cells = table.setdefault(month, {})
         for risk_id, state in [row[1:]] if long_form else zip(header[1:], row[1:]):

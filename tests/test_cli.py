@@ -180,7 +180,9 @@ def test_config_value_must_respect_choices(tmp_path, capsys):
     cfg.write_text("experiment = bogus\n")
     code = run_cli(["validate", "--config", cfg, "--seed", "1", "--out", tmp_path / "x"])
     assert code == 1
-    assert "bogus" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bogus" in err
+    assert f"config file {cfg}" in err
 
 
 # --- failure modes --------------------------------------------------------
@@ -597,6 +599,11 @@ def test_manifest_matches_golden(tmp_path, name):
             assert (tuple(header.split(",")), len(rows)) == expected, artifact
         else:
             assert set(json.loads(text)) == expected, artifact
+    for artifact in [*layout, "manifest.json"]:
+        if artifact.endswith(".json"):  # the standard library's canonical text
+            text = (out / artifact).read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"),
+                                      ensure_ascii=False) + "\n", artifact
 
 
 def test_console_script_is_wired(tmp_path):

@@ -197,6 +197,28 @@ def test_malformed_history_is_rejected(tmp_path, text, names):
     assert re.search(names, str(excinfo.value).replace(str(path), "<file>"))
 
 
+def test_csv_inputs_skip_blank_lines(tmp_path):
+    net = make_network([0.2, 0.35, 0.5], edges=[(0, 1), (0, 2)], counts=[2, 5])
+    hist = build_history(net, month_sequence("2011-01", 3), np.eye(3, dtype=np.uint8))
+    paths = [tmp_path / name for name in ("risks.csv", "pairs.csv", "history.csv")]
+    make_fixture.save_network(net, *paths[:2])
+    make_fixture.save_history(hist, paths[2])
+    for path in paths:  # a trailing blank line, and one after the header
+        header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join([header, "\n", *rows, "\n"]), encoding="utf-8")
+    back = load_network(*paths[:2], likelihood_scale=5.0)
+    assert (back.pair_counts == net.pair_counts).all()
+    assert (load_history(paths[2], back).states == hist.states).all()
+
+
+def test_short_row_names_its_line_after_a_blank_line(tmp_path):
+    path = tmp_path / "risks.csv"
+    path.write_text("id,numeric_code,name,category,likelihood\n\n"
+                    "r1,01,a,economic,2\nr2,02,b,economic\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"line 4: expected 5 fields, got 4"):
+        load_network(path, path, likelihood_scale=5.0)
+
+
 def test_with_states_replaces_only_states():
     net = make_network([0.2, 0.3])
     hist = build_history(net, month_sequence("2011-01", 3), np.zeros((2, 3), np.uint8))
