@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from carpnet import (
+    CATEGORIES,
     ExpertPairCount,
     HistoryMatrix,
     ModelParams,
@@ -37,8 +38,6 @@ from carpnet import (
 )
 from carpnet.artifacts import write_json
 from carpnet.rng import derive_rng
-
-CATEGORY_BLOCKS = ("economic", "environmental", "geopolitical", "societal", "technological")
 
 FIXTURE_SEED = 20130101
 FIXTURE_PARAMS = ModelParams(alpha=0.3, beta=0.02, gamma=1.0)
@@ -126,7 +125,7 @@ def make_synthetic_2013(root: Path) -> None:
     raws = np.round(rng.uniform(0.9, 2.4, size=50), 2)
     risks = []
     for i in range(50):
-        category = CATEGORY_BLOCKS[i // 10]
+        category = CATEGORIES[i // 10]
         risks.append(
             Risk(
                 id=f"r{i + 1:02d}",

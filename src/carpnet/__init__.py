@@ -34,10 +34,8 @@ from .graph_stats import NetworkProperties, compute_properties
 from .influence import (
     CategoryInfluence,
     InfluenceMatrix,
-    TransitionFractions,
     category_influence,
     risk_influence,
-    transition_fractions,
 )
 from .likelihood import FitResult, TransitionSummary, fit
 from .risks import (

@@ -196,13 +196,11 @@ def _parse_params(args, network, history, *, allow_fit=False):
         except json.JSONDecodeError as exc:
             raise DataError(f"params file is not valid JSON: {exc}") from None
         try:
-            return (
-                ModelParams(
-                    float(payload["alpha"]), float(payload["beta"]), float(payload["gamma"])
-                ),
-                "file",
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            values = [payload[name] for name in ("alpha", "beta", "gamma")]
+            if not all(type(v) in (int, float) for v in values):  # float() takes true and "1.2"
+                raise TypeError(f"got {values}")
+            return ModelParams(*map(float, values)), "file"
+        except (KeyError, TypeError, OverflowError) as exc:
             raise DataError(f"params file must hold numeric alpha/beta/gamma: {exc}") from None
     if allow_fit and history is not None:
         return fit(history, network).params, "fitted"

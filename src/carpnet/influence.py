@@ -20,32 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelParams, check_likelihoods
+from .dynamics import ModelParams
 from .errors import DataError
 from .risks import CATEGORIES, RiskNetwork
 from .steady_state import SteadyState, solve_steady_state, solve_steady_states
 
 _ANOMALY_TOL = -1e-12
-
-
-@dataclass(frozen=True)
-class TransitionFractions:
-    """Expected steady-state transition rates per risk and their shares.
-
-    ``rate_*`` are expected transitions per month per risk (the joint
-    internal-and-external event is counted in both activation rates; its
-    probability is marginal per process).  ``frac_*`` are the per-risk
-    shares, which sum to 1 wherever a risk makes any transitions at all;
-    elsewhere they are NaN and ``defined`` is False.
-    """
-
-    rate_internal: np.ndarray
-    rate_external: np.ndarray
-    rate_recovery: np.ndarray
-    frac_internal: np.ndarray
-    frac_external: np.ndarray
-    frac_recovery: np.ndarray
-    defined: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -75,51 +55,25 @@ class CategoryInfluence:
     degenerate: bool
 
 
-def transition_fractions(
-    steady: SteadyState,
-    params: ModelParams,
-    network: RiskNetwork,
-    *,
-    L=None,
-) -> TransitionFractions:
-    """Split each risk's steady-state transition rate by cause.
+def _external_share(P, params: ModelParams, network: RiskNetwork, Ls) -> np.ndarray:
+    """Each risk's external share of its expected monthly transitions, per row of ``P``.
 
-    A passive risk activates internally with probability 1-(1-L)**alpha
-    and externally with probability 1-(1-L)**(beta*m), where m is its
-    real-valued mean-field exposure (the sum of its neighbors' steady
-    activities); an active risk recovers with probability (1-L)**gamma.
-    Weighting by the steady-state activity gives expected transitions per
-    month.  Pass the same ``L`` the steady state was solved with.
+    Row k of the (K, R) stack ``P`` is the steady state solved with row k of
+    the likelihood stack ``Ls``.  A passive risk activates internally with
+    probability 1-(1-L)**alpha and externally with 1-(1-L)**(beta*m), m its
+    mean-field exposure (the sum of its neighbors' steady activities); an
+    active risk recovers with probability (1-L)**gamma.  Weighted by
+    activity these are expected transitions per month (the joint event
+    counts in both activations).  The share is NaN where a risk makes no
+    transitions at all.
     """
-    p_hat = steady.p_hat
-    L = network.likelihoods if L is None else check_likelihoods(L, network.n_risks)
-    if p_hat.shape != L.shape:
-        raise DataError("steady state and likelihood vector differ in length")
-    log1m = np.log1p(-L)
-    exposure = network.adjacency_float @ p_hat
-
-    rate_int = (1.0 - p_hat) * -np.expm1(params.alpha * log1m)
-    rate_ext = (1.0 - p_hat) * -np.expm1(params.beta * exposure * log1m)
-    rate_rec = p_hat * np.exp(params.gamma * log1m)
-
-    total = rate_int + rate_ext + rate_rec
-    defined = total > 0
-    frac = np.full((3, network.n_risks), np.nan)
-    np.divide(
-        np.stack([rate_int, rate_ext, rate_rec]),
-        total,
-        out=frac,
-        where=defined,
-    )
-    return TransitionFractions(
-        rate_internal=rate_int,
-        rate_external=rate_ext,
-        rate_recovery=rate_rec,
-        frac_internal=frac[0],
-        frac_external=frac[1],
-        frac_recovery=frac[2],
-        defined=defined,
-    )
+    # one matrix-vector product per row, so each row's share has the bits it has alone
+    exposure = (network.adjacency_float @ P[..., None])[..., 0]
+    log1m = np.log1p(-Ls)
+    internal = (1.0 - P) * -np.expm1(params.alpha * log1m)
+    external = (1.0 - P) * -np.expm1(params.beta * exposure * log1m)
+    total = internal + external + P * np.exp(params.gamma * log1m)
+    return np.divide(external, total, out=np.full_like(total, np.nan), where=total > 0)
 
 
 def risk_influence(network: RiskNetwork, params: ModelParams) -> InfluenceMatrix:
@@ -130,17 +84,14 @@ def risk_influence(network: RiskNetwork, params: ModelParams) -> InfluenceMatrix
     diagonal is NaN by construction (a risk's external share is
     meaningless once that risk is disabled).
     """
-    R = network.n_risks
     baseline = solve_steady_state(params, network)
-    base = transition_fractions(baseline, params, network).frac_external
-    cuts = np.tile(network.likelihoods, (R, 1))
+    cuts = np.tile(network.likelihoods, (network.n_risks, 1))
     np.fill_diagonal(cuts, 0.0)
-    values = np.full((R, R), np.nan)
-
-    for i, steady in enumerate(solve_steady_states(params, network, cuts)):
-        others = np.arange(R) != i
-        dropped = transition_fractions(steady, params, network, L=cuts[i]).frac_external
-        values[i, others] = base[others] - dropped[others]
+    knocked = solve_steady_states(params, network, cuts)
+    P = np.array([s.p_hat for s in (baseline, *knocked)])
+    share = _external_share(P, params, network, np.vstack([network.likelihoods, cuts]))
+    values = share[0] - share[1:]
+    np.fill_diagonal(values, np.nan)
 
     with np.errstate(invalid="ignore"):
         bad = np.nonzero(values < _ANOMALY_TOL)
@@ -182,21 +133,12 @@ def category_influence(
     if influence.ids != network.ids:
         raise DataError("influence matrix does not match the network")
 
-    cats = np.array(network.categories)
-    n_cat = len(CATEGORIES)
-    raw = np.zeros((n_cat, n_cat))
-    for ci, c in enumerate(CATEGORIES):
-        rows = np.nonzero(cats == c)[0]
-        for di, d in enumerate(CATEGORIES):
-            cols = np.nonzero(cats == d)[0]
-            if rows.size == 0 or cols.size == 0:
-                raw[ci, di] = np.nan if aggregate == "mean" else 0.0
-                continue
-            block = influence.values[np.ix_(rows, cols)]
-            if aggregate == "sum":
-                raw[ci, di] = np.nansum(block)
-            else:
-                raw[ci, di] = np.nan if np.isnan(block).all() else np.nanmean(block)
+    member = (np.array(network.categories)[:, None] == CATEGORIES).astype(float)
+    defined = ~np.isnan(influence.values)
+    raw = member.T @ np.where(defined, influence.values, 0.0) @ member
+    if aggregate == "mean":
+        count = member.T @ defined @ member
+        raw = np.divide(raw, count, out=np.full_like(raw, np.nan), where=count > 0)
 
     finite = np.isfinite(raw)
     if not finite.any():

@@ -201,27 +201,26 @@ def _solve(params: ModelParams, network: RiskNetwork, Ls):
     ]
 
 
-def solve_steady_state(params: ModelParams, network: RiskNetwork, *, L=None) -> SteadyState:
+def solve_steady_state(params: ModelParams, network: RiskNetwork) -> SteadyState:
     """Sweep the mean-field map up from 0, polish with Newton once proven unique, and certify.
 
     Convergence means the sup-norm residual ``|F(p) - p|`` falls below
     ``_TOL``; ``_MAX_ITER`` bounds sweeps plus Newton steps, and an overrun
     raises ConvergenceError.  ``monotone`` records that no sweep iterate fell
-    (up to 1e-15), as iterates from 0 must.
-    Entries of ``L`` may be exactly zero -- such a risk never activates and
-    gets ``p_hat = 0`` -- which knockout experiments rely on.  A steady
-    state that is not proven unique warns.
+    (up to 1e-15), as iterates from 0 must.  A steady state that is not
+    proven unique warns.
     """
-    L = network.likelihoods if L is None else check_likelihoods(L, network.n_risks)
-    return _solve(params, network, L[None, :])[0]
+    return _solve(params, network, network.likelihoods[None, :])[0]
 
 
 def solve_steady_states(params: ModelParams, network: RiskNetwork, Ls) -> list[SteadyState]:
     """:func:`solve_steady_state` for each row of the non-empty (K, R) stack ``Ls``.
 
-    The K solves share one ``A @ P`` per sweep and each stops where it would
-    alone, so every field keeps its meaning; only the product's summation
-    order differs (about 1e-16).  Any solve out of budget raises.
+    Entries of ``Ls`` may be exactly zero -- such a risk never activates and
+    gets ``p_hat = 0`` -- which knockout experiments rely on.  The K solves
+    share one ``A @ P`` per sweep and each stops where it would alone, so
+    every field keeps its meaning; only the product's summation order
+    differs (about 1e-16).  Any solve out of budget raises.
     """
     stack = np.array([check_likelihoods(L, network.n_risks) for L in Ls])
     if not len(stack):

@@ -482,16 +482,14 @@ def sensitivity_suite(
     if history.risk_ids != network.ids:
         raise DataError("history risks are not aligned to the network")
     R = network.n_risks
-    L = network.likelihoods
     base = solve_steady_state(params, network).p_hat
 
-    cuts = np.tile(L, (R, 1))
+    cuts = np.tile(network.likelihoods, (R + 1, 1))
     cuts[np.diag_indices(R)] *= 1.0 - perturbation
-    cut_states = solve_steady_states(params, network, cuts)
+    cuts[R] *= 1.0 - perturbation
+    *cut_states, all_cut = solve_steady_states(params, network, cuts)
     single_likelihood = np.array([s.p_hat[i] for i, s in enumerate(cut_states)]) - base
-
-    all_cut = L * (1.0 - perturbation)
-    all_likelihood = solve_steady_state(params, network, L=all_cut).p_hat - base
+    all_likelihood = all_cut.p_hat - base
 
     drops: list[np.ndarray] = []
     n_deactivated = np.zeros(R, dtype=np.int64)

@@ -16,8 +16,7 @@ from carpnet import (
     build_network,
     load_history,
     load_network,
-    solve_steady_state,
-    transition_fractions,
+    solve_steady_states,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,9 +76,20 @@ def load_generator():
 
 
 def external_fraction(params: ModelParams, network: RiskNetwork, *, L=None) -> np.ndarray:
-    """Per-risk external share of steady-state transitions (solves, then splits)."""
-    steady = solve_steady_state(params, network, L=L)
-    return transition_fractions(steady, params, network, L=L).frac_external
+    """Per-risk external share of steady-state transitions, one solve at a time.
+
+    The reference for ``risk_influence``'s batched shares: the expected
+    monthly internal activations, external activations and recoveries at
+    the steady state solved with ``L``, and the external ones' share of all
+    three, NaN where a risk makes no transitions.
+    """
+    L = network.likelihoods if L is None else L
+    p = solve_steady_states(params, network, [L])[0].p_hat
+    log1m = np.log1p(-L)
+    internal = (1.0 - p) * -np.expm1(params.alpha * log1m)
+    external = (1.0 - p) * -np.expm1(params.beta * (network.adjacency_float @ p) * log1m)
+    total = internal + external + p * np.exp(params.gamma * log1m)
+    return np.divide(external, total, out=np.full_like(total, np.nan), where=total > 0)
 
 
 def deletion_influence(network: RiskNetwork, params: ModelParams) -> np.ndarray:

@@ -290,6 +290,21 @@ def test_params_and_params_file_conflict(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("payload", [
+    '{"alpha": true, "beta": 0.3, "gamma": 1.2}',
+    '{"alpha": 0.4, "beta": 0.3, "gamma": "1.2"}',
+    '{"alpha": 0.4, "beta": null, "gamma": 1.2}',
+    '{"alpha": 0.4, "beta": 0.3, "gamma": 1%s}' % ("0" * 400),
+], ids=["bool", "string", "null", "huge-int"])
+def test_params_file_values_must_be_json_numbers(tmp_path, capsys, payload):
+    params_file = tmp_path / "p.json"
+    params_file.write_text(payload)
+    code = run_cli(["steady-state", *toy_args("--params-file", params_file, out=tmp_path / "x")])
+    assert code == 2
+    assert "params file must hold numeric alpha/beta/gamma" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "steady_state.csv").exists()
+
+
 def test_malformed_params_string(tmp_path, capsys):
     code = run_cli(["simulate", *toy_args("--params", "1,2", "--seed", "1", out=tmp_path / "x")])
     assert code == 1

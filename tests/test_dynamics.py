@@ -20,11 +20,9 @@ from carpnet import (
     process_probabilities,
     run_cascades,
     run_cascades_parallel,
-    solve_steady_state,
     solve_steady_states,
     statistics_from_batch,
     trajectory_from_batch,
-    transition_fractions,
 )
 from carpnet.rng import derive_rng
 from conftest import make_network
@@ -57,11 +55,8 @@ def test_continuation_and_recovery_are_exactly_complementary(L, gamma):
 _NET3 = make_network([0.2, 0.3, 0.4], edges=[(0, 1), (1, 2)])
 _P3 = ModelParams(0.3, 0.3, 1.0)
 _LIKELIHOOD_USERS = {
-    "solve_steady_state": lambda L: solve_steady_state(_P3, _NET3, L=L),
     "solve_steady_states": lambda L: solve_steady_states(_P3, _NET3, [_NET3.likelihoods, L]),
     "fixed_point_map": lambda L: fixed_point_map(np.zeros(3), _P3, _NET3, L=L),
-    "transition_fractions": lambda L: transition_fractions(
-        solve_steady_state(_P3, _NET3), _P3, _NET3, L=L),
 }
 _BAD_LIKELIHOODS = {
     "nan": [0.2, np.nan, 0.4],

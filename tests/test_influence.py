@@ -13,21 +13,12 @@ from carpnet import (
     category_influence,
     risk_influence,
     solve_steady_state,
-    transition_fractions,
+    solve_steady_states,
 )
+from carpnet.influence import _external_share
 from conftest import FIXTURE_PARAMS, deletion_influence, external_fraction, make_network
 
 PARAMS = ModelParams(0.3, 0.5, 1.0)
-
-
-def test_fraction_shares_sum_to_one():
-    net = make_network([0.2, 0.35, 0.3], edges=[(0, 1), (1, 2)])
-    ss = solve_steady_state(PARAMS, net)
-    tf = transition_fractions(ss, PARAMS, net)
-    assert tf.defined.all()
-    total = tf.frac_internal + tf.frac_external + tf.frac_recovery
-    assert np.allclose(total, 1.0, atol=1e-12)
-    assert (tf.frac_external > 0).all()
 
 
 def test_zero_coupling_means_zero_external_share():
@@ -45,19 +36,13 @@ def test_isolated_risk_has_zero_external_share():
 
 def test_rates_match_direct_arithmetic():
     net = make_network([0.25, 0.4], edges=[(0, 1)])
-    ss = solve_steady_state(PARAMS, net)
-    tf = transition_fractions(ss, PARAMS, net)
-    p, L = ss.p_hat, net.likelihoods
+    p, L = solve_steady_state(PARAMS, net).p_hat, net.likelihoods
+    share = _external_share(p[None, :], PARAMS, net, L[None, :])[0]
     for i, j in ((0, 1), (1, 0)):
-        assert tf.rate_internal[i] == pytest.approx(
-            (1 - p[i]) * (1 - (1 - L[i]) ** PARAMS.alpha), rel=1e-12
-        )
-        assert tf.rate_external[i] == pytest.approx(
-            (1 - p[i]) * (1 - (1 - L[i]) ** (PARAMS.beta * p[j])), rel=1e-12
-        )
-        assert tf.rate_recovery[i] == pytest.approx(
-            p[i] * (1 - L[i]) ** PARAMS.gamma, rel=1e-12
-        )
+        internal = (1 - p[i]) * (1 - (1 - L[i]) ** PARAMS.alpha)
+        external = (1 - p[i]) * (1 - (1 - L[i]) ** (PARAMS.beta * p[j]))
+        recovery = p[i] * (1 - L[i]) ** PARAMS.gamma
+        assert share[i] == pytest.approx(external / (internal + external + recovery), rel=1e-12)
 
 
 def test_edgeless_network_has_no_influence():
@@ -80,19 +65,21 @@ def test_knockout_and_deletion_agree():
 
 def test_batched_knockouts_match_one_solve_per_knockout(fixture_network):
     net = fixture_network
-    matrix = risk_influence(net, FIXTURE_PARAMS)
-    baseline = solve_steady_state(FIXTURE_PARAMS, net)
-    for field in dataclasses.fields(baseline):
-        name = field.name
-        assert np.array_equal(getattr(matrix.baseline, name), getattr(baseline, name)), name
-    values = matrix.values
-    base = external_fraction(FIXTURE_PARAMS, net)
-    for i in range(net.n_risks):
-        cut = net.likelihoods.copy()
-        cut[i] = 0.0
-        expected = base - external_fraction(FIXTURE_PARAMS, net, L=cut)
-        expected[i] = np.nan
-        np.testing.assert_allclose(values[i], expected, rtol=0, atol=1e-12)
+    # the fixture's parameters, and just below the contagion threshold
+    for params in (FIXTURE_PARAMS, ModelParams(1e-5, 0.08, 3.0)):
+        matrix = risk_influence(net, params)
+        baseline = solve_steady_state(params, net)
+        for field in dataclasses.fields(baseline):
+            name = field.name
+            assert np.array_equal(getattr(matrix.baseline, name), getattr(baseline, name)), name
+        values = matrix.values
+        base = external_fraction(params, net)
+        for i in range(net.n_risks):
+            cut = net.likelihoods.copy()
+            cut[i] = 0.0
+            expected = base - external_fraction(params, net, L=cut)
+            expected[i] = np.nan
+            np.testing.assert_allclose(values[i], expected, rtol=0, atol=1e-12)
 
 
 def test_influence_is_nonnegative_on_small_nets():
@@ -137,6 +124,32 @@ def test_category_aggregation_matches_hand_blocks():
     assert cat_mean.raw[a, a] == pytest.approx(np.nansum(block) / 6)
 
 
+def test_empty_categories_and_all_nan_blocks():
+    # CATEGORIES[2] holds one risk, so its own block is the NaN diagonal alone;
+    # CATEGORIES[3] and CATEGORIES[4] hold none
+    cats = [CATEGORIES[0]] * 2 + [CATEGORIES[1]] * 2 + [CATEGORIES[2]]
+    net = make_network([0.25] * 5, edges=[(0, 1), (1, 2), (2, 3), (3, 4)], categories=cats)
+    inf = risk_influence(net, PARAMS)
+    total = category_influence(inf, net, aggregate="sum").raw
+    mean = category_influence(inf, net, aggregate="mean").raw
+    assert total[2, 2] == 0.0 and np.isnan(mean[2, 2])
+    assert (total[3:] == 0.0).all() and (total[:, 3:] == 0.0).all()
+    assert np.isnan(mean[3:]).all() and np.isnan(mean[:, 3:]).all()
+    assert np.isfinite(mean[:3, :3]).sum() == 8
+
+
+@pytest.mark.parametrize("aggregate", ["sum", "mean"])
+def test_category_raw_matches_per_block_reference(fixture_network, aggregate):
+    net = fixture_network
+    inf = risk_influence(net, FIXTURE_PARAMS)
+    raw = category_influence(inf, net, aggregate=aggregate).raw
+    reduce = np.nansum if aggregate == "sum" else np.nanmean
+    cats = np.array(net.categories)
+    expected = [[reduce(inf.values[np.ix_(cats == c, cats == d)]) for d in CATEGORIES]
+                for c in CATEGORIES]
+    np.testing.assert_allclose(raw, expected, rtol=1e-12, atol=0)
+
+
 def test_category_scaling_formula():
     net = _block_diagonal_network()
     inf = risk_influence(net, PARAMS)
@@ -177,6 +190,6 @@ def test_removing_any_node_weakly_lowers_the_rest(beta, gamma, drop):
     base = solve_steady_state(params, net)
     L = net.likelihoods.copy()
     L[drop] = 0.0
-    knocked = solve_steady_state(params, net, L=L)
+    knocked = solve_steady_states(params, net, [L])[0]
     others = np.arange(4) != drop
     assert (knocked.p_hat[others] <= base.p_hat[others] + 1e-12).all()

@@ -43,7 +43,7 @@ def test_knockout_zero_likelihood_pins_risk_to_zero():
     net = make_network([0.2, 0.35, 0.3], edges=[(0, 1), (1, 2)])
     L = net.likelihoods.copy()
     L[1] = 0.0
-    ss = solve_steady_state(ModelParams(0.3, 0.5, 1.0), net, L=L)
+    ss = solve_steady_states(ModelParams(0.3, 0.5, 1.0), net, [L])[0]
     assert ss.p_hat[1] == 0.0
     assert (ss.p_hat[[0, 2]] > 0).all()
 
@@ -96,7 +96,7 @@ def test_batched_solves_match_the_scalar_loop(case, toy_network, fixture_network
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         batch = solve_steady_states(params, net, Ls)
-        loop = [solve_steady_state(params, net, L=row) for row in Ls]
+        loop = [solve_steady_states(params, net, [row])[0] for row in Ls]
     assert len(batch) == len(Ls)
     for b, s in zip(batch, loop):
         assert (b.iterations, b.unique, b.monotone) == (s.iterations, s.unique, s.monotone)
@@ -313,7 +313,7 @@ def test_raising_one_likelihood_raises_everyone(alpha, beta, gamma, bump):
     before = solve_steady_state(params, net)
     L2 = L.copy()
     L2[bump] = min(L2[bump] + 0.2, 0.9)
-    after = solve_steady_state(params, net, L=L2)
+    after = solve_steady_states(params, net, [L2])[0]
     assert (after.p_hat >= before.p_hat - 1e-10).all()
 
 
