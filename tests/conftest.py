@@ -18,6 +18,7 @@ from carpnet import (
     load_network,
     solve_steady_states,
 )
+from carpnet.influence import _external_share
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -78,18 +79,13 @@ def load_generator():
 def external_fraction(params: ModelParams, network: RiskNetwork, *, L=None) -> np.ndarray:
     """Per-risk external share of steady-state transitions, one solve at a time.
 
-    The reference for ``risk_influence``'s batched shares: the expected
-    monthly internal activations, external activations and recoveries at
-    the steady state solved with ``L``, and the external ones' share of all
-    three, NaN where a risk makes no transitions.
+    The reference for ``risk_influence``'s batched shares: the library's
+    share of the single steady state solved with ``L`` (the network's
+    likelihoods by default), NaN where a risk makes no transitions.
     """
-    L = network.likelihoods if L is None else L
+    L = network.likelihoods if L is None else np.asarray(L)
     p = solve_steady_states(params, network, [L])[0].p_hat
-    log1m = np.log1p(-L)
-    internal = (1.0 - p) * -np.expm1(params.alpha * log1m)
-    external = (1.0 - p) * -np.expm1(params.beta * (network.adjacency_float @ p) * log1m)
-    total = internal + external + p * np.exp(params.gamma * log1m)
-    return np.divide(external, total, out=np.full_like(total, np.nan), where=total > 0)
+    return _external_share(p[None, :], params, network, L[None, :])[0]
 
 
 def deletion_influence(network: RiskNetwork, params: ModelParams) -> np.ndarray:
