@@ -12,9 +12,13 @@ from carpnet import (
     ModelParams,
     activation_rate,
     build_history,
+    derive_rng,
+    fit,
     forward_error_bounds,
     forward_statistics,
     ks_distance,
+    load_history,
+    load_network,
     month_sequence,
     network_effect_comparison,
     recovery_experiment,
@@ -22,7 +26,7 @@ from carpnet import (
     solve_steady_state,
     step_activation_counts,
 )
-from conftest import TOY_PARAMS, make_network
+from conftest import ROOT, TOY_PARAMS, make_network
 
 
 # --- outlier metric -------------------------------------------------------
@@ -135,6 +139,28 @@ def test_recovery_replicates_resimulate_from_first_month(small_recovery):
     other = recovery_experiment(net, hist, truth, n_replicates=8, master_seed=100)
     assert [r.params for r in other.replicates] != [r.params for r in report.replicates]
 
+
+
+def test_replicates_without_activations_fail_but_keep_their_fit():
+    # Five of these 30 replicates activate nothing, so their attribution
+    # fractions are undefined; their fits still succeed (alpha = beta = 0).
+    toy = ROOT / "data" / "toy"
+    net = load_network(toy / "risks.csv", toy / "pairs.csv", likelihood_scale=5)
+    hist = load_history(toy / "history.csv", net)
+    with pytest.warns(UserWarning, match="5 of 30"):
+        report = recovery_experiment(
+            net, hist, ModelParams(0.02, 0.01, 3.0), n_replicates=30, master_seed=2
+        )
+    assert report.n_failed == 5
+    failed = [rec for rec in report.replicates if rec.failed]
+    assert len(failed) == 5
+    for rec in failed:
+        assert all(math.isfinite(v) for v in (rec.params.alpha, rec.params.beta, rec.params.gamma))
+        assert math.isnan(rec.activation_param)
+        assert math.isnan(rec.recovery_param)
+        assert math.isnan(rec.ks)
+        assert rec.index not in report.retained
+        assert rec.index not in report.discarded
 
 # --- forward bounds -------------------------------------------------------
 
@@ -264,3 +290,25 @@ def test_sensitivity_baseline_matches_direct_solve(toy_sensitivity):
     net, _, report = toy_sensitivity
     direct = solve_steady_state(TOY_PARAMS, net)
     assert np.allclose(report.baseline_p_hat, direct.p_hat, atol=1e-12)
+
+
+def test_sensitivity_history_edits_are_the_seeded_drops(toy_sensitivity):
+    net, hist, report = toy_sensitivity
+    base = solve_steady_state(TOY_PARAMS, net).p_hat
+    union = hist.states.copy()
+    for i in range(net.n_risks):
+        active = np.nonzero(hist.states[i])[0]
+        n_drop = int(report.n_deactivated[i])
+        assert n_drop > 0
+        drop = derive_rng(21, 4, i).choice(active, size=n_drop, replace=False)
+        states = hist.states.copy()
+        states[i, drop] = 0
+        union[i, drop] = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            refit = fit(hist.with_states(states), net).params
+        assert report.single_history[i] == solve_steady_state(refit, net).p_hat[i] - base[i]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        all_params = fit(hist.with_states(union), net).params
+    assert (report.all_history == solve_steady_state(all_params, net).p_hat - base).all()
