@@ -59,13 +59,10 @@ from .validation import (
     AttributionFractions,
     ForwardReport,
     NetworkEffectReport,
-    ReplicateRecord,
     SensitivityReport,
     ValidationReport,
-    activation_rate,
     forward_error_bounds,
     forward_statistics,
-    ks_distance,
     network_effect_comparison,
     recovery_experiment,
     sensitivity_suite,

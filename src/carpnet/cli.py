@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -348,22 +347,17 @@ def _cmd_validate(args, out: Path) -> list[str]:
             "n_retained": len(report.retained),
             "n_discarded": len(report.discarded),
         })
-        reps = report.replicates
         write_csv(out / "recovery_replicates.csv", {
-            "replicate": [rec.index for rec in reps],
-            "failed": [rec.failed for rec in reps],
-            **{name: [getattr(rec.params, name, math.nan) for rec in reps]  # NaN if failed
-               for name in ("alpha", "beta", "gamma")},
-            "activation_param": [rec.activation_param for rec in reps],
-            "recovery_param": [rec.recovery_param for rec in reps],
-            "ks": [rec.ks for rec in reps],
-            "retained": [rec.index in report.retained for rec in reps],
+            "replicate": range(args.replicates),
+            "failed": report.failed,
+            **dict(zip(("alpha", "beta", "gamma"), report.params.T)),
+            **_summary(report, "activation_param", "recovery_param", "ks"),
+            "retained": np.isin(np.arange(args.replicates), report.retained),
         })
         return ["recovery.json", "recovery_replicates.csv"]
 
     if args.experiment == "forward":
-        by_index = {rec.index: rec for rec in report.replicates}
-        sets = [by_index[i].params for i in report.retained]
+        sets = [ModelParams(*report.params[i].tolist()) for i in report.retained]
         fw = forward_error_bounds(
             network, params, sets,
             initial=history.states[:, -1].astype(bool),
@@ -476,8 +470,8 @@ _COMMANDS = {
             ("--perturbation", dict(type=float, default=0.1,
                                     help="sensitivity perturbation size (default 0.1)")),
             ("--jobs", dict(type=_count("jobs"), default=1,
-                            help="accepted for symmetry; experiments are already "
-                                 "deterministic reductions")),
+                            help="ignored: the experiments run in one process; kept so "
+                                 "that command lines passing it still run")),
         )),
         ("risks", "pairs", "history", "seed", "experiment"),
         _cmd_validate,

@@ -36,19 +36,6 @@ from .rng import derive_rng
 from .steady_state import solve_steady_state, solve_steady_states
 
 
-def ks_distance(v1, v2) -> float:
-    """Largest relative coordinate deviation max_i |v1[i]/v2[i] - 1|."""
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    if v1.shape != v2.shape or v1.ndim != 1 or v1.size == 0:
-        raise DataError(f"need two equal-length vectors, got {v1.shape} and {v2.shape}")
-    if not (np.isfinite(v1).all() and np.isfinite(v2).all()):
-        raise DataError("vectors must be finite")
-    if (v2 == 0).any():
-        raise DataError("reference vector has a zero entry; relative deviation undefined")
-    return float(np.max(np.abs(v1 / v2 - 1.0)))
-
-
 @dataclass(frozen=True)
 class AttributionFractions:
     """Shares of activation events by cause.
@@ -86,50 +73,38 @@ class AttributionFractions:
         )
 
 
-def activation_rate(fractions: AttributionFractions, params: ModelParams) -> float:
-    """Blended activation parameter a*alpha + b*beta."""
-    if not fractions.defined:
-        return math.nan
-    return fractions.a * params.alpha + fractions.b * params.beta
-
-
-@dataclass(frozen=True)
-class ReplicateRecord:
-    index: int
-    failed: bool
-    params: ModelParams | None
-    activation_param: float
-    recovery_param: float
-    activation_param_gt_fractions: float
-    ks: float
-
-
 @dataclass(frozen=True)
 class ValidationReport:
-    """Recovery-experiment outcome.
+    """Recovery-experiment outcome, one column entry per replicate.
 
-    ``retained``/``discarded`` index into ``replicates``; bounds are the
-    largest relative errors over the retained replicates, coordinate by
-    coordinate against ``gt_vector``.  ``activation_bound_gt_fractions``
-    re-blends every replicate with the reference simulation's fractions
-    instead of its own, as an alternative reading of the protocol.
+    ``params`` holds each refit (alpha, beta, gamma), NaN only where the
+    fit raised.  A replicate ``failed`` if its fit raised or its history
+    made no activation (undefined attribution fractions); there its
+    ``activation_param`` (a*alpha + b*beta with its own fractions),
+    ``recovery_param`` (gamma) and ``ks`` (the larger relative deviation
+    of the two from ``gt_vector``) are NaN.  ``retained``/``discarded``
+    list the successes in ascending ``ks`` order (ties by index); bounds
+    are the largest relative errors over the retained replicates,
+    coordinate by coordinate against ``gt_vector``.
+    ``activation_bound_gt_fractions`` re-blends every replicate with the
+    reference simulation's fractions instead of its own, as an
+    alternative reading of the protocol.
     """
 
     ground_truth: ModelParams
     gt_fractions: AttributionFractions
     gt_vector: tuple[float, float]
-    replicates: tuple[ReplicateRecord, ...]
+    params: np.ndarray
+    failed: np.ndarray
+    activation_param: np.ndarray
+    recovery_param: np.ndarray
+    ks: np.ndarray
     retained: tuple[int, ...]
     discarded: tuple[int, ...]
     n_failed: int
     activation_bound: float
     recovery_bound: float
     activation_bound_gt_fractions: float
-
-
-def _simulated_history(history: HistoryMatrix, batch_states, initial) -> HistoryMatrix:
-    full = np.concatenate([initial[:, None].astype(np.uint8), batch_states], axis=1)
-    return history.with_states(full)
 
 
 def recovery_experiment(
@@ -147,10 +122,10 @@ def recovery_experiment(
     a*alpha + b*beta and its recovery parameter gamma against the
     ground-truth pair.  The blend uses each replicate's own attribution
     fractions; the ground-truth pair uses fractions from a dedicated
-    reference simulation.  The worst third of replicates by relative
-    deviation (rounded up) is discarded as outliers and the error bounds
-    are taken over the rest.  Failed refits are excluded with a warning
-    before the outlier cut.
+    reference simulation.  Failed replicates (the refit raised, or the
+    history made no activation) are excluded with a warning.  The worst
+    third of the rest by relative deviation (rounded up) is discarded as
+    outliers and the error bounds are taken over what remains.
     """
     if n_replicates < 2:  # the outlier cut would discard a lone replicate
         raise DataError("n_replicates must be >= 2")
@@ -168,7 +143,7 @@ def recovery_experiment(
         raise DataError(
             "reference simulation produced no activations; cannot form a ground-truth vector"
         )
-    gt_vector = (activation_rate(gt_fractions, fitted), fitted.gamma)
+    gt_vector = (gt_fractions.a * fitted.alpha + gt_fractions.b * fitted.beta, fitted.gamma)
     if gt_vector[0] == 0 or gt_vector[1] == 0:
         raise DataError("ground-truth vector has a zero coordinate; deviations undefined")
 
@@ -177,62 +152,59 @@ def recovery_experiment(
         range(n_replicates), rng_path_prefix=(1,),
         keep_states=True, track_causes=True,
     )
-
-    records = []
+    params = np.full((n_replicates, 3), math.nan)
     for r in range(n_replicates):
-        fractions = AttributionFractions.from_counts(*batch.cause_counts[r])
-        sim = _simulated_history(history, batch.states[r], initial)
+        sim = history.with_states(np.hstack([history.states[:, :1], batch.states[r]]))
         try:
-            params = fit(sim, network).params
+            params[r] = fit(sim, network).params.as_tuple()
         except ConvergenceError:
-            params = None
-        if params is None or not fractions.defined:
-            records.append(
-                ReplicateRecord(r, True, params, math.nan, math.nan, math.nan, math.nan)
-            )
-            continue
-        act = activation_rate(fractions, params)
-        act_gt_frac = activation_rate(gt_fractions, params)
-        ks = ks_distance((act, params.gamma), gt_vector)
-        records.append(
-            ReplicateRecord(r, False, params, act, params.gamma, act_gt_frac, ks)
-        )
+            pass
 
-    successes = [rec for rec in records if not rec.failed]
-    n_failed = n_replicates - len(successes)
+    internal, external, both = batch.cause_counts.T
+    total = internal + external + both
+    with np.errstate(invalid="ignore"):  # 0/0 where a replicate made no activation
+        a = (internal + 0.5 * both) / total
+        b = (external + 0.5 * both) / total
+    alpha, beta, gamma = params.T
+    failed = np.isnan(gamma) | (total == 0)
+    activation = a * alpha + b * beta  # NaN exactly where failed
+    recovery = np.where(failed, math.nan, gamma)
+    act_gt, rec_gt = gt_vector
+    ks = np.maximum(np.abs(activation / act_gt - 1.0), np.abs(recovery / rec_gt - 1.0))
+
+    n_failed = int(failed.sum())
+    causes = "the refit raised or the simulated history made no activation"
     if n_failed:
         warnings.warn(
-            f"{n_failed} of {n_replicates} replicate fits failed and were excluded",
+            f"{n_failed} of {n_replicates} replicates failed ({causes}) and were excluded",
             stacklevel=2,
         )
-    if not successes:
-        raise DataError("every replicate fit failed; nothing to analyze")
+    ok = np.flatnonzero(~failed)
+    if not ok.size:
+        raise DataError(f"every replicate failed ({causes}); nothing to analyze")
 
-    n_discard = math.ceil(len(successes) / 3)
-    by_ks = sorted(successes, key=lambda rec: (rec.ks, rec.index))
-    retained = by_ks[: len(successes) - n_discard]
-    discarded = by_ks[len(successes) - n_discard:]
-    if not retained:
+    by_ks = ok[np.lexsort((ok, ks[ok]))]
+    n_keep = ok.size - math.ceil(ok.size / 3)
+    retained, discarded = by_ks[:n_keep], by_ks[n_keep:]
+    if not n_keep:
         raise DataError("outlier cut discarded every replicate")
 
-    act_gt, rec_gt = gt_vector
-    activation_bound = max(abs(rec.activation_param / act_gt - 1.0) for rec in retained)
-    recovery_bound = max(abs(rec.recovery_param / rec_gt - 1.0) for rec in retained)
-    bound_gt_frac = max(
-        abs(rec.activation_param_gt_fractions / act_gt - 1.0) for rec in retained
-    )
-
+    blend_gt = gt_fractions.a * alpha + gt_fractions.b * beta
     return ValidationReport(
         ground_truth=fitted,
         gt_fractions=gt_fractions,
         gt_vector=gt_vector,
-        replicates=tuple(records),
-        retained=tuple(rec.index for rec in retained),
-        discarded=tuple(rec.index for rec in discarded),
+        params=params,
+        failed=failed,
+        activation_param=activation,
+        recovery_param=recovery,
+        ks=ks,
+        retained=tuple(retained.tolist()),
+        discarded=tuple(discarded.tolist()),
         n_failed=n_failed,
-        activation_bound=float(activation_bound),
-        recovery_bound=float(recovery_bound),
-        activation_bound_gt_fractions=float(bound_gt_frac),
+        activation_bound=float(np.max(np.abs(activation[retained] / act_gt - 1.0))),
+        recovery_bound=float(np.max(np.abs(recovery[retained] / rec_gt - 1.0))),
+        activation_bound_gt_fractions=float(np.max(np.abs(blend_gt[retained] / act_gt - 1.0))),
     )
 
 
@@ -491,35 +463,25 @@ def sensitivity_suite(
     single_likelihood = np.array([s.p_hat[i] for i, s in enumerate(cut_states)]) - base
     all_likelihood = all_cut.p_hat - base
 
-    drops: list[np.ndarray] = []
     n_deactivated = np.zeros(R, dtype=np.int64)
+    single_history = np.zeros(R)
+    union = history.states.copy()
     for i in range(R):
         active_cols = np.nonzero(history.states[i])[0]
         n_drop = int(math.floor(perturbation * active_cols.size + 0.5))
         n_deactivated[i] = n_drop
         if n_drop == 0:
-            drops.append(active_cols[:0])
             continue
-        rng = derive_rng(master_seed, 4, i)
-        drops.append(np.sort(rng.choice(active_cols, size=n_drop, replace=False)))
-
-    single_history = np.zeros(R)
-    for i in range(R):
-        if drops[i].size == 0:
-            continue
+        drop = derive_rng(master_seed, 4, i).choice(active_cols, size=n_drop, replace=False)
         states = history.states.copy()
-        states[i, drops[i]] = 0
+        states[i, drop] = 0
+        union[i, drop] = 0
         refit = fit(history.with_states(states), network).params
-        p = solve_steady_state(refit, network).p_hat
-        single_history[i] = p[i] - base[i]
+        single_history[i] = solve_steady_state(refit, network).p_hat[i] - base[i]
 
-    if any(d.size for d in drops):
-        states = history.states.copy()
-        for i in range(R):
-            states[i, drops[i]] = 0
-        all_params = fit(history.with_states(states), network).params
-    else:
-        all_params = params
+    all_params = params
+    if n_deactivated.any():
+        all_params = fit(history.with_states(union), network).params
     all_history = solve_steady_state(all_params, network).p_hat - base
 
     return SensitivityReport(

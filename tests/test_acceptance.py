@@ -222,7 +222,7 @@ def test_06_network_model_covers_its_own_histories_tighter():
 
 def test_07_forward_error_bounds(fixture_network, fixture_history, recovery_report):
     rep, _ = recovery_report
-    sets = [rep.replicates[i].params for i in rep.retained]
+    sets = [ModelParams(*rep.params[i].tolist()) for i in rep.retained]
     fwd = forward_error_bounds(
         fixture_network, FIXTURE_PARAMS, sets,
         initial=fixture_history.states[:, -1].astype(bool),

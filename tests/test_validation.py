@@ -10,13 +10,11 @@ from carpnet import (
     AttributionFractions,
     DataError,
     ModelParams,
-    activation_rate,
     build_history,
     derive_rng,
     fit,
     forward_error_bounds,
     forward_statistics,
-    ks_distance,
     load_history,
     load_network,
     month_sequence,
@@ -27,34 +25,6 @@ from carpnet import (
     step_activation_counts,
 )
 from conftest import ROOT, TOY_PARAMS, make_network
-
-
-# --- outlier metric -------------------------------------------------------
-
-def test_ks_distance_hand_values():
-    assert ks_distance([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert ks_distance([1.1, 0.9], [1.0, 1.0]) == pytest.approx(0.1)
-    assert ks_distance([2.0, 1.0], [1.0, 1.0]) == pytest.approx(1.0)
-
-
-def test_ks_distance_rejects_degenerate_input():
-    with pytest.raises(DataError):
-        ks_distance([1.0], [1.0, 2.0])
-    with pytest.raises(DataError):
-        ks_distance([1.0, 2.0], [1.0, 0.0])
-    with pytest.raises(DataError):
-        ks_distance([math.nan, 2.0], [1.0, 2.0])
-
-
-@given(
-    v=st.lists(st.floats(0.1, 5.0), min_size=1, max_size=4),
-    w=st.lists(st.floats(0.1, 5.0), min_size=1, max_size=4),
-    c=st.floats(0.2, 4.0),
-)
-def test_ks_distance_is_scale_invariant(v, w, c):
-    n = min(len(v), len(w))
-    v, w = np.array(v[:n]), np.array(w[:n])
-    assert ks_distance(c * v, c * w) == pytest.approx(ks_distance(v, w), rel=1e-9)
 
 
 # --- attribution ----------------------------------------------------------
@@ -72,7 +42,6 @@ def test_attribution_with_no_events_is_undefined():
     f = AttributionFractions.from_counts(0, 0, 0)
     assert not f.defined
     assert math.isnan(f.a) and math.isnan(f.b)
-    assert math.isnan(activation_rate(f, ModelParams(1, 1, 1)))
 
 
 @given(i=st.integers(0, 20), e=st.integers(0, 20), b=st.integers(0, 20))
@@ -80,13 +49,6 @@ def test_attribution_shares_always_sum_to_one(i, e, b):
     f = AttributionFractions.from_counts(i, e, b)
     if i + e + b > 0:
         assert f.a + f.b == pytest.approx(1.0)
-
-
-def test_activation_rate_blend():
-    f = AttributionFractions.from_counts(3, 1, 0)
-    assert activation_rate(f, ModelParams(0.4, 0.2, 1.0)) == pytest.approx(
-        0.75 * 0.4 + 0.25 * 0.2
-    )
 
 
 # --- recovery experiment --------------------------------------------------
@@ -111,18 +73,31 @@ def test_recovery_discards_a_third(small_recovery):
 
 def test_recovery_keeps_the_closest_replicates(small_recovery):
     _, _, _, report = small_recovery
-    worst_kept = max(report.replicates[i].ks for i in report.retained)
-    best_dropped = min(report.replicates[i].ks for i in report.discarded)
+    worst_kept = report.ks[list(report.retained)].max()
+    best_dropped = report.ks[list(report.discarded)].min()
     assert worst_kept <= best_dropped
 
 
 def test_recovery_bounds_cover_retained_errors(small_recovery):
     _, _, _, report = small_recovery
     a_gt, g_gt = report.gt_vector
-    errs_a = [abs(report.replicates[i].activation_param / a_gt - 1) for i in report.retained]
-    errs_g = [abs(report.replicates[i].recovery_param / g_gt - 1) for i in report.retained]
-    assert report.activation_bound == pytest.approx(max(errs_a))
-    assert report.recovery_bound == pytest.approx(max(errs_g))
+    kept = list(report.retained)
+    errs_a = np.abs(report.activation_param[kept] / a_gt - 1)
+    errs_g = np.abs(report.recovery_param[kept] / g_gt - 1)
+    assert report.activation_bound == pytest.approx(errs_a.max())
+    assert report.recovery_bound == pytest.approx(errs_g.max())
+
+
+def test_recovery_columns_are_the_relative_errors(small_recovery):
+    _, _, truth, report = small_recovery
+    f = report.gt_fractions
+    assert report.gt_vector[0] == f.a * truth.alpha + f.b * truth.beta
+    a_gt, g_gt = report.gt_vector
+    ok = ~report.failed
+    assert (report.recovery_param[ok] == report.params[ok, 2]).all()
+    expected = np.maximum(np.abs(report.activation_param / a_gt - 1.0),
+                          np.abs(report.recovery_param / g_gt - 1.0))
+    assert (report.ks[ok] == expected[ok]).all()
 
 
 def test_recovery_is_reproducible(small_recovery):
@@ -130,15 +105,14 @@ def test_recovery_is_reproducible(small_recovery):
     again = recovery_experiment(net, hist, truth, n_replicates=8, master_seed=99)
     assert again.retained == report.retained
     assert again.activation_bound == report.activation_bound
-    assert [r.params for r in again.replicates] == [r.params for r in report.replicates]
+    assert np.array_equal(again.params, report.params)
 
 
 def test_recovery_replicates_resimulate_from_first_month(small_recovery):
     net, hist, truth, report = small_recovery
     # different master seed -> different replicate draws
     other = recovery_experiment(net, hist, truth, n_replicates=8, master_seed=100)
-    assert [r.params for r in other.replicates] != [r.params for r in report.replicates]
-
+    assert not np.array_equal(other.params, report.params)
 
 
 def test_replicates_without_activations_fail_but_keep_their_fit():
@@ -152,15 +126,13 @@ def test_replicates_without_activations_fail_but_keep_their_fit():
             net, hist, ModelParams(0.02, 0.01, 3.0), n_replicates=30, master_seed=2
         )
     assert report.n_failed == 5
-    failed = [rec for rec in report.replicates if rec.failed]
-    assert len(failed) == 5
-    for rec in failed:
-        assert all(math.isfinite(v) for v in (rec.params.alpha, rec.params.beta, rec.params.gamma))
-        assert math.isnan(rec.activation_param)
-        assert math.isnan(rec.recovery_param)
-        assert math.isnan(rec.ks)
-        assert rec.index not in report.retained
-        assert rec.index not in report.discarded
+    failed = np.flatnonzero(report.failed)
+    assert failed.size == 5
+    assert np.isfinite(report.params[failed]).all()
+    assert np.isnan(report.activation_param[failed]).all()
+    assert np.isnan(report.recovery_param[failed]).all()
+    assert np.isnan(report.ks[failed]).all()
+    assert not set(failed.tolist()) & set(report.retained + report.discarded)
 
 # --- forward bounds -------------------------------------------------------
 
