@@ -37,7 +37,7 @@ from .influence import (
     category_influence,
     risk_influence,
 )
-from .likelihood import FitResult, TransitionSummary, fit
+from .likelihood import FitResult, TransitionSummary, fit, fit_many
 from .risks import (
     CATEGORIES,
     ExpertPairCount,

@@ -11,20 +11,27 @@ log-probability of each observed monthly transition:
 where k is the number of the risk's neighbors active in the source month.
 Because every term depends on the data only through (risk, k) pairs and
 per-risk counts, the whole objective collapses to a handful of grouped
-sufficient statistics computed once per history; each evaluation is then
-O(R), which keeps grid search and simplex refinement cheap.
+sufficient statistics computed once per history.
 
 Fitting runs a coarse log-spaced grid over the box [0, 10] per parameter
-and refines the best cells with a deterministic Nelder-Mead simplex, so
+and refines the best cells with deterministic Nelder-Mead simplexes, so
 results are exactly reproducible; (alpha, beta) and gamma enter separate
-terms, so the 10^3-point grid costs 10^2 + 10 dot products.  The search
-settings are the module constants below; only ``fix_beta`` is chosen per call.
+terms, so the 10^3-point grid costs 10^2 + 10 dot products.  The simplexes
+of every start, and of up to _BLOCK histories at once in ``fit_many``,
+step in lockstep as array code: each pass evaluates one trial point per
+live simplex in a single call over the histories' stacked statistics, and
+a simplex leaves the batch when it stops.  Each simplex takes exactly the
+steps it would take alone, so a fit does not depend on the batch around
+it.  The search settings are the module constants below; only
+``fix_beta`` is chosen per call.
 """
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -42,6 +49,9 @@ _STARTS = 5
 _LOWER, _UPPER = 0.0, 10.0
 _FATOL = 1e-8
 _MAX_ITER = 2000
+# fit_many fits this many histories at a time, which bounds its memory.
+_BLOCK = 32
+_ROW0 = np.zeros(1, dtype=np.int64)  # TransitionSummary.loglik's row of its one-history stack
 
 
 @dataclass(frozen=True)
@@ -94,108 +104,272 @@ class TransitionSummary:
 
     def loglik(self, alpha: float, beta: float, gamma: float) -> float:
         """Log-likelihood; ``-inf`` when an observed transition is impossible."""
-        total = alpha * self.c00_l + beta * self.c00_kl
+        one = lambda v: np.array([v], dtype=float)
+        return float(self._stack.loglik(_ROW0, one(alpha), one(beta), one(gamma))[0])
 
-        if self.c01.size:
-            e01 = (alpha + beta * self.k01) * self.l01
-            if (e01 == 0.0).any():
-                return -np.inf
-            total += float(self.c01 @ np.log(-np.expm1(e01)))
-
-        total += gamma * self.s10_l
-
-        if self.n11.size:
-            if gamma == 0.0:
-                return -np.inf
-            total += float(self.n11 @ np.log(-np.expm1(gamma * self.l11)))
-        return total
-
-    def grid(self, alphas, betas, gammas) -> np.ndarray:
-        """``loglik``, bit for bit, at every point of three axes: an (alpha, beta, gamma) array.
-
-        The terms separate: one 1-D dot per (alpha, beta) pair and one per gamma.
-        """
-        a, b, g = (np.asarray(axis, dtype=float) for axis in (alphas, betas, gammas))
-        a, b = a[:, None, None], b[:, None]
-        dots = lambda w, e: np.array([float(w @ row) for row in np.log(-np.expm1(e))])
-        total = a * self.c00_l + b * self.c00_kl
-        with np.errstate(divide="ignore"):  # log(0) only in cells that become -inf
-            if self.c01.size:
-                e01 = (a + b * self.k01) * self.l01
-                d01 = dots(self.c01, e01.reshape(-1, self.l01.size)).reshape(total.shape)
-                total = np.where((e01 == 0.0).any(axis=2, keepdims=True), -np.inf, total + d01)
-            total = total + g * self.s10_l
-            if self.n11.size:
-                total = np.where(g == 0.0, -np.inf, total + dots(self.n11, g[:, None] * self.l11))
-        return total
+    @functools.cached_property
+    def _stack(self) -> _SummaryStack:
+        return _SummaryStack([self])
 
 
-def _nelder_mead(fn, x0, lower, upper, fatol, max_iter):
-    """Minimize ``fn`` over a box with a deterministic Nelder-Mead simplex.
+class _Terms:
+    """One group of log-likelihood terms of several histories, one row each.
 
-    Returns (x_best, f_best, iterations, converged).  Convergence: the
-    objective spread across the polytope falls below ``fatol`` (or the
-    polytope collapses geometrically).  Vertices are lists of floats, as
-    numpy's per-call cost would dominate with two or three coordinates.
+    Row i sums ``w * log(1 - exp((a + b*k) * l))`` over its terms, for a
+    point's (a, b): alpha and beta for the activations by (risk, k), and
+    gamma (with no k) for the risks' active -> active months.  Rows are
+    zero-padded to the longest; the padding is left out of every sum.
     """
-    ndim = len(x0)
-    clip = lambda x: [min(max(v, lower), upper) for v in x]
-    # base + t*(x - base); t = -1 and -2 give the reflection base + (base - x)
-    # and the expansion base + 2*(base - x) exactly, as negation rounds nothing
-    toward = lambda base, x, t: clip([b + t * (v - b) for b, v in zip(base, x)])
 
-    simplex = [clip(x0)]
-    for d in range(ndim):
-        v = list(x0)
-        step = 0.05 * max(abs(v[d]), 0.1)
-        v[d] = v[d] + step if v[d] + step <= upper else v[d] - step
-        simplex.append(clip(v))
-    fvals = [fn(v) for v in simplex]
+    def __init__(self, w, l, k=None):
+        self.sizes = np.array([row.size for row in w], dtype=np.int64)
+        width = max(self.sizes.tolist(), default=0)
+        def pad(rows):
+            out = np.zeros((len(rows), width))
+            for padded, row in zip(out, rows):
+                padded[:row.size] = row
+            return out
 
-    iterations = 0
-    converged = False
-    while iterations < max_iter:
-        # stable, and fvals is never NaN (-loglik lies in (-inf, +inf])
-        order = sorted(range(ndim + 1), key=fvals.__getitem__)
-        simplex, fvals = [simplex[i] for i in order], [fvals[i] for i in order]
-        spread = max(abs(v - b) for x in simplex for v, b in zip(x, simplex[0]))
-        if fvals[-1] - fvals[0] < fatol or spread < 1e-12:
-            converged = True
-            break
-        iterations += 1
+        self.w, self.l = pad(w), pad(l)
+        self.k = None if k is None else pad(k)
 
-        # summed vertex by vertex, as mean(axis=0) does
-        centroid = [reduce(lambda s, v: s + v, col) / ndim for col in zip(*simplex[:-1])]
-        worst = simplex[-1]
-        reflected = toward(centroid, worst, -1.0)
-        f_r = fn(reflected)
-        if f_r < fvals[0]:
-            expanded = toward(centroid, worst, -2.0)
-            f_e = fn(expanded)
-            if f_e < f_r:
-                simplex[-1], fvals[-1] = expanded, f_e
-            else:
-                simplex[-1], fvals[-1] = reflected, f_r
-        elif f_r < fvals[-2]:
-            simplex[-1], fvals[-1] = reflected, f_r
+    def sums(self, rows, a, b=None) -> np.ndarray:
+        """Row ``rows[i]``'s sum at ``(a[i], b[i])``, as ``w @ log(-expm1(e))``
+        with ``e = (a + b*k) * l`` on its unpadded terms.
+
+        Rows are taken in order of their number of terms, so each length is
+        one ``np.vecdot`` call over a slice: the same BLAS dot product, row by
+        row, as ``w @ values``.  ``log(1 - exp(0))`` is ``-inf`` and every
+        weight is a positive count, so a row with an impossible transition
+        (``e == 0``) sums to ``-inf``.  A row with no terms sums to -0.0,
+        which adds nothing to a total.  Call under ``np.errstate(divide=
+        "ignore")``.
+        """
+        order = self.sizes[rows].argsort(kind="stable")
+        rows, a, b = rows[order], a[order], None if b is None else b[order]
+        sizes = self.sizes[rows].tolist()
+        if self.k is None:
+            e = self.l[rows] * a[:, None]
         else:
-            if f_r < fvals[-1]:
-                contracted = toward(centroid, reflected, 0.5)
-                f_c = fn(contracted)
-                better_than = f_r
-            else:
-                contracted = toward(centroid, worst, 0.5)
-                f_c = fn(contracted)
-                better_than = fvals[-1]
-            if f_c < better_than:
-                simplex[-1], fvals[-1] = contracted, f_c
-            else:
-                for j in range(1, ndim + 1):
-                    simplex[j] = toward(simplex[0], simplex[j], 0.5)
-                    fvals[j] = fn(simplex[j])
+            e = self.k[rows] * b[:, None]
+            e += a[:, None]
+            e *= self.l[rows]
+        np.log(np.negative(np.expm1(e, out=e), out=e), out=e)
+        out = np.full(len(rows), -0.0)
+        for n in set(sizes) - {0}:
+            lo, hi = bisect.bisect_left(sizes, n), bisect.bisect_right(sizes, n)
+            np.vecdot(self.w[rows[lo:hi], :n], e[lo:hi, :n], out=out[lo:hi])
+        out[order] = out.copy()
+        return out
 
-    best = min(range(ndim + 1), key=fvals.__getitem__)
-    return simplex[best], fvals[best], iterations, converged
+
+class _SummaryStack:
+    """The ``TransitionSummary`` statistics of several histories, one row each."""
+
+    def __init__(self, summaries):
+        self.c00_l, self.c00_kl, self.s10_l = (
+            np.array([getattr(s, name) for s in summaries], dtype=float)
+            for name in ("c00_l", "c00_kl", "s10_l"))
+        self.activations = _Terms(*([getattr(s, name) for s in summaries]
+                                    for name in ("c01", "l01", "k01")))
+        self.continuations = _Terms(*([getattr(s, name) for s in summaries]
+                                      for name in ("n11", "l11")))
+
+    def loglik(self, rows, alpha, beta, gamma) -> np.ndarray:
+        """``TransitionSummary.loglik`` of history ``rows[i]`` at the i-th
+        (alpha, beta, gamma), with the same float operations in the same order."""
+        total = alpha * self.c00_l[rows] + beta * self.c00_kl[rows]
+        with np.errstate(divide="ignore"):
+            total += self.activations.sums(rows, alpha, beta)
+            total += gamma * self.s10_l[rows]
+            total += self.continuations.sums(rows, gamma)
+        return total
+
+    def grid(self, row, alphas, betas, gammas) -> np.ndarray:
+        """``loglik`` of history ``row``, bit for bit, at every point of three
+        axes: an (alpha, beta, gamma) array.  The terms separate, so the
+        activations are summed once per (alpha, beta) pair and the
+        continuations once per gamma."""
+        a, b, g = (np.asarray(axis, dtype=float) for axis in (alphas, betas, gammas))
+        a, b = np.broadcast_arrays(a[:, None], b)
+        total = a * self.c00_l[row] + b * self.c00_kl[row]
+        with np.errstate(divide="ignore"):
+            total += self.activations.sums(np.full(a.size, row), a.ravel(), b.ravel()).reshape(a.shape)
+            total = total[:, :, None] + g * self.s10_l[row]
+            total += self.continuations.sums(np.full(g.size, row), g)
+        return total
+
+
+def _nelder_mead_many(fn, x0):
+    """Minimize ``fn`` from every start ``x0[s]`` with deterministic Nelder-Mead
+    simplexes in the box [_LOWER, _UPPER], run in lockstep as array code.
+
+    ``fn(points, s)`` evaluates point ``points[i]`` for simplex ``s[i]``.  Each
+    simplex takes exactly the steps that it would take alone: stable vertex
+    order, a centroid summed vertex by vertex, and trial points
+    ``base + t*(x - base)``, clipped to the box; t = -1 and -2 give the
+    reflection and the expansion, and negation rounds nothing.  A simplex
+    stops when the objective spread across it falls below _FATOL, when it
+    collapses geometrically, or after _MAX_ITER steps, and then leaves the
+    active set.  Returns each simplex's best vertex, its value, its step count
+    and whether it converged.
+    """
+    n_simplex, ndim = x0.shape
+
+    def clip(x):
+        return np.minimum(np.maximum(x, _LOWER, out=x), _UPPER, out=x)
+
+    simplex = np.empty((n_simplex, ndim + 1, ndim))
+    simplex[:, 0] = clip(x0.copy())
+    step = 0.05 * np.maximum(np.abs(x0), 0.1)
+    for d in range(ndim):
+        v = x0.copy()
+        up = v[:, d] + step[:, d]
+        v[:, d] = np.where(up <= _UPPER, up, v[:, d] - step[:, d])
+        simplex[:, d + 1] = clip(v)
+    live = np.arange(n_simplex)
+    fvals = np.stack([fn(simplex[:, j], live) for j in range(ndim + 1)], axis=1)
+
+    # Every simplex starts together and steps once per pass while it is
+    # live, so its step count is the pass at which it stopped.
+    iterations = np.full(n_simplex, _MAX_ITER)
+    converged = np.zeros(n_simplex, dtype=bool)
+    for done_steps in range(_MAX_ITER):
+        # The vertices are not stored sorted: a stable sort keeps the first
+        # of equal vertices first, so argmin finds the same best vertex.
+        order = fvals[live].argsort(axis=1, kind="stable")  # fvals is never NaN
+        x, f = simplex[live[:, None], order], fvals[live[:, None], order]
+        spread = np.maximum.reduce(np.abs(x - x[:, :1]), axis=(1, 2))
+        done = (f[:, -1] - f[:, 0] < _FATOL) | (spread < 1e-12)
+        if done.any():
+            converged[live[done]] = True
+            iterations[live[done]] = done_steps
+            live, x, f = live[~done], x[~done], f[~done]
+            if not live.size:
+                break
+
+        centroid = x[:, 0] + x[:, 1]
+        for j in range(2, ndim):
+            centroid += x[:, j]
+        centroid /= ndim
+        worst = x[:, -1].copy()
+        reflected = clip(centroid - (worst - centroid))
+        f_r = fn(reflected, live)
+        expand = f_r < f[:, 0]
+        inside = f_r < f[:, -1]  # expand implies inside
+        contract = ~(expand | (f_r < f[:, -2]))
+        # the second trial point: the expansion, or a contraction toward the
+        # reflection (inside) or the worst vertex
+        toward_worst = (expand | ~inside)[:, None]
+        t = np.where(expand, -2.0, 0.5)[:, None]
+        second = clip(centroid + t * (np.where(toward_worst, worst, reflected) - centroid))
+        tried = (expand | contract).nonzero()[0]
+        f_2 = np.full(live.size, np.inf)
+        f_2[tried] = fn(second[tried], live[tried])
+        take = f_2 < np.where(inside, f_r, f[:, -1])  # never where nothing was tried
+        shrink = contract & ~take
+
+        x[:, -1] = np.where(take[:, None], second, reflected)
+        f[:, -1] = np.where(take, f_2, f_r)
+        if shrink.any():  # every vertex but the best moves halfway toward it
+            shrink = shrink.nonzero()[0]
+            x[shrink, -1] = worst[shrink]
+            x[shrink, 1:] = clip(x[shrink, :1] + 0.5 * (x[shrink, 1:] - x[shrink, :1]))
+            f[shrink, 1:] = fn(x[shrink, 1:].reshape(-1, ndim),
+                               np.repeat(live[shrink], ndim)).reshape(-1, ndim)
+        simplex[live], fvals[live] = x, f
+
+    best = fvals.argmin(axis=1)  # the first of equal vertices, as in a lone simplex
+    every = np.arange(n_simplex)
+    return simplex[every, best], fvals[every, best], iterations, converged
+
+
+def _fits(histories, network, fix_beta):
+    """``fit`` of each history, or the ConvergenceError that it raises.
+
+    The histories are read and fitted _BLOCK at a time.
+    """
+    if fix_beta is not None and not (math.isfinite(fix_beta) and fix_beta >= 0):
+        raise DataError(f"fix_beta must be finite and non-negative, got {fix_beta}")
+    histories = iter(histories)
+    results = []
+    while block := [TransitionSummary(h, network) for h in itertools.islice(histories, _BLOCK)]:
+        results += _fit_block(block, fix_beta)
+    return results
+
+
+def _fit_block(summaries, fix_beta):
+    """``_fits`` of the histories of ``summaries``, all simplexes in one lockstep search."""
+    stack = _SummaryStack(summaries)
+
+    ndim = 3 if fix_beta is None else 2
+    axis = np.geomspace(_GRID_MIN, _GRID_MAX, _GRID_POINTS)
+    grids = np.meshgrid(*([axis] * ndim), indexing="ij")
+    points = np.stack([g.ravel() for g in grids], axis=1)
+    betas = axis if fix_beta is None else [fix_beta]
+    starts = np.array([
+        points[np.argsort(-stack.grid(h, axis, betas, axis).ravel(), kind="stable")[:_STARTS]]
+        for h in range(len(summaries))
+    ]).reshape(-1, ndim)
+    owner = np.repeat(np.arange(len(summaries)), _STARTS)
+
+    def neg_loglik(x, simplexes):
+        beta = x[:, 1] if fix_beta is None else np.full(len(x), float(fix_beta))
+        return -stack.loglik(owner[simplexes], x[:, 0], beta, x[:, -1])
+
+    best_x, best_f, iterations, converged = _nelder_mead_many(neg_loglik, starts)
+
+    results = []
+    for h, summary in enumerate(summaries):
+        own = slice(h * _STARTS, (h + 1) * _STARTS)
+        best = own.start + int(np.argmin(best_f[own]))  # the first start of equal optima
+        if not np.isfinite(best_f[best]):
+            results.append(ConvergenceError("every simplex start ended at an impossible-data point"))
+            continue
+        if not converged[own].any():
+            results.append(ConvergenceError(f"no simplex start converged within {_MAX_ITER} iterations"))
+            continue
+        alpha, *_, gamma = best_x[best].tolist()
+        beta = best_x[best, 1] if fix_beta is None else fix_beta
+        params = ModelParams(alpha=alpha, beta=float(beta), gamma=gamma)
+
+        flags = [flag for flag, on in (
+            ("no_activations", summary.n_activations == 0),
+            ("no_recoveries", summary.n_recoveries == 0),
+            ("beta_unidentified", not summary.external_exposure),
+            ("gamma_unidentified", summary.n_active_source == 0),
+        ) if on]
+        for name, value in zip(("alpha", "beta", "gamma"), params.as_tuple()):
+            if name == "beta" and fix_beta is not None:
+                continue
+            if value <= _LOWER + 1e-3:
+                flags.append(f"{name}_at_lower_bound")
+            elif value >= _UPPER - 1e-3:
+                flags.append(f"{name}_at_upper_bound")
+
+        results.append(FitResult(
+            params=params,
+            log_likelihood=float(-best_f[best]),
+            iterations=int(iterations[own].sum()),
+            converged=bool(converged[best]),
+            boundary_flags=tuple(flags),
+        ))
+    return results
+
+
+def fit_many(
+    histories, network: RiskNetwork, *, fix_beta: float | None = None
+) -> list[FitResult | None]:
+    """``fit`` of every history of an iterable, all aligned to one network.
+
+    Entry i equals ``fit(history_i, network, fix_beta=fix_beta)`` bit for
+    bit, or is None where that call raises ConvergenceError.  Histories are
+    read and fitted _BLOCK at a time, their simplexes stepping together as
+    array code, so a batch makes far fewer numpy calls than one ``fit`` per
+    history.  Raises DataError as ``fit`` does.
+    """
+    return [None if isinstance(r, ConvergenceError) else r
+            for r in _fits(histories, network, fix_beta)]
 
 
 def fit(
@@ -209,70 +383,11 @@ def fit(
     fits alpha and gamma alone.  Degenerate data never fails the fit -- it
     is reported via ``boundary_flags`` ("no_activations", "no_recoveries",
     "beta_unidentified", "gamma_unidentified", and per-parameter bound
-    flags).  Raises ConvergenceError only if no simplex start converges.
+    flags).  Raises ConvergenceError if every simplex start ends at a point
+    where the observed data are impossible, or if no start converges within
+    ``_MAX_ITER`` steps.
     """
-    if fix_beta is not None and not (math.isfinite(fix_beta) and fix_beta >= 0):
-        raise DataError(f"fix_beta must be finite and non-negative, got {fix_beta}")
-    summary = TransitionSummary(history, network)
-
-    flags: list[str] = []
-    if summary.n_activations == 0:
-        flags.append("no_activations")
-    if summary.n_recoveries == 0:
-        flags.append("no_recoveries")
-    if not summary.external_exposure:
-        flags.append("beta_unidentified")
-    if summary.n_active_source == 0:
-        flags.append("gamma_unidentified")
-
-    if fix_beta is None:
-        expand = lambda x: (x[0], x[1], x[2])
-        ndim = 3
-    else:
-        expand = lambda x: (x[0], fix_beta, x[1])
-        ndim = 2
-
-    neg = lambda x: -summary.loglik(*expand(x))
-
-    axis = np.geomspace(_GRID_MIN, _GRID_MAX, _GRID_POINTS)
-    grids = np.meshgrid(*([axis] * ndim), indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1)
-    grid_vals = -summary.grid(axis, axis if fix_beta is None else [fix_beta], axis).ravel()
-    order = np.argsort(grid_vals, kind="stable")
-    starts = points[order[:_STARTS]].tolist()
-
-    best_x = None
-    best_f = np.inf
-    total_iters = 0
-    any_converged = False
-    best_converged = False
-    for x0 in starts:
-        x, f, iters, conv = _nelder_mead(neg, x0, _LOWER, _UPPER, _FATOL, _MAX_ITER)
-        total_iters += iters
-        any_converged = any_converged or conv
-        if f < best_f:
-            best_x, best_f, best_converged = x, f, conv
-    if best_x is None or not np.isfinite(best_f):
-        raise ConvergenceError("every simplex start ended at an impossible-data point")
-    if not any_converged:
-        raise ConvergenceError(f"no simplex start converged within {_MAX_ITER} iterations")
-
-    alpha, beta, gamma = expand(best_x)
-    params = ModelParams(alpha=float(alpha), beta=float(beta), gamma=float(gamma))
-
-    names = ("alpha", "beta", "gamma")
-    for name, value in zip(names, params.as_tuple()):
-        if name == "beta" and fix_beta is not None:
-            continue
-        if value <= _LOWER + 1e-3:
-            flags.append(f"{name}_at_lower_bound")
-        elif value >= _UPPER - 1e-3:
-            flags.append(f"{name}_at_upper_bound")
-
-    return FitResult(
-        params=params,
-        log_likelihood=-best_f,
-        iterations=total_iters,
-        converged=best_converged,
-        boundary_flags=tuple(flags),
-    )
+    result, = _fits([history], network, fix_beta)
+    if isinstance(result, ConvergenceError):
+        raise result
+    return result

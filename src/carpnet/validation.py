@@ -29,8 +29,8 @@ from .dynamics import (
     run_cascades,
     statistics_from_batch,
 )
-from .errors import ConvergenceError, DataError
-from .likelihood import fit
+from .errors import DataError
+from .likelihood import fit, fit_many
 from .risks import HistoryMatrix, RiskNetwork
 from .rng import derive_rng
 from .steady_state import solve_steady_state, solve_steady_states
@@ -152,13 +152,10 @@ def recovery_experiment(
         range(n_replicates), rng_path_prefix=(1,),
         keep_states=True, track_causes=True,
     )
-    params = np.full((n_replicates, 3), math.nan)
-    for r in range(n_replicates):
-        sim = history.with_states(np.hstack([history.states[:, :1], batch.states[r]]))
-        try:
-            params[r] = fit(sim, network).params.as_tuple()
-        except ConvergenceError:
-            pass
+    refits = fit_many((
+        history.with_states(np.hstack([history.states[:, :1], states])) for states in batch.states
+    ), network)
+    params = np.array([(math.nan,) * 3 if r is None else r.params.as_tuple() for r in refits])
 
     internal, external, both = batch.cause_counts.T
     total = internal + external + both
@@ -464,7 +461,7 @@ def sensitivity_suite(
     all_likelihood = all_cut.p_hat - base
 
     n_deactivated = np.zeros(R, dtype=np.int64)
-    single_history = np.zeros(R)
+    edited = []  # the history with each risk's drop, then with all of them
     union = history.states.copy()
     for i in range(R):
         active_cols = np.nonzero(history.states[i])[0]
@@ -476,12 +473,17 @@ def sensitivity_suite(
         states = history.states.copy()
         states[i, drop] = 0
         union[i, drop] = 0
-        refit = fit(history.with_states(states), network).params
-        single_history[i] = solve_steady_state(refit, network).p_hat[i] - base[i]
+        edited.append(history.with_states(states))
+    if edited:
+        edited.append(history.with_states(union))
+    refits = fit_many(edited, network)
+    if None in refits:
+        fit(edited[refits.index(None)], network)  # raises that refit's ConvergenceError
 
-    all_params = params
-    if n_deactivated.any():
-        all_params = fit(history.with_states(union), network).params
+    single_history = np.zeros(R)
+    for i, refit in zip(np.flatnonzero(n_deactivated), refits):
+        single_history[i] = solve_steady_state(refit.params, network).p_hat[i] - base[i]
+    all_params = refits[-1].params if edited else params
     all_history = solve_steady_state(all_params, network).p_hat - base
 
     return SensitivityReport(

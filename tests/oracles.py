@@ -103,6 +103,29 @@ def naive_log_likelihood(states, adjacency, L, alpha, beta, gamma):
     return total
 
 
+def summary_log_likelihood(summary, alpha, beta, gamma):
+    """Log-likelihood from a history's grouped sufficient statistics, one point.
+
+    ``summary`` carries the fields of carpnet's ``TransitionSummary``.  The
+    float operations and their order are those that carpnet's stacked
+    evaluation must reproduce bit for bit: each term group is one BLAS dot
+    product of the counts with ``log(-expm1(e))``, and an impossible
+    transition returns ``-inf`` before any logarithm is taken.
+    """
+    total = alpha * summary.c00_l + beta * summary.c00_kl
+    if summary.c01.size:
+        e01 = (alpha + beta * summary.k01) * summary.l01
+        if (e01 == 0.0).any():
+            return -np.inf
+        total += float(summary.c01 @ np.log(-np.expm1(e01)))
+    total += gamma * summary.s10_l
+    if summary.n11.size:
+        if gamma == 0.0:
+            return -np.inf
+        total += float(summary.n11 @ np.log(-np.expm1(gamma * summary.l11)))
+    return total
+
+
 def newton_fixed_point(adjacency, L, alpha, beta, gamma, start, dps=50):
     """The mean-field fixed point nearest ``start``, Newton-polished in mpmath.
 

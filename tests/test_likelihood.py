@@ -5,18 +5,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import carpnet.likelihood
 from carpnet import (
     ConvergenceError,
     DataError,
+    FitResult,
     ModelParams,
     TransitionSummary,
     build_history,
     fit,
+    fit_many,
     month_sequence,
     run_cascades,
 )
+from carpnet.likelihood import _SummaryStack
 from conftest import make_network
-from oracles import naive_log_likelihood, reference_fit
+from oracles import naive_log_likelihood, reference_fit, summary_log_likelihood
 
 
 def _history(net, states):
@@ -74,13 +78,17 @@ small_states = st.integers(2, 4).flatmap(
 )
 
 
+def _small_network(r, edge_bits):
+    all_pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+    edges = [p for p, keep in zip(all_pairs, edge_bits) if keep]
+    return make_network([0.15 + 0.1 * i for i in range(r)], edges=edges)
+
+
 def _small_case(data):
     """(network, history, states) of one ``small_states`` draw."""
     r, rows, edge_bits = data
     states = np.array(rows, dtype=np.uint8)
-    all_pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
-    edges = [p for p, keep in zip(all_pairs, edge_bits) if keep]
-    net = make_network([0.15 + 0.1 * i for i in range(r)], edges=edges)
+    net = _small_network(r, edge_bits)
     return net, _history(net, states), states
 
 
@@ -247,9 +255,109 @@ def test_fit_matches_the_numpy_reference_search(data, fix_beta):
 def test_grid_is_loglik_at_every_point(request, dataset, axes):
     net = request.getfixturevalue(f"{dataset}_network")
     summary = TransitionSummary(request.getfixturevalue(f"{dataset}_history"), net)
-    grid = summary.grid(*axes)
+    grid = _SummaryStack([summary]).grid(0, *axes)
     pointwise = np.array([[[summary.loglik(a, b, g) for g in axes[2]] for b in axes[1]]
                           for a in axes[0]])
     assert grid.shape == pointwise.shape
     assert grid.tobytes() == pointwise.tobytes()
     assert not np.isnan(grid).any()
+
+
+def _degenerate_histories(net):
+    r = net.n_risks
+    return [
+        _history(net, np.zeros((r, 5))),  # no activations: an empty term group
+        _history(net, np.ones((r, 4))),  # never recovers
+        _history(net, np.tile([0, 1, 0, 1], (r, 1))),  # moves in unison: no exposure
+    ]
+
+
+def _reference_result(history, net, fix_beta=None):
+    """``reference_fit`` as the FitResult that ``fit`` returns, or None where it raises."""
+    summary = TransitionSummary(history, net)
+    try:
+        params, loglik, iterations, converged, bound_flags = reference_fit(
+            summary.loglik, fix_beta)
+    except ArithmeticError:
+        return None
+    return FitResult(ModelParams(*params), loglik, iterations, converged,
+                     _data_flags(summary) + bound_flags)
+
+
+batches = st.integers(2, 4).flatmap(lambda r: st.tuples(
+    st.just(r),
+    st.lists(st.booleans(), min_size=r * (r - 1) // 2, max_size=r * (r - 1) // 2),
+    st.lists(st.integers(2, 7).flatmap(lambda t: st.lists(
+        st.lists(st.integers(0, 1), min_size=t, max_size=t), min_size=r, max_size=r)),
+        min_size=1, max_size=4),
+))
+
+
+@given(batch=batches, fix_beta=st.sampled_from([None, 0.0, 0.3]), data=st.data())
+@settings(max_examples=12)
+def test_fit_many_matches_the_reference_search_on_mixed_batches(batch, fix_beta, data):
+    """Each history of one batch, degenerate ones among them, is fitted as alone."""
+    r, edge_bits, drawn = batch
+    net = _small_network(r, edge_bits)
+    histories = [_history(net, states) for states in drawn] + _degenerate_histories(net)
+    histories = [histories[i] for i in data.draw(st.permutations(range(len(histories))))]
+    results = fit_many(histories, net, fix_beta=fix_beta)
+    assert results == [_reference_result(h, net, fix_beta) for h in histories]
+
+
+@pytest.mark.parametrize("block", [32, 3])
+def test_fit_many_does_not_depend_on_the_batch(monkeypatch, block):
+    """Alone, first or last among 8 (across blocks of 3, too): the same fit."""
+    monkeypatch.setattr(carpnet.likelihood, "_BLOCK", block)
+    net = make_network([0.25, 0.4, 0.3, 0.35], edges=[(0, 1), (1, 2), (2, 3), (0, 3)])
+    sims = run_cascades(net, ModelParams(0.4, 0.3, 1.2), np.zeros(4, bool), 90,
+                        master_seed=5, run_indices=range(5), keep_states=True).states
+    target, *others = [_history(net, s[:, :40 + 10 * i]) for i, s in enumerate(sims)]
+    others += _degenerate_histories(net)
+    alone = fit_many([target], net)
+    assert alone == [fit(target, net)]
+    assert fit_many([target, *others], net)[0] == alone[0]
+    assert fit_many([*others, target], net)[-1] == alone[0]
+
+
+@pytest.fixture(scope="module")
+def ragged_stack(fixture_network, fixture_history):
+    """Summaries of histories of unequal length on the fixture network, so each
+    term group is ragged: 0 to 185 activation terms per history."""
+    net, states = fixture_network, fixture_history.states
+    histories = [_history(net, states[:, :t]) for t in (156, 40, 100, 12, 155)]
+    histories += _degenerate_histories(net)
+    lone = np.zeros((net.n_risks, 2))
+    lone[0, 1] = 1
+    histories.append(_history(net, lone))  # one activation, at k = 0
+    return [TransitionSummary(h, net) for h in histories]
+
+
+coordinate = st.sampled_from([0.0, 1e-300, 1e-4, 0.3]) | st.floats(0.0, 10.0)
+
+
+@given(points=st.lists(st.tuples(st.integers(0, 8), coordinate, coordinate, coordinate),
+                       min_size=1, max_size=20))
+@settings(max_examples=40)
+def test_stacked_objective_is_loglik_row_by_row(ragged_stack, points):
+    """One stacked call equals one ``loglik`` per point, ``-inf`` included."""
+    # alpha = beta = 0 with an activation at k = 0, and gamma = 0 with an
+    # active -> active month, are impossible
+    points = points + [(h, 0.0, 0.0, 1.0) for h in range(9)] + [(h, 0.5, 0.1, 0.0) for h in range(9)]
+    rows, alpha, beta, gamma = (np.array(column) for column in zip(*points))
+    stacked = _SummaryStack(ragged_stack).loglik(rows, alpha, beta, gamma)
+    one_by_one = np.array([ragged_stack[h].loglik(a, b, g) for h, a, b, g in points])
+    reference = np.array([summary_log_likelihood(ragged_stack[h], a, b, g)
+                          for h, a, b, g in points])
+    assert stacked.tobytes() == one_by_one.tobytes() == reference.tobytes()
+    assert np.isneginf(stacked).any() and not np.isnan(stacked).any()
+
+
+def test_recovery_seed0_refits_match_the_reference_search(fixture_network, fixture_history):
+    """Ten histories that the benchmark's recovery run refits, in one batch."""
+    net, hist = fixture_network, fixture_history
+    batch = run_cascades(net, ModelParams(0.3, 0.02, 1.0), hist.states[:, 0].astype(bool),
+                         hist.n_months - 1, 0, range(10), rng_path_prefix=(1,),
+                         keep_states=True, track_causes=True)
+    sims = [hist.with_states(np.hstack([hist.states[:, :1], s])) for s in batch.states]
+    assert fit_many(sims, net) == [_reference_result(sim, net) for sim in sims]

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import carpnet.likelihood
 from carpnet import (
     AttributionFractions,
+    ConvergenceError,
     DataError,
     ModelParams,
     build_history,
@@ -284,3 +286,17 @@ def test_sensitivity_history_edits_are_the_seeded_drops(toy_sensitivity):
         warnings.simplefilter("ignore")
         all_params = fit(hist.with_states(union), net).params
     assert (report.all_history == solve_steady_state(all_params, net).p_hat - base).all()
+
+
+def test_sensitivity_raises_the_first_failed_refit_error(toy_sensitivity, monkeypatch):
+    # one simplex step converges nowhere, so every refit of an edited history raises
+    monkeypatch.setattr(carpnet.likelihood, "_MAX_ITER", 1)
+    net, hist, report = toy_sensitivity
+    states = hist.states.copy()
+    active = np.nonzero(hist.states[0])[0]
+    states[0, derive_rng(21, 4, 0).choice(active, size=report.n_deactivated[0], replace=False)] = 0
+    with pytest.raises(ConvergenceError) as first:
+        fit(hist.with_states(states), net)
+    with pytest.raises(ConvergenceError) as raised:
+        sensitivity_suite(net, hist, TOY_PARAMS, perturbation=0.1, master_seed=21)
+    assert str(raised.value) == str(first.value) == "no simplex start converged within 1 iterations"
