@@ -110,11 +110,8 @@ def _simulated_history(network, params, seed, months, burnin):
         network, params, start, months - 1, seed, [0],
         rng_path_prefix=(11,), keep_states=True,
     )
-    states = np.concatenate(
-        [start[:, None].astype(np.uint8), rest.states[0]], axis=1
-    )
     labels = month_sequence("2000-01", months)
-    return build_history(network, labels, states)
+    return build_history(network, labels, rest.states[0])
 
 
 def make_synthetic_2013(root: Path) -> None:

@@ -118,7 +118,7 @@ class CascadeBatch:
     activation_counts: np.ndarray  # int (n_runs, R): passive->active flips
     checkpoints: tuple[int, ...]
     checkpoint_frequency: np.ndarray | None  # float (n_cp, n_runs, R)
-    states: np.ndarray | None  # uint8 (n_runs, R, n_steps)
+    states: np.ndarray | None  # uint8 (n_runs, R, n_steps + 1); month 0 is ``initial``
     cause_counts: np.ndarray | None  # int (n_runs, 3): internal-only, external-only, both
 
 
@@ -174,8 +174,10 @@ def run_cascades(
 
     active_months = np.zeros((n, R), dtype=np.int64)
     activation_counts = np.zeros((n, R), dtype=np.int64)
-    states = np.zeros((n, R, n_steps), dtype=np.uint8) if keep_states else None
+    states = np.zeros((n, R, n_steps + 1), dtype=np.uint8) if keep_states else None
     cause_counts = np.zeros((n, 3), dtype=np.int64) if track_causes else None
+    if states is not None:
+        states[:, :, 0] = initial
 
     gens = [derive_rng(master_seed, *rng_path_prefix, r) for r in run_indices]
     buf = np.empty((n, _REFILL_STEPS, 2, R), dtype=float)
@@ -201,7 +203,7 @@ def run_cascades(
         active_months += active
         activation_counts += activated
         if states is not None:
-            states[:, :, t] = active
+            states[:, :, t + 1] = active
         if cause_counts is not None:
             both = activated & int_fire & ext_fire
             cause_counts[:, 0] += (activated & int_fire & ~ext_fire).sum(axis=1)

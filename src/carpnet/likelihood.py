@@ -1,4 +1,4 @@
-"""Maximum-likelihood estimation of the cascade parameters from a history.
+"""Maximum-likelihood estimation of the cascade parameters from histories.
 
 The log-likelihood of a history is the sum over months and risks of the
 log-probability of each observed monthly transition:
@@ -11,7 +11,9 @@ log-probability of each observed monthly transition:
 where k is the number of the risk's neighbors active in the source month.
 Because every term depends on the data only through (risk, k) pairs and
 per-risk counts, the whole objective collapses to a handful of grouped
-sufficient statistics computed once per history.
+sufficient statistics.  ``TransitionSummary`` computes them for an
+(H, R, T) stack of 0/1 state matrices in one pass, one row per history,
+and evaluates the objective of any rows at once.
 
 Fitting runs a coarse log-spaced grid over the box [0, 10] per parameter
 and refines the best cells with deterministic Nelder-Mead simplexes, so
@@ -28,8 +30,6 @@ it.  The search settings are the module constants below; only
 from __future__ import annotations
 
 import bisect
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -51,7 +51,6 @@ _FATOL = 1e-8
 _MAX_ITER = 2000
 # fit_many fits this many histories at a time, which bounds its memory.
 _BLOCK = 32
-_ROW0 = np.zeros(1, dtype=np.int64)  # TransitionSummary.loglik's row of its one-history stack
 
 
 @dataclass(frozen=True)
@@ -63,53 +62,86 @@ class FitResult:
     boundary_flags: tuple[str, ...]
 
 
+def _state_cube(states, n_risks: int) -> np.ndarray:
+    """``states`` as a uint8 (H, R, T) array, checked before the cast (which
+    would wrap 256 to 0): R = ``n_risks``, T >= 2 and every entry 0 or 1."""
+    states = np.asarray(states)
+    if states.ndim != 3 or states.shape[1] != n_risks or states.shape[2] < 2:
+        raise DataError(f"need an (H, {n_risks}, T) stack of states with T >= 2, "
+                        f"got shape {states.shape}")
+    blocks = (states[lo:lo + _BLOCK] for lo in range(0, len(states), _BLOCK))  # bounds the memory
+    if not all(((block == 0) | (block == 1)).all() for block in blocks):
+        raise DataError("history states must be 0 or 1")
+    return states.astype(np.uint8, copy=False)
+
+
 class TransitionSummary:
-    """Grouped sufficient statistics of one (network, history) pair."""
+    """Grouped sufficient statistics of an (H, R, T) stack of histories on one
+    network, one row per history.
 
-    def __init__(self, history: HistoryMatrix, network: RiskNetwork):
-        if history.risk_ids != network.ids:
-            raise DataError("history risks are not aligned to the network")
-        S = history.states.astype(np.int64)
-        A = network.adjacency_float
-        K = (A @ S)[:, :-1]  # active neighbors in each source month
-        src, dst = S[:, :-1], S[:, 1:]
-        log1m = np.log1p(-network.likelihoods)
+    Row h holds ``c00_l`` and ``c00_kl`` (the passive -> passive sums of
+    ln(1-L) and k ln(1-L)), ``s10_l`` (the active -> passive sum of
+    ln(1-L)), the activation terms by (risk, k) and the active -> active
+    months by risk, plus the counts behind the fit's data flags.  Each sum
+    adds the same values in the same order as a summary of history h alone.
+    """
 
-        m00 = (src == 0) & (dst == 0)
-        m01 = (src == 0) & (dst == 1)
-        m10 = (src == 1) & (dst == 0)
-        m11 = (src == 1) & (dst == 1)
+    def __init__(self, states, network: RiskNetwork):
+        S = _state_cube(states, network.n_risks)
+        H, R, _ = S.shape
+        A, log1m = network.adjacency_float, np.log1p(-network.likelihoods)
+        code = 2 * S[:, :, :-1] + S[:, :, 1:]  # 0: 0->0, 1: 0->1, 2: 1->0, 3: 1->1
+        n00, n01, n10, n11 = ((code == c).sum(axis=2) for c in range(4))  # (H, R) each
 
-        i00 = np.nonzero(m00)[0]
-        self.c00_l = float(log1m[i00].sum())
-        self.c00_kl = float((log1m[i00] * K[m00]).sum())
+        self.c00_l, self.c00_kl, self.s10_l = np.empty((3, H))
+        self.external_exposure = np.empty(H, dtype=bool)
+        k01 = [np.zeros(0, np.int64)]  # each history's active neighbors at its 0->1 cells
+        for h in range(H):
+            K = A @ S[h, :, :-1]  # active neighbors in each source month
+            l00 = np.repeat(log1m, n00[h])  # ln(1-L) of each 0->0 cell, risk by risk
+            self.c00_l[h] = l00.sum()
+            self.c00_kl[h] = (l00 * K[code[h] == 0]).sum()
+            self.s10_l[h] = np.repeat(log1m, n10[h]).sum()
+            self.external_exposure[h] = (K[code[h] < 2] > 0).any()
+            k01.append(K[code[h] == 1].astype(np.int64))
 
-        i01 = np.nonzero(m01)[0]
-        k01 = K[m01].astype(np.int64)
-        kmax = int(k01.max()) if k01.size else 0
-        key = i01 * (kmax + 1) + k01
-        uniq, counts = np.unique(key, return_counts=True)
-        self.l01 = log1m[uniq // (kmax + 1)]
-        self.k01 = (uniq % (kmax + 1)).astype(np.float64)
-        self.c01 = counts.astype(np.float64)
+        # activations grouped by (history, risk, k), sorted in that order
+        cell = np.flatnonzero(code == 1) // code.shape[2]  # h*R + risk of each 0->1 cell
+        k01 = np.concatenate(k01)
+        span = int(k01.max(initial=0)) + 1
+        key, counts = np.unique(cell * span + k01, return_counts=True)
+        self.activations = _Terms(H, key // span // R, counts.astype(float),
+                                  log1m[key // span % R], (key % span).astype(float))
+        cell = np.flatnonzero(n11)  # h*R + risk with an active -> active month
+        self.continuations = _Terms(H, cell // R, n11.flat[cell].astype(float), log1m[cell % R])
 
-        n11 = np.bincount(np.nonzero(m11)[0], minlength=network.n_risks).astype(float)
-        self.n11, self.l11 = n11[n11 > 0], log1m[n11 > 0]  # risks with an active -> active month
-        self.s10_l = float(log1m[np.nonzero(m10)[0]].sum())
+        self.n_activations = n01.sum(axis=1)
+        self.n_recoveries = n10.sum(axis=1)
+        self.n_active_source = self.n_recoveries + n11.sum(axis=1)
 
-        self.n_activations = int(m01.sum())
-        self.n_recoveries = int(m10.sum())
-        self.n_active_source = int(m10.sum() + m11.sum())
-        self.external_exposure = bool((K[(src == 0)] > 0).any())
+    def loglik(self, rows, alpha, beta, gamma) -> np.ndarray:
+        """Log-likelihood of history ``rows[i]`` at the i-th (alpha, beta,
+        gamma); ``-inf`` where an observed transition is impossible."""
+        total = alpha * self.c00_l[rows] + beta * self.c00_kl[rows]
+        with np.errstate(divide="ignore"):
+            total += self.activations.sums(rows, alpha, beta)
+            total += gamma * self.s10_l[rows]
+            total += self.continuations.sums(rows, gamma)
+        return total
 
-    def loglik(self, alpha: float, beta: float, gamma: float) -> float:
-        """Log-likelihood; ``-inf`` when an observed transition is impossible."""
-        one = lambda v: np.array([v], dtype=float)
-        return float(self._stack.loglik(_ROW0, one(alpha), one(beta), one(gamma))[0])
-
-    @functools.cached_property
-    def _stack(self) -> _SummaryStack:
-        return _SummaryStack([self])
+    def grid(self, row, alphas, betas, gammas) -> np.ndarray:
+        """``loglik`` of history ``row``, bit for bit, at every point of three
+        axes: an (alpha, beta, gamma) array.  The terms separate, so the
+        activations are summed once per (alpha, beta) pair and the
+        continuations once per gamma."""
+        a, b, g = (np.asarray(axis, dtype=float) for axis in (alphas, betas, gammas))
+        a, b = np.broadcast_arrays(a[:, None], b)
+        total = a * self.c00_l[row] + b * self.c00_kl[row]
+        with np.errstate(divide="ignore"):
+            total += self.activations.sums(np.full(a.size, row), a.ravel(), b.ravel()).reshape(a.shape)
+            total = total[:, :, None] + g * self.s10_l[row]
+            total += self.continuations.sums(np.full(g.size, row), g)
+        return total
 
 
 class _Terms:
@@ -117,21 +149,16 @@ class _Terms:
 
     Row i sums ``w * log(1 - exp((a + b*k) * l))`` over its terms, for a
     point's (a, b): alpha and beta for the activations by (risk, k), and
-    gamma (with no k) for the risks' active -> active months.  Rows are
-    zero-padded to the longest; the padding is left out of every sum.
+    gamma (with no k) for the risks' active -> active months.  The terms
+    come flat, sorted by ``row``; rows are zero-padded to the longest, and
+    the padding is left out of every sum.
     """
 
-    def __init__(self, w, l, k=None):
-        self.sizes = np.array([row.size for row in w], dtype=np.int64)
-        width = max(self.sizes.tolist(), default=0)
-        def pad(rows):
-            out = np.zeros((len(rows), width))
-            for padded, row in zip(out, rows):
-                padded[:row.size] = row
-            return out
-
-        self.w, self.l = pad(w), pad(l)
-        self.k = None if k is None else pad(k)
+    def __init__(self, n_rows, row, w, l, *k):
+        self.sizes = np.bincount(row, minlength=n_rows)
+        padded = np.zeros((2 + len(k), n_rows, self.sizes.max(initial=0)))
+        padded[:, row, np.arange(row.size) - (np.cumsum(self.sizes) - self.sizes)[row]] = w, l, *k
+        self.w, self.l, self.k = (*padded, None)[:3]  # no k for the continuations
 
     def sums(self, rows, a, b=None) -> np.ndarray:
         """Row ``rows[i]``'s sum at ``(a[i], b[i])``, as ``w @ log(-expm1(e))``
@@ -161,43 +188,6 @@ class _Terms:
             np.vecdot(self.w[rows[lo:hi], :n], e[lo:hi, :n], out=out[lo:hi])
         out[order] = out.copy()
         return out
-
-
-class _SummaryStack:
-    """The ``TransitionSummary`` statistics of several histories, one row each."""
-
-    def __init__(self, summaries):
-        self.c00_l, self.c00_kl, self.s10_l = (
-            np.array([getattr(s, name) for s in summaries], dtype=float)
-            for name in ("c00_l", "c00_kl", "s10_l"))
-        self.activations = _Terms(*([getattr(s, name) for s in summaries]
-                                    for name in ("c01", "l01", "k01")))
-        self.continuations = _Terms(*([getattr(s, name) for s in summaries]
-                                      for name in ("n11", "l11")))
-
-    def loglik(self, rows, alpha, beta, gamma) -> np.ndarray:
-        """``TransitionSummary.loglik`` of history ``rows[i]`` at the i-th
-        (alpha, beta, gamma), with the same float operations in the same order."""
-        total = alpha * self.c00_l[rows] + beta * self.c00_kl[rows]
-        with np.errstate(divide="ignore"):
-            total += self.activations.sums(rows, alpha, beta)
-            total += gamma * self.s10_l[rows]
-            total += self.continuations.sums(rows, gamma)
-        return total
-
-    def grid(self, row, alphas, betas, gammas) -> np.ndarray:
-        """``loglik`` of history ``row``, bit for bit, at every point of three
-        axes: an (alpha, beta, gamma) array.  The terms separate, so the
-        activations are summed once per (alpha, beta) pair and the
-        continuations once per gamma."""
-        a, b, g = (np.asarray(axis, dtype=float) for axis in (alphas, betas, gammas))
-        a, b = np.broadcast_arrays(a[:, None], b)
-        total = a * self.c00_l[row] + b * self.c00_kl[row]
-        with np.errstate(divide="ignore"):
-            total += self.activations.sums(np.full(a.size, row), a.ravel(), b.ravel()).reshape(a.shape)
-            total = total[:, :, None] + g * self.s10_l[row]
-            total += self.continuations.sums(np.full(g.size, row), g)
-        return total
 
 
 def _nelder_mead_many(fn, x0):
@@ -284,24 +274,21 @@ def _nelder_mead_many(fn, x0):
     return simplex[every, best], fvals[every, best], iterations, converged
 
 
-def _fits(histories, network, fix_beta):
-    """``fit`` of each history, or the ConvergenceError that it raises.
-
-    The histories are read and fitted _BLOCK at a time.
-    """
+def _fits(states, network, fix_beta):
+    """``fit`` of each history of a state stack, or the ConvergenceError that
+    it raises.  The histories are fitted _BLOCK at a time."""
     if fix_beta is not None and not (math.isfinite(fix_beta) and fix_beta >= 0):
         raise DataError(f"fix_beta must be finite and non-negative, got {fix_beta}")
-    histories = iter(histories)
+    states = _state_cube(states, network.n_risks)
     results = []
-    while block := [TransitionSummary(h, network) for h in itertools.islice(histories, _BLOCK)]:
-        results += _fit_block(block, fix_beta)
+    for lo in range(0, len(states), _BLOCK):
+        results += _fit_block(TransitionSummary(states[lo:lo + _BLOCK], network), fix_beta)
     return results
 
 
-def _fit_block(summaries, fix_beta):
-    """``_fits`` of the histories of ``summaries``, all simplexes in one lockstep search."""
-    stack = _SummaryStack(summaries)
-
+def _fit_block(stack, fix_beta):
+    """``_fits`` of the histories of ``stack``, all simplexes in one lockstep search."""
+    n_histories = len(stack.c00_l)
     ndim = 3 if fix_beta is None else 2
     axis = np.geomspace(_GRID_MIN, _GRID_MAX, _GRID_POINTS)
     grids = np.meshgrid(*([axis] * ndim), indexing="ij")
@@ -309,9 +296,9 @@ def _fit_block(summaries, fix_beta):
     betas = axis if fix_beta is None else [fix_beta]
     starts = np.array([
         points[np.argsort(-stack.grid(h, axis, betas, axis).ravel(), kind="stable")[:_STARTS]]
-        for h in range(len(summaries))
+        for h in range(n_histories)
     ]).reshape(-1, ndim)
-    owner = np.repeat(np.arange(len(summaries)), _STARTS)
+    owner = np.repeat(np.arange(n_histories), _STARTS)
 
     def neg_loglik(x, simplexes):
         beta = x[:, 1] if fix_beta is None else np.full(len(x), float(fix_beta))
@@ -320,7 +307,7 @@ def _fit_block(summaries, fix_beta):
     best_x, best_f, iterations, converged = _nelder_mead_many(neg_loglik, starts)
 
     results = []
-    for h, summary in enumerate(summaries):
+    for h in range(n_histories):
         own = slice(h * _STARTS, (h + 1) * _STARTS)
         best = own.start + int(np.argmin(best_f[own]))  # the first start of equal optima
         if not np.isfinite(best_f[best]):
@@ -334,10 +321,10 @@ def _fit_block(summaries, fix_beta):
         params = ModelParams(alpha=alpha, beta=float(beta), gamma=gamma)
 
         flags = [flag for flag, on in (
-            ("no_activations", summary.n_activations == 0),
-            ("no_recoveries", summary.n_recoveries == 0),
-            ("beta_unidentified", not summary.external_exposure),
-            ("gamma_unidentified", summary.n_active_source == 0),
+            ("no_activations", stack.n_activations[h] == 0),
+            ("no_recoveries", stack.n_recoveries[h] == 0),
+            ("beta_unidentified", not stack.external_exposure[h]),
+            ("gamma_unidentified", stack.n_active_source[h] == 0),
         ) if on]
         for name, value in zip(("alpha", "beta", "gamma"), params.as_tuple()):
             if name == "beta" and fix_beta is not None:
@@ -358,18 +345,21 @@ def _fit_block(summaries, fix_beta):
 
 
 def fit_many(
-    histories, network: RiskNetwork, *, fix_beta: float | None = None
+    states, network: RiskNetwork, *, fix_beta: float | None = None
 ) -> list[FitResult | None]:
-    """``fit`` of every history of an iterable, all aligned to one network.
+    """``fit`` of every history of an (H, R, T) stack of 0/1 state matrices,
+    each in the risk order of ``network``.
 
-    Entry i equals ``fit(history_i, network, fix_beta=fix_beta)`` bit for
+    Entry h equals ``fit`` of a history with states ``states[h]`` bit for
     bit, or is None where that call raises ConvergenceError.  Histories are
-    read and fitted _BLOCK at a time, their simplexes stepping together as
-    array code, so a batch makes far fewer numpy calls than one ``fit`` per
-    history.  Raises DataError as ``fit`` does.
+    fitted _BLOCK at a time, their simplexes stepping together as array
+    code, so a batch makes far fewer numpy calls than one ``fit`` per
+    history.  Raises DataError for a bad ``fix_beta``, or for a stack that
+    is not 3-D, has other than ``network.n_risks`` rows or fewer than two
+    months, or holds a value other than 0 and 1.
     """
     return [None if isinstance(r, ConvergenceError) else r
-            for r in _fits(histories, network, fix_beta)]
+            for r in _fits(states, network, fix_beta)]
 
 
 def fit(
@@ -387,7 +377,9 @@ def fit(
     where the observed data are impossible, or if no start converges within
     ``_MAX_ITER`` steps.
     """
-    result, = _fits([history], network, fix_beta)
+    if history.risk_ids != network.ids:
+        raise DataError("history risks are not aligned to the network")
+    result, = _fits(history.states[None], network, fix_beta)
     if isinstance(result, ConvergenceError):
         raise result
     return result

@@ -127,7 +127,11 @@ def _prove_and_polish(lo, r, A, params: ModelParams, log1m, rec, start: int):
 def _iterate(P, A, params: ModelParams, log1m, rec):
     """Sweep the columns of ``P`` until each residual |F(p) - p| is below ``_TOL``.
 
-    A column freezes at that pre-map iterate, so its residual is its
+    A small residual ends a column only where it is exactly 0 or where y = p
+    passes the M-matrix test, z = p - J(p)p > 0 on the rows with L > 0.  F is
+    concave, so z >= F(0) - r, positive near a fixed point when alpha > 0;
+    at p = 0, where a tiny alpha leaves r = F(0) below ``_TOL``, z is 0.  A
+    column freezes at that pre-map iterate, so its residual is its
     stationarity defect; later sweeps map only the active columns, and every
     ``_CHECK_EVERY`` sweeps those that :func:`_prove_and_polish` proves leave.
     Also returns each column's step count, most negative sweep step, and
@@ -144,6 +148,10 @@ def _iterate(P, A, params: ModelParams, log1m, rec):
         res = np.max(np.abs(step), axis=0)
         drop = np.minimum(drop, np.min(step, axis=0))
         leave = done = res < _TOL
+        if (near := np.flatnonzero(done & (res > 0))).size:
+            p = P[:, near]
+            z = p - _slope(p, A, params, log1m[:, near], rec[:, near]) * (A @ p)
+            done[near] = ((z > 0) | (log1m[:, near] == 0)).all(axis=0)
         if done.any():
             cols = active[done]
             out[:, cols] = P[:, done]

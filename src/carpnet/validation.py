@@ -152,9 +152,7 @@ def recovery_experiment(
         range(n_replicates), rng_path_prefix=(1,),
         keep_states=True, track_causes=True,
     )
-    refits = fit_many((
-        history.with_states(np.hstack([history.states[:, :1], states])) for states in batch.states
-    ), network)
+    refits = fit_many(batch.states, network)
     params = np.array([(math.nan,) * 3 if r is None else r.params.as_tuple() for r in refits])
 
     internal, external, both = batch.cause_counts.T
@@ -323,11 +321,11 @@ class NetworkEffectReport:
     independent_infinite_steps: tuple[int, ...]
 
 
-def step_activation_counts(history: HistoryMatrix) -> np.ndarray:
-    """Number of passive->active flips at each month-to-month step."""
-    src = history.states[:, :-1]
-    dst = history.states[:, 1:]
-    return ((src == 0) & (dst == 1)).sum(axis=0).astype(np.int64)
+def step_activation_counts(states) -> np.ndarray:
+    """Number of passive->active flips at each month-to-month step of an
+    (..., R, T) stack of state matrices: an (..., T - 1) array."""
+    states = np.asarray(states)
+    return ((states[..., :-1] == 0) & (states[..., 1:] == 1)).sum(axis=-2)
 
 
 def _coverage_multiple(historical, mean, std):
@@ -359,7 +357,7 @@ def network_effect_comparison(
         raise DataError("history risks are not aligned to the network")
     if runs < 2:
         raise DataError("need at least 2 runs to estimate a standard deviation")
-    historical = step_activation_counts(history).astype(float)
+    historical = step_activation_counts(history.states).astype(float)
     initial = history.states[:, 0].astype(bool)
     n_steps = history.n_months - 1
 
@@ -367,13 +365,11 @@ def network_effect_comparison(
     independent_params = fit(history, edgeless, fix_beta=0.0).params
 
     def band(net, p):
-        states = run_cascades(
+        batch = run_cascades(
             net, p, initial, n_steps, master_seed,
             range(runs), rng_path_prefix=(3,), keep_states=True,
-        ).states.astype(bool)  # (runs, R, n_steps)
-        before = np.roll(states, 1, axis=2)  # the state each step starts from
-        before[:, :, 0] = initial
-        counts = (~before & states).sum(axis=1).astype(float)
+        )
+        counts = step_activation_counts(batch.states).astype(float)  # (runs, n_steps)
         return counts.mean(axis=0), counts.std(axis=0, ddof=1)
 
     net_mean, net_std = band(network, params)
@@ -461,7 +457,7 @@ def sensitivity_suite(
     all_likelihood = all_cut.p_hat - base
 
     n_deactivated = np.zeros(R, dtype=np.int64)
-    edited = []  # the history with each risk's drop, then with all of them
+    edits = []  # the history with each risk's drop
     union = history.states.copy()
     for i in range(R):
         active_cols = np.nonzero(history.states[i])[0]
@@ -473,17 +469,16 @@ def sensitivity_suite(
         states = history.states.copy()
         states[i, drop] = 0
         union[i, drop] = 0
-        edited.append(history.with_states(states))
-    if edited:
-        edited.append(history.with_states(union))
-    refits = fit_many(edited, network)
-    if None in refits:
-        fit(edited[refits.index(None)], network)  # raises that refit's ConvergenceError
+        edits.append(states)
+    edited = np.array([*edits, union])  # each risk's drop, then all of them
+    refits = fit_many(edited, network) if edits else []
+    if None in refits:  # raises that refit's ConvergenceError
+        fit(history.with_states(edited[refits.index(None)]), network)
 
     single_history = np.zeros(R)
     for i, refit in zip(np.flatnonzero(n_deactivated), refits):
         single_history[i] = solve_steady_state(refit.params, network).p_hat[i] - base[i]
-    all_params = refits[-1].params if edited else params
+    all_params = refits[-1].params if edits else params
     all_history = solve_steady_state(all_params, network).p_hat - base
 
     return SensitivityReport(

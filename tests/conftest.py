@@ -13,6 +13,7 @@ from carpnet import (
     ModelParams,
     Risk,
     RiskNetwork,
+    TransitionSummary,
     build_network,
     load_history,
     load_network,
@@ -64,6 +65,20 @@ def make_network(
         c = counts[j] if counts else 1
         pairs.append(ExpertPairCount(f"r{u + 1}", f"r{v + 1}", int(c)))
     return build_network(risks, pairs)
+
+
+def row_loglik(summary: TransitionSummary, h: int = 0):
+    """Row ``h`` of ``summary.loglik`` as a scalar function of one
+    (alpha, beta, gamma) point."""
+    def loglik(alpha, beta, gamma):
+        point = (np.array([v], dtype=float) for v in (alpha, beta, gamma))
+        return float(summary.loglik(np.array([h]), *point)[0])
+    return loglik
+
+
+def history_loglik(history, params: ModelParams, network: RiskNetwork) -> float:
+    """The log-likelihood of one history at ``params``."""
+    return row_loglik(TransitionSummary(history.states[None], network))(*params.as_tuple())
 
 
 def load_generator():

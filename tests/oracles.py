@@ -103,26 +103,32 @@ def naive_log_likelihood(states, adjacency, L, alpha, beta, gamma):
     return total
 
 
-def summary_log_likelihood(summary, alpha, beta, gamma):
-    """Log-likelihood from a history's grouped sufficient statistics, one point.
+def summary_log_likelihood(summary, h, alpha, beta, gamma):
+    """Log-likelihood of history ``h`` from a stack's grouped sufficient
+    statistics, one point.
 
-    ``summary`` carries the fields of carpnet's ``TransitionSummary``.  The
-    float operations and their order are those that carpnet's stacked
-    evaluation must reproduce bit for bit: each term group is one BLAS dot
-    product of the counts with ``log(-expm1(e))``, and an impossible
-    transition returns ``-inf`` before any logarithm is taken.
+    ``summary`` carries the fields of carpnet's ``TransitionSummary``: the
+    per-history sums ``c00_l``, ``c00_kl`` and ``s10_l``, and the term groups
+    ``activations`` (counts ``w``, ln(1-L) ``l`` and neighbor counts ``k``) and
+    ``continuations`` (``w`` and ``l``), whose row h holds ``sizes[h]`` terms
+    and then zero padding.  The float operations and their order are those
+    that carpnet's stacked evaluation must reproduce bit for bit: each term
+    group is one BLAS dot product of the counts with ``log(-expm1(e))``, and
+    an impossible transition returns ``-inf`` before any logarithm is taken.
     """
-    total = alpha * summary.c00_l + beta * summary.c00_kl
-    if summary.c01.size:
-        e01 = (alpha + beta * summary.k01) * summary.l01
+    acts, cont = summary.activations, summary.continuations
+    n01, n11 = acts.sizes[h], cont.sizes[h]
+    total = alpha * summary.c00_l[h] + beta * summary.c00_kl[h]
+    if n01:
+        e01 = (alpha + beta * acts.k[h, :n01]) * acts.l[h, :n01]
         if (e01 == 0.0).any():
             return -np.inf
-        total += float(summary.c01 @ np.log(-np.expm1(e01)))
-    total += gamma * summary.s10_l
-    if summary.n11.size:
+        total += float(acts.w[h, :n01] @ np.log(-np.expm1(e01)))
+    total += gamma * summary.s10_l[h]
+    if n11:
         if gamma == 0.0:
             return -np.inf
-        total += float(summary.n11 @ np.log(-np.expm1(gamma * summary.l11)))
+        total += float(cont.w[h, :n11] @ np.log(-np.expm1(gamma * cont.l[h, :n11])))
     return total
 
 

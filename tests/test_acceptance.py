@@ -164,7 +164,7 @@ def test_05_recovery_error_shrinks_with_history(fixture_network):
         )
         hist = build_history(
             fixture_network, month_sequence("2000-01", T),
-            batch.states[0][:, 240:].astype(np.uint8),
+            batch.states[0][:, 241:],
         )
         fitted = fit(hist, fixture_network).params
         return np.abs(np.array(fitted.as_tuple()) / truth - 1).max()
@@ -209,7 +209,7 @@ def test_06_network_model_covers_its_own_histories_tighter():
             )
             hist = build_history(
                 net, month_sequence("2000-01", 600),
-                batch.states[0][:, 240:].astype(np.uint8),
+                batch.states[0][:, 241:],
             )
             rep = network_effect_comparison(net, hist, gen, runs=100, master_seed=500 + trial)
             wins += rep.m_network < rep.m_independent

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from carpnet import (
     DataError,
     ModelParams,
-    TransitionSummary,
     build_history,
     default_checkpoints,
     fixed_point_map,
@@ -25,7 +24,7 @@ from carpnet import (
     trajectory_from_batch,
 )
 from carpnet.rng import derive_rng
-from conftest import make_network
+from conftest import history_loglik, make_network
 from oracles import cascade_step
 
 unit_floats = st.floats(0.05, 0.9)
@@ -85,7 +84,7 @@ def _star_activation(L, params, k):
     states = np.array([[0, 1]] + [[1, 1]] * k, dtype=np.uint8)
     hist = build_history(net, month_sequence("2001-01", 2), states)
     leaves = k * math.log(1 - (1 - L) ** params.gamma)
-    return math.exp(TransitionSummary(hist, net).loglik(*params.as_tuple()) - leaves)
+    return math.exp(history_loglik(hist, params, net) - leaves)
 
 
 def test_combined_activation_hand_value():
@@ -156,7 +155,7 @@ def test_engine_equals_step_loop():
     rng = derive_rng(6, 5, 7)
     state = initial
     flips = 0
-    states = []
+    states = [state]  # month 0 is the initial state
     for _ in range(n_steps):
         nxt = cascade_step(state, net.adjacency, net.likelihoods, *params.as_tuple(),
                            rng.random((2, 3)))
@@ -167,7 +166,7 @@ def test_engine_equals_step_loop():
 
     assert (batch.states[0] == states).all()
     assert (batch.final_active[0] == state).all()
-    assert (batch.active_months[0] == states.sum(axis=1)).all()
+    assert (batch.active_months[0] == states[:, 1:].sum(axis=1)).all()
     assert batch.activation_counts[0].sum() == flips
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +19,7 @@ from carpnet import (
     month_sequence,
     run_cascades,
 )
-from carpnet.likelihood import _SummaryStack
-from conftest import make_network
+from conftest import FIXTURE_PARAMS, history_loglik, make_network, row_loglik
 from oracles import naive_log_likelihood, reference_fit, summary_log_likelihood
 
 
@@ -28,23 +28,19 @@ def _history(net, states):
     return build_history(net, month_sequence("2001-01", states.shape[1]), states)
 
 
-def _loglik(hist, params, net):
-    return TransitionSummary(hist, net).loglik(*params.as_tuple())
-
-
 def test_all_passive_edgeless_history_hand_value():
     # alpha tuned so every passive->passive cell contributes exactly ln 0.9
     alpha = math.log(0.9) / math.log(0.7)
     net = make_network([0.3, 0.3, 0.3])
     hist = _history(net, np.zeros((3, 2)))
-    value = _loglik(hist, ModelParams(alpha, 0.5, 1.0), net)
+    value = history_loglik(hist, ModelParams(alpha, 0.5, 1.0), net)
     assert value == pytest.approx(3 * math.log(0.9), rel=1e-12)
 
 
 def test_recovery_cell_hand_value():
     net = make_network([0.5, 0.2], edges=[(0, 1)])
     hist = _history(net, [[1, 0], [0, 0]])
-    total = _loglik(hist, ModelParams(0.4, 0.4, 1.0), net)
+    total = history_loglik(hist, ModelParams(0.4, 0.4, 1.0), net)
     # r2 stays passive with one active neighbour: ln 0.8^(0.4 + 0.4*1)
     assert total - 0.8 * math.log(0.8) == pytest.approx(math.log(0.5), rel=1e-15)
 
@@ -53,14 +49,14 @@ def test_impossible_activation_raises():
     # an activation with no pressure at all has probability zero
     net = make_network([0.3])
     hist = _history(net, [[0, 1]])
-    assert _loglik(hist, ModelParams(0.0, 0.0, 1.0), net) == -math.inf
+    assert history_loglik(hist, ModelParams(0.0, 0.0, 1.0), net) == -math.inf
 
 
 def test_impossible_continuation_raises():
     # gamma = 0 recovers surely, so staying active has probability zero
     net = make_network([0.3])
     hist = _history(net, [[1, 1]])
-    assert _loglik(hist, ModelParams(0.2, 0.2, 0.0), net) == -math.inf
+    assert history_loglik(hist, ModelParams(0.2, 0.2, 0.0), net) == -math.inf
 
 
 small_states = st.integers(2, 4).flatmap(
@@ -98,7 +94,7 @@ def test_log_likelihood_agrees_with_naive_loops(data, alpha, beta, gamma):
     net, hist, states = _small_case(data)
     params = ModelParams(alpha, beta, gamma)
 
-    mine = _loglik(hist, params, net)
+    mine = history_loglik(hist, params, net)
     reference = naive_log_likelihood(states, net.adjacency, net.likelihoods, alpha, beta, gamma)
     assert mine == pytest.approx(reference, rel=1e-10, abs=1e-10)
 
@@ -119,8 +115,8 @@ def test_log_likelihood_is_permutation_equivariant(data, seed):
 
     net = make_network(L, edges=edges)
     net_p = make_network([L[i] for i in perm], edges=edges_p)
-    value = _loglik(_history(net, states), params, net)
-    value_p = _loglik(_history(net_p, states[perm]), params, net_p)
+    value = history_loglik(_history(net, states), params, net)
+    value_p = history_loglik(_history(net_p, states[perm]), params, net_p)
     assert value == pytest.approx(value_p, rel=1e-12, abs=1e-12)
 
 
@@ -146,13 +142,13 @@ def test_fit_recovers_generator_parameters(toy_fit):
 def test_fit_is_a_local_maximum(toy_fit):
     net, hist, truth, result = toy_fit
     best = result.log_likelihood
-    assert best == pytest.approx(_loglik(hist, result.params, net), rel=1e-12)
+    assert best == pytest.approx(history_loglik(hist, result.params, net), rel=1e-12)
     theta = np.array(result.params.as_tuple())
     for i in range(3):
         for sign in (-1, 1):
             bumped = theta.copy()
             bumped[i] = max(bumped[i] + sign * 1e-3, 1e-9)
-            nearby = _loglik(hist, ModelParams(*bumped), net)
+            nearby = history_loglik(hist, ModelParams(*bumped), net)
             assert nearby <= best + 1e-7
 
 
@@ -205,18 +201,19 @@ def test_summary_counts_match_hand_tally():
     #           months:  1  2  3  4
     states = np.array([[0, 1, 1, 0],
                        [1, 0, 0, 1]], dtype=np.uint8)
-    s = TransitionSummary(_history(net, states), net)
-    assert s.n_activations == 2  # r1 in month 2, r2 in month 4
-    assert s.n_recoveries == 2  # r1 in month 4, r2 in month 2
-    assert s.n_active_source == 3  # final-month activity is not a source
+    s = TransitionSummary(np.stack([states, 1 - states]), net)
+    assert s.n_activations.tolist() == [2, 2]  # r1 in month 2, r2 in month 4
+    assert s.n_recoveries.tolist() == [2, 2]  # r1 in month 4, r2 in month 2
+    assert s.n_active_source.tolist() == [3, 3]  # final-month activity is not a source
+    assert s.external_exposure.tolist() == [True, True]
 
 
-def _data_flags(summary):
+def _data_flags(summary, h=0):
     return tuple(flag for flag, on in (
-        ("no_activations", summary.n_activations == 0),
-        ("no_recoveries", summary.n_recoveries == 0),
-        ("beta_unidentified", not summary.external_exposure),
-        ("gamma_unidentified", summary.n_active_source == 0),
+        ("no_activations", summary.n_activations[h] == 0),
+        ("no_recoveries", summary.n_recoveries[h] == 0),
+        ("beta_unidentified", not summary.external_exposure[h]),
+        ("gamma_unidentified", summary.n_active_source[h] == 0),
     ) if on)
 
 
@@ -229,11 +226,11 @@ def _data_flags(summary):
 @example(data=(2, [[0, 1, 1], [0, 0, 1]], [True]), fix_beta=0.0)  # no recoveries
 def test_fit_matches_the_numpy_reference_search(data, fix_beta):
     """The fit equals the per-point-grid, numpy-simplex search bit for bit."""
-    net, hist, _ = _small_case(data)
-    summary = TransitionSummary(hist, net)
+    net, hist, states = _small_case(data)
+    summary = TransitionSummary(states[None], net)
     try:
         params, loglik, iterations, converged, bound_flags = reference_fit(
-            summary.loglik, fix_beta)
+            row_loglik(summary), fix_beta)
     except ArithmeticError:
         with pytest.raises(ConvergenceError):
             fit(hist, net, fix_beta=fix_beta)
@@ -254,55 +251,54 @@ def test_fit_matches_the_numpy_reference_search(data, fix_beta):
 ], ids=["production", "fixed-beta", "zeros"])
 def test_grid_is_loglik_at_every_point(request, dataset, axes):
     net = request.getfixturevalue(f"{dataset}_network")
-    summary = TransitionSummary(request.getfixturevalue(f"{dataset}_history"), net)
-    grid = _SummaryStack([summary]).grid(0, *axes)
-    pointwise = np.array([[[summary.loglik(a, b, g) for g in axes[2]] for b in axes[1]]
+    summary = TransitionSummary(request.getfixturevalue(f"{dataset}_history").states[None], net)
+    grid = summary.grid(0, *axes)
+    loglik = row_loglik(summary)
+    pointwise = np.array([[[loglik(a, b, g) for g in axes[2]] for b in axes[1]]
                           for a in axes[0]])
     assert grid.shape == pointwise.shape
     assert grid.tobytes() == pointwise.tobytes()
     assert not np.isnan(grid).any()
 
 
-def _degenerate_histories(net):
-    r = net.n_risks
+def _degenerate_states(r, t):
     return [
-        _history(net, np.zeros((r, 5))),  # no activations: an empty term group
-        _history(net, np.ones((r, 4))),  # never recovers
-        _history(net, np.tile([0, 1, 0, 1], (r, 1))),  # moves in unison: no exposure
+        np.zeros((r, t)),  # no activations: an empty term group
+        np.ones((r, t)),  # never recovers
+        np.tile(np.arange(t) % 2, (r, 1)),  # moves in unison: no exposure
     ]
 
 
-def _reference_result(history, net, fix_beta=None):
+def _reference_result(states, net, fix_beta=None):
     """``reference_fit`` as the FitResult that ``fit`` returns, or None where it raises."""
-    summary = TransitionSummary(history, net)
+    summary = TransitionSummary(states[None], net)
     try:
         params, loglik, iterations, converged, bound_flags = reference_fit(
-            summary.loglik, fix_beta)
+            row_loglik(summary), fix_beta)
     except ArithmeticError:
         return None
     return FitResult(ModelParams(*params), loglik, iterations, converged,
                      _data_flags(summary) + bound_flags)
 
 
-batches = st.integers(2, 4).flatmap(lambda r: st.tuples(
+batches = st.integers(2, 4).flatmap(lambda r: st.integers(2, 7).flatmap(lambda t: st.tuples(
     st.just(r),
     st.lists(st.booleans(), min_size=r * (r - 1) // 2, max_size=r * (r - 1) // 2),
-    st.lists(st.integers(2, 7).flatmap(lambda t: st.lists(
-        st.lists(st.integers(0, 1), min_size=t, max_size=t), min_size=r, max_size=r)),
-        min_size=1, max_size=4),
-))
+    st.lists(st.lists(st.lists(st.integers(0, 1), min_size=t, max_size=t),
+                      min_size=r, max_size=r), min_size=1, max_size=4),
+)))
 
 
 @given(batch=batches, fix_beta=st.sampled_from([None, 0.0, 0.3]), data=st.data())
 @settings(max_examples=12)
 def test_fit_many_matches_the_reference_search_on_mixed_batches(batch, fix_beta, data):
-    """Each history of one batch, degenerate ones among them, is fitted as alone."""
+    """Each history of one stack, degenerate ones among them, is fitted as alone."""
     r, edge_bits, drawn = batch
     net = _small_network(r, edge_bits)
-    histories = [_history(net, states) for states in drawn] + _degenerate_histories(net)
-    histories = [histories[i] for i in data.draw(st.permutations(range(len(histories))))]
-    results = fit_many(histories, net, fix_beta=fix_beta)
-    assert results == [_reference_result(h, net, fix_beta) for h in histories]
+    states = np.array(drawn + _degenerate_states(r, len(drawn[0][0])), dtype=np.uint8)
+    states = states[data.draw(st.permutations(range(len(states))))]
+    results = fit_many(states, net, fix_beta=fix_beta)
+    assert results == [_reference_result(s, net, fix_beta) for s in states]
 
 
 @pytest.mark.parametrize("block", [32, 3])
@@ -310,27 +306,54 @@ def test_fit_many_does_not_depend_on_the_batch(monkeypatch, block):
     """Alone, first or last among 8 (across blocks of 3, too): the same fit."""
     monkeypatch.setattr(carpnet.likelihood, "_BLOCK", block)
     net = make_network([0.25, 0.4, 0.3, 0.35], edges=[(0, 1), (1, 2), (2, 3), (0, 3)])
-    sims = run_cascades(net, ModelParams(0.4, 0.3, 1.2), np.zeros(4, bool), 90,
-                        master_seed=5, run_indices=range(5), keep_states=True).states
-    target, *others = [_history(net, s[:, :40 + 10 * i]) for i, s in enumerate(sims)]
-    others += _degenerate_histories(net)
-    alone = fit_many([target], net)
-    assert alone == [fit(target, net)]
-    assert fit_many([target, *others], net)[0] == alone[0]
-    assert fit_many([*others, target], net)[-1] == alone[0]
+    target, *others = run_cascades(net, ModelParams(0.4, 0.3, 1.2), np.zeros(4, bool), 59,
+                                   master_seed=5, run_indices=range(5), keep_states=True).states
+    others += _degenerate_states(4, 60)
+    alone = fit_many(target[None], net)
+    assert alone == [fit(_history(net, target), net)]
+    assert fit_many(np.array([target, *others]), net)[0] == alone[0]
+    assert fit_many(np.array([*others, target]), net)[-1] == alone[0]
+
+
+@pytest.mark.parametrize("states", [
+    np.zeros((2, 5)),  # one history, not a stack
+    np.zeros((1, 3, 5)),  # three risks on a two-risk network
+    np.zeros((1, 2, 1)),  # one month has no transition
+    np.full((1, 2, 5), 256),  # 0 once cast to uint8
+    np.full((1, 2, 5), -1),
+    np.full((1, 2, 5), 0.5),
+    np.full((1, 2, 5), np.nan),
+], ids=["2-D", "risks", "one-month", "256", "negative", "fraction", "nan"])
+def test_fit_many_rejects_a_malformed_stack(states):
+    net = make_network([0.2, 0.3], edges=[(0, 1)])
+    with pytest.raises(DataError, match="stack of states|0 or 1"):
+        fit_many(states, net)
+
+
+def test_fit_rejects_a_history_of_another_network(toy_history):
+    net = make_network([0.2] * toy_history.n_risks)
+    with pytest.raises(DataError, match="not aligned"):
+        fit(toy_history, net)
 
 
 @pytest.fixture(scope="module")
 def ragged_stack(fixture_network, fixture_history):
-    """Summaries of histories of unequal length on the fixture network, so each
-    term group is ragged: 0 to 185 activation terms per history."""
+    """Statistics of a stack of fixture-length histories whose term groups are
+    ragged (0 to about 200 activation terms per history), and each history's
+    statistics computed alone."""
     net, states = fixture_network, fixture_history.states
-    histories = [_history(net, states[:, :t]) for t in (156, 40, 100, 12, 155)]
-    histories += _degenerate_histories(net)
-    lone = np.zeros((net.n_risks, 2))
-    lone[0, 1] = 1
-    histories.append(_history(net, lone))  # one activation, at k = 0
-    return [TransitionSummary(h, net) for h in histories]
+    r, t = states.shape
+    early = states.copy()
+    early[:, 40:] = 0
+    lone = np.zeros((r, t))
+    lone[0, 1] = 1  # one activation, at k = 0
+    histories = np.array([states, states[:, ::-1], np.roll(states, 1, axis=0), early,
+                          states * (np.arange(r) < 7)[:, None], *_degenerate_states(r, t), lone],
+                         dtype=np.uint8)
+    stack = TransitionSummary(histories, net)
+    sizes = stack.activations.sizes.tolist()
+    assert len(sizes) == 9 and min(sizes) == 0 and len(set(sizes)) >= 7
+    return stack, [TransitionSummary(h[None], net) for h in histories]
 
 
 coordinate = st.sampled_from([0.0, 1e-300, 1e-4, 0.3]) | st.floats(0.0, 10.0)
@@ -340,17 +363,34 @@ coordinate = st.sampled_from([0.0, 1e-300, 1e-4, 0.3]) | st.floats(0.0, 10.0)
                        min_size=1, max_size=20))
 @settings(max_examples=40)
 def test_stacked_objective_is_loglik_row_by_row(ragged_stack, points):
-    """One stacked call equals one ``loglik`` per point, ``-inf`` included."""
+    """One stacked call equals one call per point on each history alone, ``-inf`` included."""
     # alpha = beta = 0 with an activation at k = 0, and gamma = 0 with an
     # active -> active month, are impossible
+    stack, alone = ragged_stack
     points = points + [(h, 0.0, 0.0, 1.0) for h in range(9)] + [(h, 0.5, 0.1, 0.0) for h in range(9)]
     rows, alpha, beta, gamma = (np.array(column) for column in zip(*points))
-    stacked = _SummaryStack(ragged_stack).loglik(rows, alpha, beta, gamma)
-    one_by_one = np.array([ragged_stack[h].loglik(a, b, g) for h, a, b, g in points])
-    reference = np.array([summary_log_likelihood(ragged_stack[h], a, b, g)
-                          for h, a, b, g in points])
+    stacked = stack.loglik(rows, alpha, beta, gamma)
+    one_by_one = np.array([row_loglik(alone[h])(a, b, g) for h, a, b, g in points])
+    reference = np.array([summary_log_likelihood(stack, h, a, b, g) for h, a, b, g in points])
     assert stacked.tobytes() == one_by_one.tobytes() == reference.tobytes()
     assert np.isneginf(stacked).any() and not np.isnan(stacked).any()
+
+
+def test_one_block_of_statistics_is_lean(fixture_network, fixture_history):
+    """A block of recovery-like histories costs a few MB to summarize, not a
+    3-D index array per transition kind."""
+    net, hist = fixture_network, fixture_history
+    states = run_cascades(net, FIXTURE_PARAMS, hist.states[:, 0].astype(bool), hist.n_months - 1,
+                          0, range(carpnet.likelihood._BLOCK), rng_path_prefix=(1,),
+                          keep_states=True).states
+    net.adjacency_float  # built and cached outside the measurement
+    tracemalloc.start()
+    try:
+        TransitionSummary(states, net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 def test_recovery_seed0_refits_match_the_reference_search(fixture_network, fixture_history):
@@ -359,5 +399,4 @@ def test_recovery_seed0_refits_match_the_reference_search(fixture_network, fixtu
     batch = run_cascades(net, ModelParams(0.3, 0.02, 1.0), hist.states[:, 0].astype(bool),
                          hist.n_months - 1, 0, range(10), rng_path_prefix=(1,),
                          keep_states=True, track_causes=True)
-    sims = [hist.with_states(np.hstack([hist.states[:, :1], s])) for s in batch.states]
-    assert fit_many(sims, net) == [_reference_result(sim, net) for sim in sims]
+    assert fit_many(batch.states, net) == [_reference_result(s, net) for s in batch.states]

@@ -214,6 +214,27 @@ def test_subcritical_pure_contagion_is_certified_exactly():
     assert (ss.p_hat == 0.0).all()
 
 
+@pytest.mark.parametrize("dataset, p_max", [("fixture", 0.501), ("toy", 0.311)])
+@pytest.mark.parametrize("alpha", [1e-15, 1e-13])
+def test_tiny_alpha_does_not_stop_at_zero(request, dataset, p_max, alpha):
+    # F(0) is below tol, so p = 0 has a residual below tol, yet it is no fixed
+    # point: for alpha > 0 the fixed point is unique, and a sweep down from
+    # p = 1 finds it
+    net = request.getfixturevalue(f"{dataset}_network")
+    params = ModelParams(alpha, 0.12, 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ss = solve_steady_state(params, net)
+    assert ss.unique and ss.error_bound < 1e-12
+    p = np.ones(net.n_risks)
+    for _ in range(10_000):
+        p, before = fixed_point_map(p, params, net), p
+        if np.abs(p - before).max() < 1e-15:
+            break
+    assert np.abs(ss.p_hat - p).max() <= 1e-12
+    assert ss.p_hat.max() == pytest.approx(p_max, abs=1e-3)
+
+
 @pytest.mark.parametrize("singular", [False, True], ids=["solved", "singular"])
 def test_hub_is_certified_by_the_solved_trial_vector(monkeypatch, singular):
     # alpha = 0 on a hub with three leaves: the hub's row of J(0) sums to 1.5,

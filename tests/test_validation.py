@@ -182,10 +182,9 @@ def test_forward_rejects_dead_ground_truth():
 # --- network effect -------------------------------------------------------
 
 def test_step_activation_counts_hand_value():
-    net = make_network([0.2, 0.3], edges=[(0, 1)])
     states = np.array([[0, 1, 0, 1], [1, 1, 0, 1]], dtype=np.uint8)
-    hist = build_history(net, month_sequence("2001-01", 4), states)
-    assert step_activation_counts(hist).tolist() == [1, 0, 2]
+    assert step_activation_counts(states).tolist() == [1, 0, 2]
+    assert step_activation_counts(np.stack([states, 1 - states])).tolist() == [[1, 0, 2], [0, 2, 0]]
 
 
 def test_network_effect_report_is_reproducible():
