@@ -23,6 +23,12 @@ fired, which leaves the combined transition probability unchanged.  Each
 run consumes exactly two uniforms per risk per step in a fixed order from
 its own stream derived from (master seed, run index), so results never
 depend on batching or worker count.
+
+Runs step in blocks of at most ``_RUN_BLOCK`` runs, each block reusing one
+set of step buffers.  A run's uniforms are drawn ``_REFILL_STEPS`` steps at
+a time, so the uniform buffer holds at most ``_RUN_BLOCK * _REFILL_STEPS *
+2 * R`` doubles (13 MB at R = 50) whatever the number of runs.  The blocks
+are a grouping of runs like any other: they change no result.
 """
 from __future__ import annotations
 
@@ -38,6 +44,7 @@ from .rng import derive_rng
 from .risks import RiskNetwork
 
 _REFILL_STEPS = 64  # uniforms are drawn per run in blocks of this many steps
+_RUN_BLOCK = 256  # runs are stepped this many at a time, which bounds the uniform buffer
 
 
 @dataclass(frozen=True)
@@ -144,7 +151,6 @@ def run_cascades(
     across any number of workers reproduces identical results.
     ``checkpoints`` are distinct steps in ``[1, n_steps]``.
     """
-    A = network.adjacency_float
     R = network.n_risks
     if n_steps < 1:
         raise DataError("n_steps must be >= 1")
@@ -156,7 +162,6 @@ def run_cascades(
     initial = np.asarray(initial, dtype=bool)
     if initial.shape != (R,):
         raise DataError(f"initial state must have shape ({R},), got {initial.shape}")
-    active = np.broadcast_to(initial, (n, R)).copy()
 
     probs = process_probabilities(network.likelihoods, params)
     p_int, p_rec = probs.p_int, probs.p_rec
@@ -172,6 +177,7 @@ def run_cascades(
         np.zeros((len(checkpoints), n, R), dtype=float) if checkpoints else None
     )
 
+    final_active = np.broadcast_to(initial, (n, R)).copy()
     active_months = np.zeros((n, R), dtype=np.int64)
     activation_counts = np.zeros((n, R), dtype=np.int64)
     states = np.zeros((n, R, n_steps + 1), dtype=np.uint8) if keep_states else None
@@ -179,26 +185,71 @@ def run_cascades(
     if states is not None:
         states[:, :, 0] = initial
 
-    gens = [derive_rng(master_seed, *rng_path_prefix, r) for r in run_indices]
-    buf = np.empty((n, _REFILL_STEPS, 2, R), dtype=float)
+    # Neighbour counts are integers <= R, which float32 holds exactly below
+    # 2**24, so a float32 matmul gives the same k as a float64 one.
+    A32 = network.adjacency.astype(np.float32)
+    for lo in range(0, n, _RUN_BLOCK):
+        rows = slice(lo, lo + _RUN_BLOCK)
+        _step_block(
+            [derive_rng(master_seed, *rng_path_prefix, r) for r in run_indices[rows]],
+            n_steps, A32, p_int, p_rec, beta_log1m, cp_lookup,
+            final_active[rows], active_months[rows], activation_counts[rows],
+            None if cp_freq is None else cp_freq[:, rows],
+            None if states is None else states[rows],
+            None if cause_counts is None else cause_counts[rows],
+        )
+
+    return CascadeBatch(
+        run_indices=run_indices,
+        n_steps=n_steps,
+        final_active=final_active,
+        active_months=active_months,
+        activation_counts=activation_counts,
+        checkpoints=checkpoints,
+        checkpoint_frequency=cp_freq,
+        states=states,
+        cause_counts=cause_counts,
+    )
+
+
+def _step_block(
+    gens, n_steps, A32, p_int, p_rec, beta_log1m, cp_lookup,
+    active, active_months, activation_counts, cp_freq, states, cause_counts,
+) -> None:
+    """Step the runs of ``gens`` for ``n_steps`` months, writing in place.
+
+    The arrays from ``active`` on are this block's rows of
+    :func:`run_cascades`' outputs (``None`` where not asked for); ``active``
+    holds the initial state on entry and the final state on return.  Every
+    step reuses the same buffers.
+    """
+    b, R = active.shape
+    buf = np.empty((b, _REFILL_STEPS, 2, R), dtype=float)
+    act32 = np.empty((b, R), dtype=np.float32)
+    k = np.empty((b, R), dtype=np.float32)
+    ext_agg = np.empty((b, R), dtype=float)
+    int_fire, ext_fire, fired, activated, stay = np.empty((5, b, R), dtype=bool)
 
     for t in range(n_steps):
         slot = t % _REFILL_STEPS
         if slot == 0:
             fill = min(_REFILL_STEPS, n_steps - t)
-            for r in range(n):
-                buf[r, :fill] = gens[r].random((fill, 2, R))
+            for r, gen in enumerate(gens):
+                gen.random(out=buf[r, :fill])
         u_a = buf[:, slot, 0, :]
         u_b = buf[:, slot, 1, :]
 
-        k = active.astype(float) @ A
-        ext_agg = -np.expm1(k * beta_log1m)
-        int_fire = u_a < p_int
-        ext_fire = u_b < ext_agg
-        fired = int_fire | ext_fire
-        activated = ~active & fired
-        recovered = active & (u_a < p_rec)
-        active = (active & ~recovered) | activated
+        np.copyto(act32, active)
+        np.matmul(act32, A32, out=k)
+        np.multiply(k, beta_log1m, out=ext_agg)
+        np.negative(np.expm1(ext_agg, out=ext_agg), out=ext_agg)
+        np.less(u_a, p_int, out=int_fire)
+        np.less(u_b, ext_agg, out=ext_fire)
+        np.logical_or(int_fire, ext_fire, out=fired)
+        np.greater(fired, active, out=activated)  # fired while passive
+        np.greater_equal(u_a, p_rec, out=stay)  # an active risk does not recover
+        np.logical_and(active, stay, out=active)
+        np.logical_or(active, activated, out=active)
 
         active_months += active
         activation_counts += activated
@@ -210,19 +261,7 @@ def run_cascades(
             cause_counts[:, 1] += (activated & ext_fire & ~int_fire).sum(axis=1)
             cause_counts[:, 2] += both.sum(axis=1)
         if cp_freq is not None and (t + 1) in cp_lookup:
-            cp_freq[cp_lookup[t + 1]] = active_months / (t + 1)
-
-    return CascadeBatch(
-        run_indices=run_indices,
-        n_steps=n_steps,
-        final_active=active,
-        active_months=active_months,
-        activation_counts=activation_counts,
-        checkpoints=checkpoints,
-        checkpoint_frequency=cp_freq,
-        states=states,
-        cause_counts=cause_counts,
-    )
+            np.divide(active_months, t + 1, out=cp_freq[cp_lookup[t + 1]])
 
 
 def _run_cascades_worker(kwargs):
@@ -347,10 +386,10 @@ class ActivityStatistics:
 
 def statistics_from_batch(batch: CascadeBatch) -> ActivityStatistics:
     """Activity statistics of a simulation batch (without storing states)."""
-    freq_active = (batch.active_months / batch.n_steps).mean(axis=0)
+    freq = batch.active_months / batch.n_steps
     return ActivityStatistics(
-        freq_active=freq_active,
+        freq_active=freq.mean(axis=0),
         activations=batch.activation_counts.mean(axis=0),
-        mean_freq_active=float((batch.active_months / batch.n_steps).mean()),
+        mean_freq_active=float(freq.mean()),
         mean_activations=float(batch.activation_counts.mean()),
     )

@@ -6,6 +6,7 @@ package; these tests fail when a rename would break it.
 hook; ``perfbench/worker.py`` loads the fixture in its ``setup`` step.  Both
 modules are imported as they are, without carpnet-side stand-ins.
 """
+import functools
 import importlib
 import inspect
 
@@ -54,6 +55,31 @@ def test_cascade_hook_reads_the_stream_and_the_batch(tracing):
     tracing.HOOKS["dynamics.run_cascades"](tracer, batch, args, kwargs)
     assert tracer.streams == [(None, 9, (2,), (0,), 4, 3)]
     assert tracer.counts["dynamics.risk_steps"] == 12
+
+
+def test_blocked_cascade_is_one_traced_call(tracing, monkeypatch):
+    # the hook binds run_cascades' signature and counts the risk-steps of
+    # each call, so stepping the runs in blocks must not re-enter the public
+    # name: that would count every risk-step twice
+    monkeypatch.setattr(carpnet.dynamics, "_RUN_BLOCK", 2)
+    calls = []
+    inner = carpnet.dynamics.run_cascades
+
+    @functools.wraps(inner)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(carpnet.dynamics, "run_cascades", counting)
+    net = make_network([0.2, 0.3, 0.4], edges=[(0, 1), (1, 2)])
+    args = (net, ModelParams(0.3, 0.3, 1.0), np.zeros(3, bool), 7, 9, range(5))
+    batch = carpnet.dynamics.run_cascades_parallel(*args, jobs=1)
+    assert len(calls) == 1
+
+    tracer = tracing.Tracer()
+    tracing.HOOKS["dynamics.run_cascades"](tracer, batch, args, {})
+    assert tracer.counts["dynamics.risk_steps"] == 5 * 7 * 3
+    assert tracer.streams == [(None, 9, (), (0, 1, 2, 3, 4), 7, 3)]
 
 
 def test_traced_cli_run_records_its_cascades(tracing, tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import carpnet.dynamics
 from carpnet import (
     DataError,
     ModelParams,
@@ -170,17 +171,24 @@ def test_engine_equals_step_loop():
     assert batch.activation_counts[0].sum() == flips
 
 
-def test_batch_is_independent_of_grouping():
+def test_batch_is_independent_of_grouping(monkeypatch):
+    # blocks of two runs, so the five-run batch steps in three blocks, the
+    # last one short, and 70 steps cross a refill of the uniform buffer
+    monkeypatch.setattr(carpnet.dynamics, "_RUN_BLOCK", 2)
     net = make_network([0.2, 0.3, 0.4, 0.25], edges=[(0, 1), (1, 2), (2, 3)])
-    params = ModelParams(0.3, 0.3, 1.0)
-    initial = np.zeros(4, bool)
-    whole = run_cascades(net, params, initial, 60, 9, [0, 1, 2], keep_states=True)
-    parts = [
-        run_cascades(net, params, initial, 60, 9, [r], keep_states=True)
-        for r in (0, 1, 2)
-    ]
-    assert (whole.states == np.concatenate([p.states for p in parts])).all()
-    assert (whole.activation_counts == np.concatenate([p.activation_counts for p in parts])).all()
+    args = (net, ModelParams(0.3, 0.3, 1.0), np.array([1, 0, 0, 1], bool), 70, 9)
+    kwargs = dict(keep_states=True, track_causes=True, checkpoints=(1, 64, 70))
+    runs = (4, 0, 7, 1, 3)
+    whole = run_cascades(*args, runs, **kwargs)
+    parts = [run_cascades(*args, [r], **kwargs) for r in runs]
+    assert (whole.run_indices, whole.n_steps, whole.checkpoints) == (runs, 70, (1, 64, 70))
+    for field in dataclasses.fields(whole):
+        if field.name in ("run_indices", "n_steps", "checkpoints"):
+            continue
+        axis = 1 if field.name == "checkpoint_frequency" else 0
+        want = np.concatenate([getattr(p, field.name) for p in parts], axis=axis)
+        got = getattr(whole, field.name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field.name
 
 
 def test_parallel_workers_change_nothing():
