@@ -15,13 +15,11 @@ from .dynamics import (
     CascadeBatch,
     ModelParams,
     ProcessProbabilities,
-    Trajectory,
     default_checkpoints,
     process_probabilities,
     run_cascades,
     run_cascades_parallel,
     statistics_from_batch,
-    trajectory_from_batch,
 )
 from .errors import (
     CarpError,
@@ -56,7 +54,6 @@ from .risks import (
 from .rng import derive_rng
 from .steady_state import SteadyState, fixed_point_map, solve_steady_state, solve_steady_states
 from .validation import (
-    AttributionFractions,
     ForwardReport,
     NetworkEffectReport,
     SensitivityReport,

@@ -37,7 +37,6 @@ from .dynamics import (
     default_checkpoints,
     run_cascades_parallel,
     statistics_from_batch,
-    trajectory_from_batch,
 )
 from .errors import CarpError, DataError, NumericalError, UsageError
 from .graph_stats import compute_properties
@@ -282,13 +281,12 @@ def _cmd_simulate(args, out: Path) -> list[str]:
         network, params, initial, args.horizon,
         args.seed, range(args.runs), jobs=args.jobs, checkpoints=args.checkpoints,
     )
-    traj = trajectory_from_batch(batch)
     stats = statistics_from_batch(batch)
 
     write_csv(out / "trajectory.csv", {
-        "t": np.repeat(traj.checkpoints, R),
-        "risk_id": np.tile(network.ids, len(traj.checkpoints)),
-        "frequency": traj.mean_frequency.ravel(),
+        "t": np.repeat(batch.checkpoints, R),
+        "risk_id": np.tile(network.ids, len(batch.checkpoints)),
+        "frequency": batch.checkpoint_frequency.mean(axis=1).ravel(),
     })
     write_csv(out / "statistics.csv", {
         "risk_id": network.ids,
@@ -379,8 +377,8 @@ def _cmd_validate(args, out: Path) -> list[str]:
             "replicate": report.retained,
             "freq_active": fw.set_freq_active,
             "freq_activation": fw.set_activations,
-            "freq_active_deviation": abs(fw.set_freq_active / fw.gt_freq_active - 1.0),
-            "freq_activation_deviation": abs(fw.set_activations / fw.gt_activations - 1.0),
+            "freq_active_deviation": fw.freq_deviation,
+            "freq_activation_deviation": fw.activation_deviation,
         })
         return ["forward.json", "forward_sets.csv"]
 

@@ -14,8 +14,8 @@ month's active set.
 The engine's one input is a :class:`RiskNetwork` snapshot: it reads the
 co-mention adjacency and the likelihoods from the network, and draws
 against the probabilities :func:`process_probabilities` returns for them.
-Mean being-active frequencies over many runs come from
-``trajectory_from_batch(run_cascades(..., checkpoints=...))``.
+Mean being-active frequencies over many runs at each checkpoint are
+``run_cascades(..., checkpoints=...).checkpoint_frequency.mean(axis=1)``.
 
 Randomness: internal and external activation are drawn separately (so the
 cause of each activation is observable) and the risk activates if either
@@ -32,9 +32,10 @@ are a grouping of runs like any other: they change no result.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -97,21 +98,18 @@ def check_likelihoods(L, n_risks: int | None = None, *, allow_zero: bool = True)
 
 
 def process_probabilities(L, params: ModelParams) -> ProcessProbabilities:
-    """Event probabilities for likelihood ``L`` (scalar or array) in (0, 1)."""
-    arr = check_likelihoods(L, allow_zero=False)
-    log1m = np.log1p(-arr)
+    """Event probabilities for likelihood ``L`` (scalar or array) in (0, 1).
+
+    A scalar ``L`` gives numpy float64 scalars, a subclass of ``float``.
+    """
+    log1m = np.log1p(-check_likelihoods(L, allow_zero=False))
     p_rec = np.exp(params.gamma * log1m)
-    probs = ProcessProbabilities(
+    return ProcessProbabilities(
         p_int=-np.expm1(params.alpha * log1m),
         p_ext=-np.expm1(params.beta * log1m),
         p_con=1.0 - p_rec,
         p_rec=p_rec,
     )
-    if np.ndim(L) == 0:
-        return ProcessProbabilities(
-            float(probs.p_int), float(probs.p_ext), float(probs.p_con), float(probs.p_rec)
-        )
-    return probs
 
 
 @dataclass(frozen=True)
@@ -264,29 +262,17 @@ def _step_block(
             np.divide(active_months, t + 1, out=cp_freq[cp_lookup[t + 1]])
 
 
-def _run_cascades_worker(kwargs):
-    return run_cascades(**kwargs)
-
-
 def _merge_batches(parts: Sequence[CascadeBatch]) -> CascadeBatch:
-    def cat(attr):
-        vals = [getattr(p, attr) for p in parts]
-        if vals[0] is None:
-            return None
-        axis = 1 if attr == "checkpoint_frequency" else 0
-        return np.concatenate(vals, axis=axis)
-
-    return CascadeBatch(
-        run_indices=tuple(r for p in parts for r in p.run_indices),
-        n_steps=parts[0].n_steps,
-        final_active=cat("final_active"),
-        active_months=cat("active_months"),
-        activation_counts=cat("activation_counts"),
-        checkpoints=parts[0].checkpoints,
-        checkpoint_frequency=cat("checkpoint_frequency"),
-        states=cat("states"),
-        cause_counts=cat("cause_counts"),
-    )
+    """The runs of ``parts`` as one batch, in order: every per-run array is
+    stacked along its run axis (1 for ``checkpoint_frequency``, else 0)."""
+    stacked = {
+        f.name: np.concatenate([getattr(p, f.name) for p in parts],
+                               axis=int(f.name == "checkpoint_frequency"))
+        for f in fields(CascadeBatch)
+        if isinstance(getattr(parts[0], f.name), np.ndarray)
+    }
+    run_indices = tuple(r for p in parts for r in p.run_indices)
+    return replace(parts[0], run_indices=run_indices, **stacked)
 
 
 def run_cascades_parallel(
@@ -312,28 +298,13 @@ def run_cascades_parallel(
     else:  # macOS and Windows cannot tell which CPUs the process may use
         usable = os.cpu_count() or 1
     jobs = min(jobs, len(run_indices), usable)
+    runs = functools.partial(run_cascades, network, params, initial, n_steps, master_seed,
+                             **kwargs)
     if jobs <= 1:
-        return run_cascades(
-            network, params, initial, n_steps, master_seed, run_indices, **kwargs
-        )
+        return runs(run_indices)
     from concurrent.futures import ProcessPoolExecutor  # ~30 ms to import; only pools need it
-    splits = np.array_split(np.asarray(run_indices), jobs)
-    tasks = [
-        dict(
-            network=network,
-            params=params,
-            initial=initial,
-            n_steps=n_steps,
-            master_seed=master_seed,
-            run_indices=tuple(int(r) for r in chunk),
-            **kwargs,
-        )
-        for chunk in splits
-        if len(chunk)
-    ]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(_run_cascades_worker, tasks))
-    return _merge_batches(parts)
+        return _merge_batches(list(pool.map(runs, np.array_split(run_indices, jobs))))
 
 
 def default_checkpoints(horizon: int) -> tuple[int, ...]:
@@ -346,32 +317,6 @@ def default_checkpoints(horizon: int) -> tuple[int, ...]:
     if horizon not in cps:
         cps.append(horizon)
     return tuple(sorted(cps))
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Being-active frequencies f_i(t) at checkpoints, aggregated over runs.
-
-    ``f_i(t)`` is the fraction of the first t simulated months risk i spent
-    active; mean and sample standard deviation are across runs.
-    """
-
-    checkpoints: tuple[int, ...]
-    mean_frequency: np.ndarray  # float (n_checkpoints, R)
-    std_frequency: np.ndarray  # float (n_checkpoints, R), ddof=1
-
-
-def trajectory_from_batch(batch: CascadeBatch) -> Trajectory:
-    if batch.checkpoint_frequency is None:
-        raise DataError("batch was run without checkpoints")
-    freq = batch.checkpoint_frequency
-    n = freq.shape[1]
-    std = freq.std(axis=1, ddof=1) if n > 1 else np.zeros_like(freq[:, 0, :])
-    return Trajectory(
-        checkpoints=batch.checkpoints,
-        mean_frequency=freq.mean(axis=1),
-        std_frequency=std,
-    )
 
 
 @dataclass(frozen=True)

@@ -36,41 +36,18 @@ from .rng import derive_rng
 from .steady_state import solve_steady_state, solve_steady_states
 
 
-@dataclass(frozen=True)
-class AttributionFractions:
-    """Shares of activation events by cause.
+def _attribution_shares(counts):
+    """Activation shares ``(a, b, total)`` of (..., 3) cause counts
+    (internal-only, external-only, both) along the last axis.
 
     Simultaneous internal+external firings are split half-and-half
-    between ``a`` and ``b``, so a + b = 1 whenever any activation
-    occurred; ``both_fraction`` records the overlap share separately as a
-    diagnostic.  With no activations at all the fractions are undefined
-    (NaN, ``defined`` False).
+    between ``a`` and ``b``, so a + b = 1 wherever ``total`` > 0; with no
+    activations at all both shares are NaN.
     """
-
-    internal_only: int
-    external_only: int
-    both: int
-    a: float
-    b: float
-    both_fraction: float
-    defined: bool
-
-    @classmethod
-    def from_counts(cls, internal_only: int, external_only: int, both: int):
-        if min(internal_only, external_only, both) < 0:
-            raise DataError("attribution counts must be non-negative")
-        total = internal_only + external_only + both
-        if total == 0:
-            return cls(0, 0, 0, math.nan, math.nan, math.nan, False)
-        return cls(
-            internal_only=int(internal_only),
-            external_only=int(external_only),
-            both=int(both),
-            a=(internal_only + 0.5 * both) / total,
-            b=(external_only + 0.5 * both) / total,
-            both_fraction=both / total,
-            defined=True,
-        )
+    internal, external, both = np.moveaxis(np.asarray(counts), -1, 0)
+    total = internal + external + both
+    with np.errstate(invalid="ignore"):  # 0/0 where nothing activated
+        return (internal + 0.5 * both) / total, (external + 0.5 * both) / total, total
 
 
 @dataclass(frozen=True)
@@ -88,11 +65,15 @@ class ValidationReport:
     coordinate by coordinate against ``gt_vector``.
     ``activation_bound_gt_fractions`` re-blends every replicate with the
     reference simulation's fractions instead of its own, as an
-    alternative reading of the protocol.
+    alternative reading of the protocol.  ``gt_fractions`` describes the
+    reference simulation: its cause counts ``internal_only``,
+    ``external_only`` and ``both``, its shares ``a`` and ``b``, the overlap
+    share ``both_fraction`` and ``defined`` (always true: a reference run
+    without activations raises).
     """
 
     ground_truth: ModelParams
-    gt_fractions: AttributionFractions
+    gt_fractions: dict
     gt_vector: tuple[float, float]
     params: np.ndarray
     failed: np.ndarray
@@ -138,12 +119,17 @@ def recovery_experiment(
         network, fitted, initial, n_steps, master_seed,
         [0], rng_path_prefix=(0,), track_causes=True,
     )
-    gt_fractions = AttributionFractions.from_counts(*ref.cause_counts[0])
-    if not gt_fractions.defined:
+    counts = ref.cause_counts[0]
+    gt_a, gt_b, gt_total = _attribution_shares(counts)
+    if gt_total == 0:
         raise DataError(
             "reference simulation produced no activations; cannot form a ground-truth vector"
         )
-    gt_vector = (gt_fractions.a * fitted.alpha + gt_fractions.b * fitted.beta, fitted.gamma)
+    gt_fractions = {
+        **dict(zip(("internal_only", "external_only", "both"), counts.tolist())),
+        "a": gt_a, "b": gt_b, "both_fraction": counts[2] / gt_total, "defined": True,
+    }
+    gt_vector = (gt_a * fitted.alpha + gt_b * fitted.beta, fitted.gamma)
     if gt_vector[0] == 0 or gt_vector[1] == 0:
         raise DataError("ground-truth vector has a zero coordinate; deviations undefined")
 
@@ -155,11 +141,7 @@ def recovery_experiment(
     refits = fit_many(batch.states, network)
     params = np.array([(math.nan,) * 3 if r is None else r.params.as_tuple() for r in refits])
 
-    internal, external, both = batch.cause_counts.T
-    total = internal + external + both
-    with np.errstate(invalid="ignore"):  # 0/0 where a replicate made no activation
-        a = (internal + 0.5 * both) / total
-        b = (external + 0.5 * both) / total
+    a, b, total = _attribution_shares(batch.cause_counts)
     alpha, beta, gamma = params.T
     failed = np.isnan(gamma) | (total == 0)
     activation = a * alpha + b * beta  # NaN exactly where failed
@@ -184,7 +166,7 @@ def recovery_experiment(
     if not n_keep:
         raise DataError("outlier cut discarded every replicate")
 
-    blend_gt = gt_fractions.a * alpha + gt_fractions.b * beta
+    blend_gt = gt_a * alpha + gt_b * beta
     return ValidationReport(
         ground_truth=fitted,
         gt_fractions=gt_fractions,
@@ -209,17 +191,19 @@ class ForwardReport:
 
     Two scalars summarize each simulated window: the mean frequency of
     being active (over risks, months, and runs) and the mean number of
-    activations per risk per run.  ``worst_deviation`` is the largest
-    relative deviation of any validation set from ground truth across
-    both statistics.
+    activations per risk per run.  ``freq_deviation`` and
+    ``activation_deviation`` are each validation set's relative deviation
+    |set / ground truth - 1| in those two statistics, and
+    ``worst_deviation`` is the largest of them.
     """
 
     months: int
-    n_runs: int
     gt_freq_active: float
     gt_activations: float
     set_freq_active: np.ndarray
     set_activations: np.ndarray
+    freq_deviation: np.ndarray
+    activation_deviation: np.ndarray
     freq_summary: tuple[float, float, float]  # mean, worst-low, worst-high
     activation_summary: tuple[float, float, float]
     worst_deviation: float
@@ -279,20 +263,19 @@ def forward_error_bounds(
         freq[s] = stats.mean_freq_active
         acts[s] = stats.mean_activations
 
-    worst = max(
-        float(np.max(np.abs(freq / gt.mean_freq_active - 1.0))),
-        float(np.max(np.abs(acts / gt.mean_activations - 1.0))),
-    )
+    freq_dev = np.abs(freq / gt.mean_freq_active - 1.0)
+    acts_dev = np.abs(acts / gt.mean_activations - 1.0)
     return ForwardReport(
         months=months,
-        n_runs=runs,
         gt_freq_active=gt.mean_freq_active,
         gt_activations=gt.mean_activations,
         set_freq_active=freq,
         set_activations=acts,
+        freq_deviation=freq_dev,
+        activation_deviation=acts_dev,
         freq_summary=(float(freq.mean()), float(freq.min()), float(freq.max())),
         activation_summary=(float(acts.mean()), float(acts.min()), float(acts.max())),
-        worst_deviation=worst,
+        worst_deviation=max(float(freq_dev.max()), float(acts_dev.max())),
     )
 
 

@@ -34,7 +34,6 @@ from carpnet import (
     run_cascades,
     sensitivity_suite,
     solve_steady_state,
-    trajectory_from_batch,
 )
 from carpnet.cli import main as cli_main
 from carpnet.rng import derive_rng
@@ -279,15 +278,17 @@ def test_09_influence_sanity(toy_network):
 
 def test_10_trajectories_saturate_at_the_fixed_point(fixture_network):
     ss = solve_steady_state(FIXTURE_PARAMS, fixture_network)
-    traj = trajectory_from_batch(run_cascades(
+    batch = run_cascades(
         fixture_network, FIXTURE_PARAMS, np.zeros(50, bool), 10_000,
         master_seed=2013, run_indices=range(1000), checkpoints=default_checkpoints(10_000),
-    ))
-    cps = list(traj.checkpoints)
-    f3 = traj.mean_frequency[cps.index(1000)]
-    f4 = traj.mean_frequency[cps.index(10_000)]
+    )
+    cps = list(batch.checkpoints)
+    freq = batch.checkpoint_frequency  # (checkpoint, run, risk)
+    mean = freq.mean(axis=1)
+    f3 = mean[cps.index(1000)]
+    f4 = mean[cps.index(10_000)]
     drift = float(np.abs(f4 - f3).max())
-    se = traj.std_frequency[cps.index(10_000)] / math.sqrt(1000)
+    se = freq.std(axis=1, ddof=1)[cps.index(10_000)] / math.sqrt(1000)
     z = float((np.abs(f4 - ss.p_hat) / (3 * se)).max())
     ok = drift <= 0.02 and z <= 1.0
     report(10, ok, f"max drift 10^3 -> 10^4 steps {drift:.4f} (limit 0.02); "

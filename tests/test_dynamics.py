@@ -22,7 +22,6 @@ from carpnet import (
     run_cascades_parallel,
     solve_steady_states,
     statistics_from_batch,
-    trajectory_from_batch,
 )
 from carpnet.rng import derive_rng
 from conftest import history_loglik, make_network
@@ -228,9 +227,10 @@ def test_parallel_workers_are_capped_at_the_usable_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     net = make_network([0.2, 0.3, 0.4], edges=[(0, 1), (1, 2)])
     args = (net, ModelParams(0.3, 0.3, 1.0), np.zeros(3, bool), 40, 3, range(8))
-    batch = run_cascades_parallel(*args, jobs=10_000, checkpoints=(10, 40))
+    kwargs = dict(checkpoints=(10, 40), keep_states=True, track_causes=True)
+    batch = run_cascades_parallel(*args, jobs=10_000, **kwargs)
     assert _InlinePool.sizes == [3]
-    expected = run_cascades(*args, checkpoints=(10, 40))
+    expected = run_cascades(*args, **kwargs)
     for field in dataclasses.fields(expected):
         got, want = getattr(batch, field.name), getattr(expected, field.name)
         assert np.array_equal(got, want) if want is not None else got is None, field.name
@@ -293,10 +293,9 @@ def test_trajectory_matches_batch_statistics():
     initial = np.zeros(3, bool)
     batch = run_cascades(net, params, initial, 100, 17, range(5),
                          checkpoints=default_checkpoints(100))
-    traj = trajectory_from_batch(batch)
-    assert traj.checkpoints == (10, 100)
+    assert batch.checkpoints == (10, 100)
     stats = statistics_from_batch(batch)
-    assert np.allclose(traj.mean_frequency[-1], stats.freq_active)
+    assert np.allclose(batch.checkpoint_frequency.mean(axis=1)[-1], stats.freq_active)
 
 
 def test_zero_coupling_never_reports_external_causes():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import carpnet.likelihood
 from carpnet import (
-    AttributionFractions,
     ConvergenceError,
     DataError,
     ModelParams,
@@ -22,35 +21,36 @@ from carpnet import (
     month_sequence,
     network_effect_comparison,
     recovery_experiment,
+    run_cascades,
     sensitivity_suite,
     solve_steady_state,
     step_activation_counts,
 )
+from carpnet.validation import _attribution_shares
 from conftest import ROOT, TOY_PARAMS, make_network
 
 
 # --- attribution ----------------------------------------------------------
 
 def test_attribution_splits_joint_events_evenly():
-    f = AttributionFractions.from_counts(2, 1, 1)
-    assert f.a == pytest.approx(0.625)
-    assert f.b == pytest.approx(0.375)
-    assert f.a + f.b == pytest.approx(1.0)
-    assert f.both_fraction == pytest.approx(0.25)
-    assert f.defined
+    a, b, total = _attribution_shares([2, 1, 1])
+    assert a == pytest.approx(0.625)
+    assert b == pytest.approx(0.375)
+    assert a + b == pytest.approx(1.0)
+    assert total == 4
 
 
 def test_attribution_with_no_events_is_undefined():
-    f = AttributionFractions.from_counts(0, 0, 0)
-    assert not f.defined
-    assert math.isnan(f.a) and math.isnan(f.b)
+    a, b, total = _attribution_shares([0, 0, 0])
+    assert total == 0
+    assert math.isnan(a) and math.isnan(b)
 
 
 @given(i=st.integers(0, 20), e=st.integers(0, 20), b=st.integers(0, 20))
 def test_attribution_shares_always_sum_to_one(i, e, b):
-    f = AttributionFractions.from_counts(i, e, b)
-    if i + e + b > 0:
-        assert f.a + f.b == pytest.approx(1.0)
+    a_share, b_share, total = _attribution_shares([i, e, b])
+    if total > 0:
+        assert a_share + b_share == pytest.approx(1.0)
 
 
 # --- recovery experiment --------------------------------------------------
@@ -90,10 +90,22 @@ def test_recovery_bounds_cover_retained_errors(small_recovery):
     assert report.recovery_bound == pytest.approx(errs_g.max())
 
 
+def test_recovery_ground_truth_shares_come_from_stream_tag_0(small_recovery):
+    net, hist, truth, report = small_recovery
+    ref = run_cascades(net, truth, hist.states[:, 0].astype(bool), hist.n_months - 1, 99,
+                       [0], rng_path_prefix=(0,), track_causes=True)
+    counts = ref.cause_counts[0]
+    a, b, total = _attribution_shares(counts)
+    assert report.gt_fractions == {
+        "internal_only": counts[0], "external_only": counts[1], "both": counts[2],
+        "a": a, "b": b, "both_fraction": counts[2] / total, "defined": True,
+    }
+
+
 def test_recovery_columns_are_the_relative_errors(small_recovery):
     _, _, truth, report = small_recovery
     f = report.gt_fractions
-    assert report.gt_vector[0] == f.a * truth.alpha + f.b * truth.beta
+    assert report.gt_vector[0] == f["a"] * truth.alpha + f["b"] * truth.beta
     a_gt, g_gt = report.gt_vector
     ok = ~report.failed
     assert (report.recovery_param[ok] == report.params[ok, 2]).all()
