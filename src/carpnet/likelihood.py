@@ -274,20 +274,8 @@ def _nelder_mead_many(fn, x0):
     return simplex[every, best], fvals[every, best], iterations, converged
 
 
-def _fits(states, network, fix_beta):
-    """``fit`` of each history of a state stack, or the ConvergenceError that
-    it raises.  The histories are fitted _BLOCK at a time."""
-    if fix_beta is not None and not (math.isfinite(fix_beta) and fix_beta >= 0):
-        raise DataError(f"fix_beta must be finite and non-negative, got {fix_beta}")
-    states = _state_cube(states, network.n_risks)
-    results = []
-    for lo in range(0, len(states), _BLOCK):
-        results += _fit_block(TransitionSummary(states[lo:lo + _BLOCK], network), fix_beta)
-    return results
-
-
 def _fit_block(stack, fix_beta):
-    """``_fits`` of the histories of ``stack``, all simplexes in one lockstep search."""
+    """``fit_many`` of the histories of ``stack``, all simplexes in one lockstep search."""
     n_histories = len(stack.c00_l)
     ndim = 3 if fix_beta is None else 2
     axis = np.geomspace(_GRID_MIN, _GRID_MAX, _GRID_POINTS)
@@ -346,20 +334,26 @@ def _fit_block(stack, fix_beta):
 
 def fit_many(
     states, network: RiskNetwork, *, fix_beta: float | None = None
-) -> list[FitResult | None]:
+) -> list[FitResult | ConvergenceError]:
     """``fit`` of every history of an (H, R, T) stack of 0/1 state matrices,
     each in the risk order of ``network``.
 
     Entry h equals ``fit`` of a history with states ``states[h]`` bit for
-    bit, or is None where that call raises ConvergenceError.  Histories are
+    bit, or is the ConvergenceError that call raises, returned, not raised,
+    so one failed history does not stop the rest.  Histories are
     fitted _BLOCK at a time, their simplexes stepping together as array
     code, so a batch makes far fewer numpy calls than one ``fit`` per
     history.  Raises DataError for a bad ``fix_beta``, or for a stack that
     is not 3-D, has other than ``network.n_risks`` rows or fewer than two
     months, or holds a value other than 0 and 1.
     """
-    return [None if isinstance(r, ConvergenceError) else r
-            for r in _fits(states, network, fix_beta)]
+    if fix_beta is not None and not (math.isfinite(fix_beta) and fix_beta >= 0):
+        raise DataError(f"fix_beta must be finite and non-negative, got {fix_beta}")
+    states = _state_cube(states, network.n_risks)
+    results = []
+    for lo in range(0, len(states), _BLOCK):
+        results += _fit_block(TransitionSummary(states[lo:lo + _BLOCK], network), fix_beta)
+    return results
 
 
 def fit(
@@ -379,7 +373,7 @@ def fit(
     """
     if history.risk_ids != network.ids:
         raise DataError("history risks are not aligned to the network")
-    result, = _fits(history.states[None], network, fix_beta)
+    result, = fit_many(history.states[None], network, fix_beta=fix_beta)
     if isinstance(result, ConvergenceError):
         raise result
     return result

@@ -333,9 +333,6 @@ class HistoryMatrix:
     def n_months(self) -> int:
         return len(self.months)
 
-    def with_states(self, states: np.ndarray) -> "HistoryMatrix":
-        return HistoryMatrix(self.risk_ids, self.months, np.array(states, dtype=np.uint8))
-
 
 def build_history(
     network: RiskNetwork, months: Sequence[str], states: np.ndarray

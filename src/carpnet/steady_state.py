@@ -18,6 +18,7 @@ above; a solve that fails the test never starts Newton and is reported.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from contextlib import suppress
 from dataclasses import dataclass
 
@@ -52,9 +53,10 @@ class SteadyState:
     error_bound: float
 
 
-def _sweep(p, A, params: ModelParams, log1m, rec):
-    """The mean-field map, unchecked, on a vector or on each column of ``p``."""
-    num = -np.expm1((params.alpha + params.beta * (A @ p)) * log1m)
+def _sweep(p, A, abg, log1m, rec):
+    """The mean-field map, unchecked, at (alpha, beta, gamma) ``abg``: one triple
+    for a vector ``p``, or a (3, K) array, one column per column of ``p``."""
+    num = -np.expm1((abg[0] + abg[1] * (A @ p)) * log1m)
     denom = num + rec
     return np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
 
@@ -66,13 +68,13 @@ def fixed_point_map(p, params: ModelParams, network: RiskNetwork, L=None):
     if p.shape != L.shape:
         raise DataError(f"p must have shape {L.shape}, got {p.shape}")
     log1m = np.log1p(-L)
-    return _sweep(p, network.adjacency_float, params, log1m, np.exp(params.gamma * log1m))
+    return _sweep(p, network.adjacency_float, params.as_tuple(), log1m, np.exp(params.gamma * log1m))
 
 
-def _slope(P, A, params: ModelParams, log1m, rec):
+def _slope(P, A, abg, log1m, rec):
     """F' at each column of ``P``: J(p) = diag(slope) A."""
-    xlog = (params.alpha + params.beta * (A @ P)) * log1m
-    return params.beta * rec * -log1m * np.exp(xlog) / (rec - np.expm1(xlog)) ** 2
+    xlog = (abg[0] + abg[1] * (A @ P)) * log1m
+    return abg[1] * rec * -log1m * np.exp(xlog) / (rec - np.expm1(xlog)) ** 2
 
 
 def _solve_linear(slope, A, *rhs):
@@ -94,7 +96,7 @@ def _certificate(y, slope, A):
     return y.max(axis=0), np.where((y > 0).all(axis=0), z.min(axis=0), 0.0)
 
 
-def _prove_and_polish(lo, r, A, params: ModelParams, log1m, rec, start: int):
+def _prove_and_polish(lo, r, A, abg, log1m, rec, start: int):
     """Test columns at iterates ``lo`` from 0, r = F(lo) - lo, and Newton-polish the proven.
 
     One solve of (I - J(lo)) [d y] = [r, 1] gives the test's y and the first
@@ -104,27 +106,28 @@ def _prove_and_polish(lo, r, A, params: ModelParams, log1m, rec, start: int):
     keeps the better point.  Returns the proven mask and, for those columns,
     the point, residual, step count (on from ``start``), max(y) and min(z).
     """
-    slope = _slope(lo, A, params, log1m, rec)
+    slope = _slope(lo, A, abg, log1m, rec)
     d, y = _solve_linear(slope, A, r, np.ones_like(lo))
     ymax, zmin = _certificate(y, slope, A)
     ok = zmin > 0
-    lo, log1m, rec, active = lo[:, ok], log1m[:, ok], rec[:, ok], np.arange(ok.sum())
+    lo, abg, log1m, rec, active = lo[:, ok], abg[:, ok], log1m[:, ok], rec[:, ok], np.arange(ok.sum())
     X = np.clip(lo + d[:, ok], lo, 1.0)
     out, residual, steps = np.empty_like(X), np.full(len(active), np.inf), np.empty_like(active)
     for it in range(start + 1, _MAX_ITER + 1):
-        r = _sweep(X, A, params, log1m, rec) - X
+        r = _sweep(X, A, abg, log1m, rec) - X
         res, last = np.max(np.abs(r), axis=0), residual[active] < _TOL
         better = res < residual[active]
         out[:, active[better]], residual[active[better]] = X[:, better], res[better]
         steps[active[last]] = it
         if last.all():
             return ok, out, residual, steps, ymax[ok], zmin[ok]
-        active, X, r, lo, log1m, rec = (v[..., ~last] for v in (active, X, r, lo, log1m, rec))
-        X = np.clip(X + _solve_linear(_slope(X, A, params, log1m, rec), A, r)[0], lo, 1.0)
+        active, X, r, lo, abg, log1m, rec = (
+            v[..., ~last] for v in (active, X, r, lo, abg, log1m, rec))
+        X = np.clip(X + _solve_linear(_slope(X, A, abg, log1m, rec), A, r)[0], lo, 1.0)
     raise ConvergenceError(f"mean-field residual stayed above {_TOL} after {_MAX_ITER} steps")
 
 
-def _iterate(P, A, params: ModelParams, log1m, rec):
+def _iterate(P, A, abg, log1m, rec):
     """Sweep the columns of ``P`` until each residual |F(p) - p| is below ``_TOL``.
 
     A small residual ends a column only where it is exactly 0 or where y = p
@@ -143,14 +146,14 @@ def _iterate(P, A, params: ModelParams, log1m, rec):
     ymax, zmin = np.zeros(K), np.zeros(K)
     active, drop = np.arange(K), np.zeros(K)
     for it in range(1, _MAX_ITER + 1):
-        nxt = _sweep(P, A, params, log1m, rec)
+        nxt = _sweep(P, A, abg, log1m, rec)
         step = nxt - P
         res = np.max(np.abs(step), axis=0)
         drop = np.minimum(drop, np.min(step, axis=0))
         leave = done = res < _TOL
         if (near := np.flatnonzero(done & (res > 0))).size:
             p = P[:, near]
-            z = p - _slope(p, A, params, log1m[:, near], rec[:, near]) * (A @ p)
+            z = p - _slope(p, A, abg[:, near], log1m[:, near], rec[:, near]) * (A @ p)
             done[near] = ((z > 0) | (log1m[:, near] == 0)).all(axis=0)
         if done.any():
             cols = active[done]
@@ -158,7 +161,7 @@ def _iterate(P, A, params: ModelParams, log1m, rec):
             residual[cols], steps[cols], worst[cols] = res[done], it, drop[done]
         if it % _CHECK_EVERY == 0 and not done.all():
             test = np.flatnonzero(~done)
-            ok, *polished = _prove_and_polish(P[:, test], step[:, test], A, params,
+            ok, *polished = _prove_and_polish(P[:, test], step[:, test], A, abg[:, test],
                                               log1m[:, test], rec[:, test], it)
             test, leave = test[ok], done.copy()
             leave[test] = True
@@ -169,13 +172,14 @@ def _iterate(P, A, params: ModelParams, log1m, rec):
             keep = ~leave
             if not keep.any():
                 return out, residual, steps, worst, ymax, zmin
-            active, drop, nxt, log1m, rec = (v[..., keep] for v in (active, drop, nxt, log1m, rec))
+            active, drop, nxt, abg, log1m, rec = (
+                v[..., keep] for v in (active, drop, nxt, abg, log1m, rec))
         P = nxt
     raise ConvergenceError(f"mean-field residual stayed above {_TOL} after {_MAX_ITER} steps")
 
 
-def _solve(params: ModelParams, network: RiskNetwork, Ls):
-    """Solve and certify the steady state for each row of the checked (K, R) stack.
+def _solve(abg, network: RiskNetwork, Ls):
+    """Solve and certify the steady state of each row of the checked (K, R) stack at ``abg``.
 
     J(p) falls as p rises, so if some y > 0 has z = (I - J(l))y > 0 at an
     iterate l from 0, the fixed point p* >= l is unique and any q >= l has
@@ -185,11 +189,11 @@ def _solve(params: ModelParams, network: RiskNetwork, Ls):
     leave the sweep.  For rounding, the residual gains R + 10 ulps of max(q).
     """
     A, log1m = network.adjacency_float, np.log1p(-Ls.T)
-    rec = np.exp(params.gamma * log1m)
+    rec = np.exp(abg[2] * log1m)
     p_hat, residual, iterations, worst, ymax, zmin = _iterate(
-        np.zeros(log1m.shape), A, params, log1m, rec)
+        np.zeros(log1m.shape), A, abg, log1m, rec)
     swept = np.flatnonzero(zmin == 0)
-    slope = _slope(p_hat[:, swept], A, params, log1m[:, swept], rec[:, swept])
+    slope = _slope(p_hat[:, swept], A, abg[:, swept], log1m[:, swept], rec[:, swept])
     y = np.ones_like(slope)
     solve = np.flatnonzero((slope * A.sum(axis=1)[:, None] >= 1).any(axis=0))
     y[:, solve] = _solve_linear(slope[:, solve], A, y[:, solve])[0]
@@ -218,11 +222,13 @@ def solve_steady_state(params: ModelParams, network: RiskNetwork) -> SteadyState
     (up to 1e-15), as iterates from 0 must.  A steady state that is not
     proven unique warns.
     """
-    return _solve(params, network, network.likelihoods[None, :])[0]
+    return _solve(np.array(params.as_tuple())[:, None], network, network.likelihoods[None, :])[0]
 
 
-def solve_steady_states(params: ModelParams, network: RiskNetwork, Ls) -> list[SteadyState]:
-    """:func:`solve_steady_state` for each row of the non-empty (K, R) stack ``Ls``.
+def solve_steady_states(params: ModelParams | Sequence[ModelParams], network: RiskNetwork,
+                        Ls) -> list[SteadyState]:
+    """:func:`solve_steady_state` for each row of the non-empty (K, R) stack ``Ls``, at one
+    ``params`` for every row or at a sequence of K, one per row (else DataError).
 
     Entries of ``Ls`` may be exactly zero -- such a risk never activates and
     gets ``p_hat = 0`` -- which knockout experiments rely on.  The K solves
@@ -233,4 +239,7 @@ def solve_steady_states(params: ModelParams, network: RiskNetwork, Ls) -> list[S
     stack = np.array([check_likelihoods(L, network.n_risks) for L in Ls])
     if not len(stack):
         raise DataError(f"need a non-empty (K, {network.n_risks}) stack, got shape {np.shape(Ls)}")
-    return _solve(params, network, stack)
+    rows = [params] * len(stack) if isinstance(params, ModelParams) else list(params)
+    if len(rows) != len(stack):
+        raise DataError(f"need one ModelParams or one per row of Ls ({len(stack)}), got {len(rows)}")
+    return _solve(np.array([p.as_tuple() for p in rows], dtype=float).T, network, stack)

@@ -29,7 +29,7 @@ from .dynamics import (
     run_cascades,
     statistics_from_batch,
 )
-from .errors import DataError
+from .errors import ConvergenceError, DataError
 from .likelihood import fit, fit_many
 from .risks import HistoryMatrix, RiskNetwork
 from .rng import derive_rng
@@ -139,7 +139,8 @@ def recovery_experiment(
         keep_states=True, track_causes=True,
     )
     refits = fit_many(batch.states, network)
-    params = np.array([(math.nan,) * 3 if r is None else r.params.as_tuple() for r in refits])
+    params = np.array([(math.nan,) * 3 if isinstance(r, ConvergenceError) else r.params.as_tuple()
+                       for r in refits])
 
     a, b, total = _attribution_shares(batch.cause_counts)
     alpha, beta, gamma = params.T
@@ -424,6 +425,9 @@ def sensitivity_suite(
     Likelihood perturbations keep the baseline parameters (the model
     inputs changed, not the data); history perturbations refit because
     the estimates themselves are what a changed history would alter.
+    Every edited history is refitted in one ``fit_many``, whose first
+    ConvergenceError is raised, and the R + 1 cuts and every refit are
+    solved in one stacked solve, each row at its own parameters.
     """
     if not 0 <= perturbation < 1:
         raise DataError(f"perturbation must lie in [0, 1), got {perturbation}")
@@ -431,13 +435,6 @@ def sensitivity_suite(
         raise DataError("history risks are not aligned to the network")
     R = network.n_risks
     base = solve_steady_state(params, network).p_hat
-
-    cuts = np.tile(network.likelihoods, (R + 1, 1))
-    cuts[np.diag_indices(R)] *= 1.0 - perturbation
-    cuts[R] *= 1.0 - perturbation
-    *cut_states, all_cut = solve_steady_states(params, network, cuts)
-    single_likelihood = np.array([s.p_hat[i] for i, s in enumerate(cut_states)]) - base
-    all_likelihood = all_cut.p_hat - base
 
     n_deactivated = np.zeros(R, dtype=np.int64)
     edits = []  # the history with each risk's drop
@@ -453,24 +450,27 @@ def sensitivity_suite(
         states[i, drop] = 0
         union[i, drop] = 0
         edits.append(states)
-    edited = np.array([*edits, union])  # each risk's drop, then all of them
-    refits = fit_many(edited, network) if edits else []
-    if None in refits:  # raises that refit's ConvergenceError
-        fit(history.with_states(edited[refits.index(None)]), network)
+    refits = fit_many(np.array([*edits, union]), network) if edits else []  # each, then the union
+    if errors := [r for r in refits if isinstance(r, ConvergenceError)]:
+        raise errors[0]
 
+    # rows: each risk's cut, every cut, then each refit at the baseline likelihoods
+    cuts = np.tile(network.likelihoods, (R + 1 + len(refits), 1))
+    cuts[np.diag_indices(R)] *= 1.0 - perturbation
+    cuts[R] *= 1.0 - perturbation
+    solved = solve_steady_states([params] * (R + 1) + [r.params for r in refits], network, cuts)
+    delta = np.array([s.p_hat for s in solved]) - base
     single_history = np.zeros(R)
-    for i, refit in zip(np.flatnonzero(n_deactivated), refits):
-        single_history[i] = solve_steady_state(refit.params, network).p_hat[i] - base[i]
-    all_params = refits[-1].params if edits else params
-    all_history = solve_steady_state(all_params, network).p_hat - base
+    changed = np.flatnonzero(n_deactivated)
+    single_history[changed] = delta[R + 1 + np.arange(changed.size), changed]
 
     return SensitivityReport(
         perturbation=perturbation,
         baseline_params=params,
         baseline_p_hat=base,
-        single_likelihood=single_likelihood,
+        single_likelihood=delta[range(R), range(R)],
         single_history=single_history,
-        all_likelihood=all_likelihood,
-        all_history=all_history,
+        all_likelihood=delta[R],
+        all_history=delta[-1] if edits else np.zeros(R),
         n_deactivated=n_deactivated,
     )

@@ -118,6 +118,23 @@ def test_traced_cli_run_records_its_solves(tracing, tmp_path, command):
     assert tracer.counts["steady_state.lower_sweeps"] > 0
 
 
+def test_traced_sensitivity_makes_one_single_solve_and_no_fit(tracing, tmp_path):
+    # the edited histories' refits and solves are batched, so behind the
+    # patched fit and solve_steady_state names sits only the baseline solve
+    tracer = tracing.Tracer()
+    tracer.install(run_id=0)
+    try:
+        code = carpnet.cli.main(["validate", *map(str, toy_args(
+            "--experiment", "sensitivity", "--history", HISTORY, "--params", "0.4,0.3,1.2",
+            "--seed", "4", out=tmp_path / "x"))])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = [span[2] for span in tracer.spans]
+    assert names.count("steady_state.solve") == 1
+    assert "likelihood.fit" not in names
+
+
 def test_traced_non_unique_solve_warns_and_is_counted(tracing, tmp_path):
     # perfbench/worker.py counts warnings that say "not unique", and the solve
     # hook counts results whose ``unique`` is False

@@ -297,7 +297,8 @@ def test_fit_many_matches_the_reference_search_on_mixed_batches(batch, fix_beta,
     net = _small_network(r, edge_bits)
     states = np.array(drawn + _degenerate_states(r, len(drawn[0][0])), dtype=np.uint8)
     states = states[data.draw(st.permutations(range(len(states))))]
-    results = fit_many(states, net, fix_beta=fix_beta)
+    results = [None if isinstance(r, ConvergenceError) else r
+               for r in fit_many(states, net, fix_beta=fix_beta)]
     assert results == [_reference_result(s, net, fix_beta) for s in states]
 
 

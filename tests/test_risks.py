@@ -217,11 +217,3 @@ def test_short_row_names_its_line_after_a_blank_line(tmp_path):
                     "r1,01,a,economic,2\nr2,02,b,economic\n", encoding="utf-8")
     with pytest.raises(DataError, match=r"line 4: expected 5 fields, got 4"):
         load_network(path, path, likelihood_scale=5.0)
-
-
-def test_with_states_replaces_only_states():
-    net = make_network([0.2, 0.3])
-    hist = build_history(net, month_sequence("2011-01", 3), np.zeros((2, 3), np.uint8))
-    swapped = hist.with_states(np.ones((2, 3), np.uint8))
-    assert swapped.months == hist.months
-    assert swapped.states.all() and not hist.states.any()

@@ -82,28 +82,34 @@ def _knockouts(net):
     return cuts
 
 
-@pytest.mark.parametrize("case", ["toy", "fixture-critical", "fixture-contagion"])
+_FIXTURE, _CRITICAL = ModelParams(0.3, 0.02, 1.0), ModelParams(1e-5, 0.08, 3.0)
+_CONTAGION = ModelParams(0.0, 0.5, 1.0)  # alpha = 0 far above the threshold
+
+
+@pytest.mark.parametrize("case", ["toy", "fixture-critical", "fixture-contagion", "fixture-mixed"])
 def test_batched_solves_match_the_scalar_loop(case, toy_network, fixture_network):
+    net, Ls = fixture_network, _knockouts(fixture_network)
     if case == "toy":
         net, params = toy_network, TOY_PARAMS
         Ls = np.vstack([net.likelihoods, _knockouts(net)])
     elif case == "fixture-critical":  # just below the threshold: up to ~1,900 sweeps
-        net, params = fixture_network, ModelParams(1e-5, 0.08, 3.0)
-        Ls = _knockouts(net)
-    else:  # alpha = 0 far above the threshold: p = 0 is one of several fixed points
-        net, params = fixture_network, ModelParams(0.0, 0.5, 1.0)
-        Ls = _knockouts(net)
+        params = _CRITICAL
+    elif case == "fixture-contagion":  # p = 0 is one of several fixed points
+        params = _CONTAGION
+    else:  # one triple per row: columns leave at different sweeps, some unproven
+        params = [(_FIXTURE, _CRITICAL, _CONTAGION)[k % 3] for k in range(len(Ls))]
+    rows = params if isinstance(params, list) else [params] * len(Ls)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         batch = solve_steady_states(params, net, Ls)
-        loop = [solve_steady_states(params, net, [row])[0] for row in Ls]
+        loop = [solve_steady_states(p, net, [row])[0] for p, row in zip(rows, Ls)]
     assert len(batch) == len(Ls)
     for b, s in zip(batch, loop):
         assert (b.iterations, b.unique, b.monotone) == (s.iterations, s.unique, s.monotone)
         assert np.abs(b.p_hat - s.p_hat).max() <= 1e-14
         assert b.error_bound == pytest.approx(s.error_bound, rel=1e-3)
     nonunique = sum(not b.unique for b in batch)
-    assert nonunique == (len(Ls) if case == "fixture-contagion" else 0)
+    assert nonunique == rows.count(_CONTAGION)
     # one warning per non-unique column from each path, pointing at the caller
     assert len(caught) == 2 * nonunique
     assert {w.filename for w in caught} <= {__file__}
@@ -181,6 +187,26 @@ def test_budget_counts_sweeps_and_newton_steps(monkeypatch):
     monkeypatch.setattr(carpnet.steady_state, "_MAX_ITER", ss.iterations - 1)
     with pytest.raises(ConvergenceError):
         solve_steady_state(params, net)
+
+
+@pytest.mark.parametrize("params", [_FIXTURE, _CRITICAL, _CONTAGION],
+                         ids=["fixture", "critical", "contagion"])
+def test_one_triple_per_row_is_one_triple_for_every_row(params, fixture_network):
+    Ls = _knockouts(fixture_network)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        each = solve_steady_states([params] * len(Ls), fixture_network, Ls)
+        every = solve_steady_states(params, fixture_network, Ls)
+    for a, b in zip(each, every, strict=True):
+        assert {**vars(a), "p_hat": a.p_hat.tolist()} == {**vars(b), "p_hat": b.p_hat.tolist()}
+
+
+def test_batched_solver_needs_one_triple_per_row():
+    net = make_network([0.2, 0.3], edges=[(0, 1)])
+    params, Ls = ModelParams(0.3, 0.4, 1.0), [[0.2, 0.3], [0.1, 0.3]]
+    for wrong in ([], [params], [params] * 3):
+        with pytest.raises(DataError, match="one per row"):
+            solve_steady_states(wrong, net, Ls)
 
 
 def test_batched_solver_checks_its_stack():

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import carpnet.likelihood
+import carpnet.validation
 from carpnet import (
     ConvergenceError,
     DataError,
@@ -14,6 +15,7 @@ from carpnet import (
     build_history,
     derive_rng,
     fit,
+    fit_many,
     forward_error_bounds,
     forward_statistics,
     load_history,
@@ -24,10 +26,11 @@ from carpnet import (
     run_cascades,
     sensitivity_suite,
     solve_steady_state,
+    solve_steady_states,
     step_activation_counts,
 )
 from carpnet.validation import _attribution_shares
-from conftest import ROOT, TOY_PARAMS, make_network
+from conftest import FIXTURE_PARAMS, ROOT, TOY_PARAMS, make_network
 
 
 # --- attribution ----------------------------------------------------------
@@ -147,6 +150,20 @@ def test_replicates_without_activations_fail_but_keep_their_fit():
     assert np.isnan(report.recovery_param[failed]).all()
     assert np.isnan(report.ks[failed]).all()
     assert not set(failed.tolist()) & set(report.retained + report.discarded)
+
+def test_a_refit_error_fails_only_its_replicate(monkeypatch):
+    net = make_network([0.25, 0.4, 0.3, 0.35], edges=[(0, 1), (1, 2), (2, 3), (0, 3)])
+    hist = build_history(net, month_sequence("2005-01", 60), np.zeros((4, 60), np.uint8))
+    refit_all = carpnet.validation.fit_many
+    monkeypatch.setattr(carpnet.validation, "fit_many", lambda *args, **kwargs: [
+        ConvergenceError("no simplex start converged"), *refit_all(*args, **kwargs)[1:]])
+    with pytest.warns(UserWarning, match="1 of 8"):
+        report = recovery_experiment(net, hist, ModelParams(0.4, 0.3, 1.2), n_replicates=8,
+                                     master_seed=99)
+    assert report.failed.tolist() == [True] + [False] * 7
+    assert np.isnan(report.params[0]).all() and np.isfinite(report.params[1:]).all()
+    assert 0 not in report.retained + report.discarded
+
 
 # --- forward bounds -------------------------------------------------------
 
@@ -277,37 +294,82 @@ def test_sensitivity_baseline_matches_direct_solve(toy_sensitivity):
     assert np.allclose(report.baseline_p_hat, direct.p_hat, atol=1e-12)
 
 
-def test_sensitivity_history_edits_are_the_seeded_drops(toy_sensitivity):
-    net, hist, report = toy_sensitivity
-    base = solve_steady_state(TOY_PARAMS, net).p_hat
-    union = hist.states.copy()
-    for i in range(net.n_risks):
+def _seeded_edits(hist, n_deactivated, seed):
+    """Each changed risk's edited states, then their union, as ``sensitivity_suite`` draws them."""
+    edits, union = [], hist.states.copy()
+    for i in np.flatnonzero(n_deactivated):
         active = np.nonzero(hist.states[i])[0]
-        n_drop = int(report.n_deactivated[i])
-        assert n_drop > 0
-        drop = derive_rng(21, 4, i).choice(active, size=n_drop, replace=False)
+        drop = derive_rng(seed, 4, i).choice(active, size=int(n_deactivated[i]), replace=False)
         states = hist.states.copy()
         states[i, drop] = 0
         union[i, drop] = 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            refit = fit(hist.with_states(states), net).params
-        assert report.single_history[i] == solve_steady_state(refit, net).p_hat[i] - base[i]
+        edits.append(states)
+    return [*edits, union]
+
+
+def test_sensitivity_history_edits_are_the_seeded_drops(toy_sensitivity):
+    net, hist, report = toy_sensitivity
+    assert (report.n_deactivated > 0).all()
+    base = solve_steady_state(TOY_PARAMS, net).p_hat
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        all_params = fit(hist.with_states(union), net).params
-    assert (report.all_history == solve_steady_state(all_params, net).p_hat - base).all()
+        refits = [fit(build_history(net, hist.months, states), net).params
+                  for states in _seeded_edits(hist, report.n_deactivated, 21)]
+        solved = solve_steady_states(refits, net, [net.likelihoods] * len(refits))
+    for i in range(net.n_risks):
+        assert report.single_history[i] == solved[i].p_hat[i] - base[i]
+    assert (report.all_history == solved[-1].p_hat - base).all()
+
+
+def test_fixture_sensitivity_matches_one_solve_per_refit(fixture_network, fixture_history):
+    net, hist = fixture_network, fixture_history
+    report = sensitivity_suite(net, hist, FIXTURE_PARAMS, perturbation=0.1, master_seed=4)
+    base = solve_steady_state(FIXTURE_PARAMS, net).p_hat
+    assert (report.baseline_p_hat == base).all()
+    refits = fit_many(np.array(_seeded_edits(hist, report.n_deactivated, 4)), net)
+    changed = np.flatnonzero(report.n_deactivated)
+    assert len(refits) == changed.size + 1 == 50  # risk 5 drops nothing
+    alone = np.zeros(net.n_risks)
+    for i, refit in zip(changed, refits):
+        alone[i] = solve_steady_state(refit.params, net).p_hat[i] - base[i]
+    assert np.abs(report.single_history - alone).max() <= 1e-15
+    all_history = solve_steady_state(refits[-1].params, net).p_hat - base
+    assert np.abs(report.all_history - all_history).max() <= 1e-15
+
+
+def test_sensitivity_makes_one_refit_batch_and_one_stacked_solve(toy_sensitivity, monkeypatch):
+    net, hist, report = toy_sensitivity
+    calls = []
+
+    def counted(name, inner):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+        return call
+
+    for name in ("fit", "fit_many", "solve_steady_state", "solve_steady_states"):
+        inner = getattr(carpnet.validation, name)
+        monkeypatch.setattr(carpnet.validation, name, counted(name, inner))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        again = sensitivity_suite(net, hist, TOY_PARAMS, perturbation=0.1, master_seed=21)
+    assert calls == ["solve_steady_state", "fit_many", "solve_steady_states"]
+    assert (again.all_history == report.all_history).all()
 
 
 def test_sensitivity_raises_the_first_failed_refit_error(toy_sensitivity, monkeypatch):
-    # one simplex step converges nowhere, so every refit of an edited history raises
+    # one simplex step converges nowhere, so every refit of an edited history
+    # raises; the suite re-raises fit_many's error without a second fit
     monkeypatch.setattr(carpnet.likelihood, "_MAX_ITER", 1)
     net, hist, report = toy_sensitivity
-    states = hist.states.copy()
-    active = np.nonzero(hist.states[0])[0]
-    states[0, derive_rng(21, 4, 0).choice(active, size=report.n_deactivated[0], replace=False)] = 0
+    states = _seeded_edits(hist, report.n_deactivated, 21)[0]
     with pytest.raises(ConvergenceError) as first:
-        fit(hist.with_states(states), net)
+        fit(build_history(net, hist.months, states), net)
+
+    def refit_again(*args, **kwargs):
+        raise AssertionError("sensitivity_suite refitted a history with fit")
+
+    monkeypatch.setattr(carpnet.validation, "fit", refit_again)
     with pytest.raises(ConvergenceError) as raised:
         sensitivity_suite(net, hist, TOY_PARAMS, perturbation=0.1, master_seed=21)
     assert str(raised.value) == str(first.value) == "no simplex start converged within 1 iterations"
