@@ -59,7 +59,6 @@ from .validation import (
     SensitivityReport,
     ValidationReport,
     forward_error_bounds,
-    forward_statistics,
     network_effect_comparison,
     recovery_experiment,
     sensitivity_suite,

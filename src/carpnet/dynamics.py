@@ -24,11 +24,12 @@ run consumes exactly two uniforms per risk per step in a fixed order from
 its own stream derived from (master seed, run index), so results never
 depend on batching or worker count.
 
-Runs step in blocks of at most ``_RUN_BLOCK`` runs, each block reusing one
-set of step buffers.  A run's uniforms are drawn ``_REFILL_STEPS`` steps at
-a time, so the uniform buffer holds at most ``_RUN_BLOCK * _REFILL_STEPS *
-2 * R`` doubles (13 MB at R = 50) whatever the number of runs.  The blocks
-are a grouping of runs like any other: they change no result.
+Paired parameter sets share each run's draws: run ``r`` of every set reads
+the same uniforms, drawn once.  A block of at most ``_RUN_BLOCK`` (set, run)
+rows reuses one set of step buffers.  A run's uniforms are drawn
+``_REFILL_STEPS`` steps at a time, so the uniform buffer holds at most
+``_RUN_BLOCK * _REFILL_STEPS * 2 * R`` doubles (13 MB at R = 50) whatever
+the number of runs or sets.  The blocks change no result.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ from .rng import derive_rng
 from .risks import RiskNetwork
 
 _REFILL_STEPS = 64  # uniforms are drawn per run in blocks of this many steps
-_RUN_BLOCK = 256  # runs are stepped this many at a time, which bounds the uniform buffer
+_RUN_BLOCK = 256  # (set, run) rows stepped at a time, which bounds the uniform buffer
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ class CascadeBatch:
 
 def run_cascades(
     network: RiskNetwork,
-    params: ModelParams,
+    params: ModelParams | Sequence[ModelParams],
     initial,
     n_steps: int,
     master_seed: int,
@@ -139,7 +140,7 @@ def run_cascades(
     checkpoints: Sequence[int] | None = None,
     keep_states: bool = False,
     track_causes: bool = False,
-) -> CascadeBatch:
+) -> CascadeBatch | list[CascadeBatch]:
     """Simulate many independent runs of the cascade on ``network``.
 
     Every run starts from the same ``(R,)`` state ``initial`` and steps
@@ -148,7 +149,14 @@ def run_cascades(
     and its output is a function of that stream alone, so splitting the runs
     across any number of workers reproduces identical results.
     ``checkpoints`` are distinct steps in ``[1, n_steps]``.
+
+    ``params`` is one :class:`ModelParams`, giving one batch, or a sequence
+    of S, giving a list of S batches that step on the same draws: batch
+    ``s`` equals a lone call at ``params[s]``, paired with the others.
     """
+    sets = [params] if isinstance(params, ModelParams) else list(params)
+    if not sets:
+        raise DataError("params is an empty sequence")
     R = network.n_risks
     if n_steps < 1:
         raise DataError("n_steps must be >= 1")
@@ -161,9 +169,12 @@ def run_cascades(
     if initial.shape != (R,):
         raise DataError(f"initial state must have shape ({R},), got {initial.shape}")
 
-    probs = process_probabilities(network.likelihoods, params)
-    p_int, p_rec = probs.p_int, probs.p_rec
-    beta_log1m = params.beta * np.log1p(-network.likelihoods)  # per-neighbor log-survival
+    # one (1, R) row of each rate per set, broadcast over a block's runs;
+    # beta_log1m is the per-neighbor log-survival
+    probs = [process_probabilities(network.likelihoods, p) for p in sets]
+    p_int = np.array([q.p_int for q in probs])[:, None]
+    p_rec = np.array([q.p_rec for q in probs])[:, None]
+    beta_log1m = np.array([p.beta for p in sets])[:, None, None] * np.log1p(-network.likelihoods)
 
     checkpoints = tuple(int(c) for c in (checkpoints or ()))
     if any(c < 1 or c > n_steps for c in checkpoints):
@@ -171,62 +182,62 @@ def run_cascades(
     if len(set(checkpoints)) != len(checkpoints):
         raise DataError(f"checkpoints must be distinct, got {checkpoints}")
     cp_lookup = {c: k for k, c in enumerate(checkpoints)}
-    cp_freq = (
-        np.zeros((len(checkpoints), n, R), dtype=float) if checkpoints else None
-    )
 
-    final_active = np.broadcast_to(initial, (n, R)).copy()
-    active_months = np.zeros((n, R), dtype=np.int64)
-    activation_counts = np.zeros((n, R), dtype=np.int64)
-    states = np.zeros((n, R, n_steps + 1), dtype=np.uint8) if keep_states else None
-    cause_counts = np.zeros((n, 3), dtype=np.int64) if track_causes else None
+    # every output is set-major, so each set's part is one contiguous array
+    shape = (len(sets), n, R)
+    cp_freq = np.zeros((len(sets), len(checkpoints), n, R)) if checkpoints else None
+    final_active = np.broadcast_to(initial, shape).copy()
+    active_months = np.zeros(shape, dtype=np.int64)
+    activation_counts = np.zeros(shape, dtype=np.int64)
+    states = np.zeros((*shape, n_steps + 1), dtype=np.uint8) if keep_states else None
+    cause_counts = np.zeros((len(sets), n, 3), dtype=np.int64) if track_causes else None
     if states is not None:
-        states[:, :, 0] = initial
+        states[..., 0] = initial
 
     # Neighbour counts are integers <= R, which float32 holds exactly below
     # 2**24, so a float32 matmul gives the same k as a float64 one.
     A32 = network.adjacency.astype(np.float32)
-    for lo in range(0, n, _RUN_BLOCK):
-        rows = slice(lo, lo + _RUN_BLOCK)
+    block = max(1, _RUN_BLOCK // len(sets))
+    for lo in range(0, n, block):
+        rows = slice(lo, lo + block)
         _step_block(
             [derive_rng(master_seed, *rng_path_prefix, r) for r in run_indices[rows]],
             n_steps, A32, p_int, p_rec, beta_log1m, cp_lookup,
-            final_active[rows], active_months[rows], activation_counts[rows],
-            None if cp_freq is None else cp_freq[:, rows],
-            None if states is None else states[rows],
-            None if cause_counts is None else cause_counts[rows],
+            final_active[:, rows], active_months[:, rows], activation_counts[:, rows],
+            None if cp_freq is None else cp_freq[:, :, rows],
+            None if states is None else states[:, rows],
+            None if cause_counts is None else cause_counts[:, rows],
         )
 
-    return CascadeBatch(
-        run_indices=run_indices,
-        n_steps=n_steps,
-        final_active=final_active,
-        active_months=active_months,
-        activation_counts=activation_counts,
-        checkpoints=checkpoints,
-        checkpoint_frequency=cp_freq,
-        states=states,
-        cause_counts=cause_counts,
-    )
+    arrays = dict(final_active=final_active, active_months=active_months,
+                  activation_counts=activation_counts, checkpoint_frequency=cp_freq,
+                  states=states, cause_counts=cause_counts)
+    batches = [
+        CascadeBatch(run_indices=run_indices, n_steps=n_steps, checkpoints=checkpoints,
+                     **{name: None if a is None else a[s] for name, a in arrays.items()})
+        for s in range(len(sets))
+    ]
+    return batches[0] if isinstance(params, ModelParams) else batches
 
 
 def _step_block(
     gens, n_steps, A32, p_int, p_rec, beta_log1m, cp_lookup,
     active, active_months, activation_counts, cp_freq, states, cause_counts,
 ) -> None:
-    """Step the runs of ``gens`` for ``n_steps`` months, writing in place.
+    """Step the runs of ``gens`` under every set for ``n_steps`` months,
+    writing in place.
 
-    The arrays from ``active`` on are this block's rows of
+    The arrays from ``active`` on are this block's (set, run) rows of
     :func:`run_cascades`' outputs (``None`` where not asked for); ``active``
     holds the initial state on entry and the final state on return.  Every
-    step reuses the same buffers.
+    set reads each run's uniforms, and every step reuses the same buffers.
     """
-    b, R = active.shape
+    S, b, R = active.shape
     buf = np.empty((b, _REFILL_STEPS, 2, R), dtype=float)
-    act32 = np.empty((b, R), dtype=np.float32)
-    k = np.empty((b, R), dtype=np.float32)
-    ext_agg = np.empty((b, R), dtype=float)
-    int_fire, ext_fire, fired, activated, stay = np.empty((5, b, R), dtype=bool)
+    act32 = np.empty((S, b, R), dtype=np.float32)
+    k = np.empty((S, b, R), dtype=np.float32)
+    ext_agg = np.empty((S, b, R), dtype=float)
+    int_fire, ext_fire, fired, activated, stay = np.empty((5, S, b, R), dtype=bool)
 
     for t in range(n_steps):
         slot = t % _REFILL_STEPS
@@ -252,14 +263,14 @@ def _step_block(
         active_months += active
         activation_counts += activated
         if states is not None:
-            states[:, :, t + 1] = active
+            states[..., t + 1] = active
         if cause_counts is not None:
             both = activated & int_fire & ext_fire
-            cause_counts[:, 0] += (activated & int_fire & ~ext_fire).sum(axis=1)
-            cause_counts[:, 1] += (activated & ext_fire & ~int_fire).sum(axis=1)
-            cause_counts[:, 2] += both.sum(axis=1)
+            cause_counts[..., 0] += (activated & int_fire & ~ext_fire).sum(axis=-1)
+            cause_counts[..., 1] += (activated & ext_fire & ~int_fire).sum(axis=-1)
+            cause_counts[..., 2] += both.sum(axis=-1)
         if cp_freq is not None and (t + 1) in cp_lookup:
-            np.divide(active_months, t + 1, out=cp_freq[cp_lookup[t + 1]])
+            np.divide(active_months, t + 1, out=cp_freq[:, cp_lookup[t + 1]])
 
 
 def _merge_batches(parts: Sequence[CascadeBatch]) -> CascadeBatch:

@@ -13,7 +13,8 @@ partitions the experiments so none of them share draws:
 
 Sharing streams across parameter sets (tags 2 and 3) is deliberate: it
 makes comparisons paired, so two identical parameter sets produce
-identical output instead of merely statistically similar output.
+identical output instead of merely statistically similar output.  Each
+tag's sets step together in paired ``run_cascades`` calls.
 """
 from __future__ import annotations
 
@@ -23,12 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    ActivityStatistics,
-    ModelParams,
-    run_cascades,
-    statistics_from_batch,
-)
+from . import dynamics
+from .dynamics import ModelParams, run_cascades, statistics_from_batch
 from .errors import ConvergenceError, DataError
 from .likelihood import fit, fit_many
 from .risks import HistoryMatrix, RiskNetwork
@@ -210,22 +207,6 @@ class ForwardReport:
     worst_deviation: float
 
 
-def forward_statistics(
-    network: RiskNetwork,
-    params: ModelParams,
-    initial,
-    months: int,
-    n_runs: int,
-    master_seed: int,
-) -> ActivityStatistics:
-    """Activity statistics of a simulated forward window (stream tag 2)."""
-    batch = run_cascades(
-        network, params, initial, months, master_seed,
-        range(n_runs), rng_path_prefix=(2,),
-    )
-    return statistics_from_batch(batch)
-
-
 def forward_error_bounds(
     network: RiskNetwork,
     ground_truth: ModelParams,
@@ -241,29 +222,33 @@ def forward_error_bounds(
     Starting every simulation from ``initial`` (normally the last
     observed month), the ground-truth parameters and each validation
     parameter set generate ``runs`` windows of ``months`` months.  All
-    parameter sets consume identical random streams, so a validation set
-    equal to the ground truth reproduces its statistics exactly.
+    parameter sets consume identical random streams (tag 2) in paired
+    ``run_cascades`` calls, so a validation set equal to the ground truth
+    reproduces its statistics exactly.  A call takes at most
+    ``_RUN_BLOCK * _REFILL_STEPS // runs`` sets (at least one), which keeps
+    its per-run counts about the size of the cascade's uniform buffer.
     """
-    validation_sets = tuple(validation_sets)
-    if not validation_sets:
+    sets = (ground_truth, *validation_sets)
+    if len(sets) < 2:
         raise DataError("need at least one validation parameter set")
     if months < 1 or runs < 1:
         raise DataError("months and runs must be >= 1")
     initial = np.asarray(initial, dtype=bool)
 
-    gt = forward_statistics(network, ground_truth, initial, months, runs, master_seed)
+    group = max(1, dynamics._RUN_BLOCK * dynamics._REFILL_STEPS // runs)
+    gt, *stats = [
+        statistics_from_batch(batch)
+        for lo in range(0, len(sets), group)
+        for batch in run_cascades(network, sets[lo:lo + group], initial, months, master_seed,
+                                  range(runs), rng_path_prefix=(2,))
+    ]
     if gt.mean_freq_active == 0 or gt.mean_activations == 0:
         raise DataError(
             "ground-truth forward window has zero activity; deviations undefined"
         )
 
-    freq = np.empty(len(validation_sets))
-    acts = np.empty(len(validation_sets))
-    for s, params in enumerate(validation_sets):
-        stats = forward_statistics(network, params, initial, months, runs, master_seed)
-        freq[s] = stats.mean_freq_active
-        acts[s] = stats.mean_activations
-
+    freq = np.array([s.mean_freq_active for s in stats])
+    acts = np.array([s.mean_activations for s in stats])
     freq_dev = np.abs(freq / gt.mean_freq_active - 1.0)
     acts_dev = np.abs(acts / gt.mean_activations - 1.0)
     return ForwardReport(
@@ -334,7 +319,9 @@ def network_effect_comparison(
     Simulates the historical window under (a) the network model with
     ``params`` and (b) an edgeless model whose parameters are refitted to
     the history with the coupling forced to zero.  Both models consume
-    the same random streams (tag 3).  Smaller ``m`` means the model's
+    the same random streams (tag 3) in one paired ``run_cascades`` pass on
+    ``network``: with beta = 0 no neighbour can fire, so (b) steps exactly
+    as it would on the edgeless network.  Smaller ``m`` means the model's
     run-to-run spread covers history more tightly.
     """
     if history.risk_ids != network.ids:
@@ -345,19 +332,16 @@ def network_effect_comparison(
     initial = history.states[:, 0].astype(bool)
     n_steps = history.n_months - 1
 
-    edgeless = network.without_edges()
-    independent_params = fit(history, edgeless, fix_beta=0.0).params
+    independent_params = fit(history, network.without_edges(), fix_beta=0.0).params
 
-    def band(net, p):
-        batch = run_cascades(
-            net, p, initial, n_steps, master_seed,
-            range(runs), rng_path_prefix=(3,), keep_states=True,
-        )
+    def band(batch):
         counts = step_activation_counts(batch.states).astype(float)  # (runs, n_steps)
         return counts.mean(axis=0), counts.std(axis=0, ddof=1)
 
-    net_mean, net_std = band(network, params)
-    ind_mean, ind_std = band(edgeless, independent_params)
+    (net_mean, net_std), (ind_mean, ind_std) = map(band, run_cascades(
+        network, [params, independent_params], initial, n_steps, master_seed,
+        range(runs), rng_path_prefix=(3,), keep_states=True,
+    ))
 
     m_net, net_inf = _coverage_multiple(historical, net_mean, net_std)
     m_ind, ind_inf = _coverage_multiple(historical, ind_mean, ind_std)

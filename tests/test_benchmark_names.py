@@ -97,6 +97,23 @@ def test_traced_cli_run_records_its_cascades(tracing, tmp_path):
     assert {"cli.main", "dynamics.run_cascades_parallel", "dynamics.run_cascades"} <= names
 
 
+def test_traced_recovery_hands_the_hook_single_batches(tracing, tmp_path):
+    # run_cascades returns a list for a sequence of parameter sets, which the
+    # hook cannot read; the recovery and cascade workloads pass one set
+    tracer = tracing.Tracer()
+    tracer.install(run_id=0)
+    try:
+        code = carpnet.cli.main(["validate", *map(str, toy_args(
+            "--experiment", "recovery", "--history", HISTORY, "--params", "0.4,0.3,1.2",
+            "--seed", "5", "--replicates", "6", out=tmp_path / "x"))])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    # the toy network has 6 risks and 36 months, so each run makes 35 steps
+    assert tracer.streams == [(0, 5, (0,), (0,), 35, 6), (0, 5, (1,), tuple(range(6)), 35, 6)]
+    assert tracer.counts["dynamics.risk_steps"] == (1 + 6) * 35 * 6
+
+
 @pytest.mark.parametrize("command", [
     ["influence", "--params", "0.4,0.3,1.2"],
     ["pipeline", "--history", HISTORY],

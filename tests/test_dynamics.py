@@ -24,7 +24,7 @@ from carpnet import (
     statistics_from_batch,
 )
 from carpnet.rng import derive_rng
-from conftest import history_loglik, make_network
+from conftest import TOY_PARAMS, history_loglik, make_network
 from oracles import cascade_step
 
 unit_floats = st.floats(0.05, 0.9)
@@ -188,6 +188,54 @@ def test_batch_is_independent_of_grouping(monkeypatch):
         want = np.concatenate([getattr(p, field.name) for p in parts], axis=axis)
         got = getattr(whole, field.name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field.name
+
+
+def _assert_same_batch(got, want):
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+            assert a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, field.name
+
+
+def test_paired_sets_equal_lone_calls(monkeypatch):
+    # blocks of two (set, run) rows hold one run of the three sets, so the
+    # five runs step in five blocks; 70 steps cross a refill of the uniforms
+    monkeypatch.setattr(carpnet.dynamics, "_RUN_BLOCK", 2)
+    net = make_network([0.2, 0.3, 0.4, 0.25], edges=[(0, 1), (1, 2), (2, 3)])
+    p = ModelParams(0.3, 0.3, 1.0)
+    sets = [p, ModelParams(0.2, 0.0, 0.7), p]  # one with beta = 0, one repeated
+    args = (np.array([1, 0, 0, 1], bool), 70, 9, (4, 0, 7, 1, 3))
+    kwargs = dict(rng_path_prefix=(2,), keep_states=True, track_causes=True,
+                  checkpoints=(1, 64, 70))
+    paired = run_cascades(net, sets, *args, **kwargs)
+    assert isinstance(paired, list) and len(paired) == 3
+    for params, batch in zip(sets, paired):
+        _assert_same_batch(batch, run_cascades(net, params, *args, **kwargs))
+    assert paired[1].cause_counts[:, 1:].sum() == 0 < paired[0].cause_counts[:, 1:].sum()
+
+    (one,) = run_cascades(net, [p], *args, **kwargs)
+    _assert_same_batch(one, run_cascades(net, p, *args, **kwargs))
+    with pytest.raises(DataError, match="empty"):
+        run_cascades(net, [], *args, **kwargs)
+
+
+@pytest.mark.parametrize("network", ["toy_network", "fixture_network"])
+def test_zero_beta_steps_like_the_edgeless_network(request, network):
+    # network_effect_comparison steps its edgeless model on the full network
+    # at beta = 0, which relies on this
+    net = request.getfixturevalue(network)
+    initial = np.arange(net.n_risks) % 3 == 0
+    args = (initial, 155, 4, range(100))
+    kwargs = dict(rng_path_prefix=(3,), keep_states=True, track_causes=True)
+    edgeless = run_cascades(net.without_edges(), TOY_PARAMS, *args, **kwargs)
+    flat = run_cascades(net, dataclasses.replace(TOY_PARAMS, beta=0.0), *args, **kwargs)
+    coupled = run_cascades(net, TOY_PARAMS, *args, **kwargs)
+    for name in ("states", "activation_counts", "cause_counts"):
+        assert np.array_equal(getattr(flat, name), getattr(edgeless, name)), name
+    assert not np.array_equal(coupled.states, flat.states)
 
 
 def test_parallel_workers_change_nothing():

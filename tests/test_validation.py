@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 import warnings
 
@@ -6,18 +8,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import carpnet.dynamics
 import carpnet.likelihood
 import carpnet.validation
 from carpnet import (
     ConvergenceError,
     DataError,
+    ForwardReport,
     ModelParams,
     build_history,
     derive_rng,
     fit,
     fit_many,
     forward_error_bounds,
-    forward_statistics,
     load_history,
     load_network,
     month_sequence,
@@ -27,6 +30,7 @@ from carpnet import (
     sensitivity_suite,
     solve_steady_state,
     solve_steady_states,
+    statistics_from_batch,
     step_activation_counts,
 )
 from carpnet.validation import _attribution_shares
@@ -190,12 +194,56 @@ def test_forward_deviation_registers_parameter_error():
     assert report.set_freq_active.shape == (2,)
 
 
-def test_forward_statistics_reproducible():
-    net = make_network([0.25, 0.4, 0.3], edges=[(0, 1), (1, 2)])
-    a = forward_statistics(net, TOY_PARAMS, np.zeros(3, bool), 12, 20, 7)
-    b = forward_statistics(net, TOY_PARAMS, np.zeros(3, bool), 12, 20, 7)
-    assert np.array_equal(a.freq_active, b.freq_active)
-    assert a.mean_freq_active == b.mean_freq_active
+_FORWARD_NET = make_network([0.25, 0.4, 0.3], edges=[(0, 1), (1, 2)])
+_FORWARD_INITIAL = np.array([False, True, False])
+_FORWARD_SETS = [ModelParams(a, b, g) for a in (0.2, 0.4) for b in (0.0, 0.3) for g in (0.8, 1.2)]
+_FORWARD_SETS.append(TOY_PARAMS)  # with the ground truth, ten sets
+
+
+def test_forward_report_equals_lone_runs_per_set(monkeypatch):
+    # 2 * 64 // 30 = 4 sets per call, so the ten sets take three calls, and
+    # each call steps one run of its four sets per block
+    monkeypatch.setattr(carpnet.dynamics, "_RUN_BLOCK", 2)
+    report = forward_error_bounds(_FORWARD_NET, TOY_PARAMS, _FORWARD_SETS,
+                                  initial=_FORWARD_INITIAL, months=12, runs=30, master_seed=5)
+
+    gt, *stats = [
+        statistics_from_batch(run_cascades(_FORWARD_NET, p, _FORWARD_INITIAL, 12, 5, range(30),
+                                           rng_path_prefix=(2,)))
+        for p in (TOY_PARAMS, *_FORWARD_SETS)
+    ]
+    freq = np.array([s.mean_freq_active for s in stats])
+    acts = np.array([s.mean_activations for s in stats])
+    freq_dev = np.abs(freq / gt.mean_freq_active - 1.0)
+    acts_dev = np.abs(acts / gt.mean_activations - 1.0)
+    want = ForwardReport(
+        12, gt.mean_freq_active, gt.mean_activations, freq, acts, freq_dev, acts_dev,
+        (freq.mean(), freq.min(), freq.max()), (acts.mean(), acts.min(), acts.max()),
+        max(freq_dev.max(), acts_dev.max()),
+    )
+    for field in dataclasses.fields(ForwardReport):
+        got = np.asarray(getattr(report, field.name)).tolist()
+        assert got == np.asarray(getattr(want, field.name)).tolist(), field.name
+    assert report.worst_deviation > 0 and report.freq_deviation[-1] == 0
+
+
+@pytest.mark.parametrize("runs, n_calls", [(30, 1), (2000, 2)])
+def test_forward_calls_stay_within_the_uniform_buffer(monkeypatch, runs, n_calls):
+    calls = []
+    inner = carpnet.validation.run_cascades
+
+    def recording(*args, **kwargs):
+        call = inspect.signature(inner).bind(*args, **kwargs).arguments
+        calls.append((list(call["params"]), len(call["run_indices"])))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(carpnet.validation, "run_cascades", recording)
+    forward_error_bounds(_FORWARD_NET, TOY_PARAMS, _FORWARD_SETS,
+                         initial=_FORWARD_INITIAL, months=12, runs=runs, master_seed=5)
+    bound = carpnet.dynamics._RUN_BLOCK * carpnet.dynamics._REFILL_STEPS
+    assert len(calls) == n_calls
+    assert all(len(sets) * n <= bound and n == runs for sets, n in calls)
+    assert [p for sets, _ in calls for p in sets] == [TOY_PARAMS, *_FORWARD_SETS]
 
 
 def test_forward_rejects_dead_ground_truth():
