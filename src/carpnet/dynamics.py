@@ -176,7 +176,7 @@ def run_cascades(
     p_rec = np.array([q.p_rec for q in probs])[:, None]
     beta_log1m = np.array([p.beta for p in sets])[:, None, None] * np.log1p(-network.likelihoods)
 
-    checkpoints = tuple(int(c) for c in (checkpoints or ()))
+    checkpoints = () if checkpoints is None else tuple(int(c) for c in checkpoints)
     if any(c < 1 or c > n_steps for c in checkpoints):
         raise DataError(f"checkpoints must lie in [1, {n_steps}], got {checkpoints}")
     if len(set(checkpoints)) != len(checkpoints):

@@ -9,11 +9,11 @@ log-probability of each observed monthly transition:
 * active -> passive:  ``gamma * ln(1-L)``
 
 where k is the number of the risk's neighbors active in the source month.
-Because every term depends on the data only through (risk, k) pairs and
-per-risk counts, the whole objective collapses to a handful of grouped
-sufficient statistics.  ``TransitionSummary`` computes them for an
-(H, R, T) stack of 0/1 state matrices in one pass, one row per history,
-and evaluates the objective of any rows at once.
+The data enter only through how often each risk makes each transition at
+each k, so the whole objective collapses to a handful of grouped
+sufficient statistics.  ``TransitionSummary`` counts those transitions for
+an (H, R, T) stack of 0/1 state matrices in one tensor, one row per
+history, and evaluates the objective of any rows at once.
 
 Fitting runs a coarse log-spaced grid over the box [0, 10] per parameter
 and refines the best cells with deterministic Nelder-Mead simplexes, so
@@ -37,7 +37,7 @@ import numpy as np
 
 from .dynamics import ModelParams
 from .errors import ConvergenceError, DataError
-from .risks import HistoryMatrix, RiskNetwork
+from .risks import HistoryMatrix, RiskNetwork, check_states
 
 
 # Search settings: a log-spaced grid of _GRID_POINTS values per axis over
@@ -63,61 +63,58 @@ class FitResult:
 
 
 def _state_cube(states, n_risks: int) -> np.ndarray:
-    """``states`` as a uint8 (H, R, T) array, checked before the cast (which
-    would wrap 256 to 0): R = ``n_risks``, T >= 2 and every entry 0 or 1."""
+    """``states`` as a uint8 (H, R, T) array, checked before the cast:
+    R = ``n_risks``, T >= 2 and every entry 0 or 1."""
     states = np.asarray(states)
     if states.ndim != 3 or states.shape[1] != n_risks or states.shape[2] < 2:
         raise DataError(f"need an (H, {n_risks}, T) stack of states with T >= 2, "
                         f"got shape {states.shape}")
-    blocks = (states[lo:lo + _BLOCK] for lo in range(0, len(states), _BLOCK))  # bounds the memory
-    if not all(((block == 0) | (block == 1)).all() for block in blocks):
-        raise DataError("history states must be 0 or 1")
-    return states.astype(np.uint8, copy=False)
+    return check_states(states).astype(np.uint8, copy=False)
 
 
 class TransitionSummary:
     """Grouped sufficient statistics of an (H, R, T) stack of histories on one
-    network, one row per history.
-
-    Row h holds ``c00_l`` and ``c00_kl`` (the passive -> passive sums of
-    ln(1-L) and k ln(1-L)), ``s10_l`` (the active -> passive sum of
-    ln(1-L)), the activation terms by (risk, k) and the active -> active
-    months by risk, plus the counts behind the fit's data flags.  Each sum
-    adds the same values in the same order as a summary of history h alone.
+    network, one row per history, read off the count tensor ``n[h, r, kind,
+    k]`` of months in which risk r of history h makes transition ``kind``
+    (0: 0->0, 1: 0->1, 2: 1->0, 3: 1->1) with k active neighbors.  Row h
+    holds ``c00_l`` and ``c00_kl`` (the 0->0 sums of ln(1-L) and k ln(1-L)),
+    ``s10_l`` (the 1->0 sum of ln(1-L)), the activation terms (the nonzero
+    0->1 cells), the 1->1 months by risk and the counts behind the fit's
+    data flags, each reduced from row h alone: a summary of history h alone.
     """
 
     def __init__(self, states, network: RiskNetwork):
         S = _state_cube(states, network.n_risks)
         H, R, _ = S.shape
-        A, log1m = network.adjacency_float, np.log1p(-network.likelihoods)
-        code = 2 * S[:, :, :-1] + S[:, :, 1:]  # 0: 0->0, 1: 0->1, 2: 1->0, 3: 1->1
-        n00, n01, n10, n11 = ((code == c).sum(axis=2) for c in range(4))  # (H, R) each
+        log1m = np.log1p(-network.likelihoods)
+        # active neighbors in each source month: integers that float32 holds exactly
+        K = np.matmul(network.adjacency.astype(np.float32), S[:, :, :-1], dtype=np.float32)
+        span = int(K.max(initial=0)) + 1
+        size = H * R * 4 * span  # sets a cell index dtype that cannot wrap
+        cell = np.arange(0, 4 * H * R, 4, dtype=np.int32 if size <= 2**31 else np.int64)
+        cell = cell.reshape(H, R, 1) + (2 * S[:, :, :-1] + S[:, :, 1:])  # 4*(h*R + r) + kind
+        cell *= span
+        cell += K.astype(cell.dtype)
+        del K  # bounds the memory of the count
+        n = np.bincount(cell.ravel(), minlength=size).reshape(H, R, 4, span)
+        months = n.sum(axis=3)  # (H, R, kind)
 
-        self.c00_l, self.c00_kl, self.s10_l = np.empty((3, H))
-        self.external_exposure = np.empty(H, dtype=bool)
-        k01 = [np.zeros(0, np.int64)]  # each history's active neighbors at its 0->1 cells
-        for h in range(H):
-            K = A @ S[h, :, :-1]  # active neighbors in each source month
-            l00 = np.repeat(log1m, n00[h])  # ln(1-L) of each 0->0 cell, risk by risk
-            self.c00_l[h] = l00.sum()
-            self.c00_kl[h] = (l00 * K[code[h] == 0]).sum()
-            self.s10_l[h] = np.repeat(log1m, n10[h]).sum()
-            self.external_exposure[h] = (K[code[h] < 2] > 0).any()
-            k01.append(K[code[h] == 1].astype(np.int64))
+        # each history's sums reduce its own row, whatever the batch
+        self.c00_l = (months[:, :, 0] * log1m).sum(axis=1)
+        self.c00_kl = ((n[:, :, 0] @ np.arange(span)) * log1m).sum(axis=1)
+        self.s10_l = (months[:, :, 2] * log1m).sum(axis=1)
+        self.n_activations, self.n_recoveries = months[:, :, 1:3].sum(axis=1).T
+        self.n_active_source = months[:, :, 2:].sum(axis=(1, 2))
+        self.external_exposure = n[:, :, :2, 1:].any(axis=(1, 2, 3))
 
-        # activations grouped by (history, risk, k), sorted in that order
-        cell = np.flatnonzero(code == 1) // code.shape[2]  # h*R + risk of each 0->1 cell
-        k01 = np.concatenate(k01)
-        span = int(k01.max(initial=0)) + 1
-        key, counts = np.unique(cell * span + k01, return_counts=True)
-        self.activations = _Terms(H, key // span // R, counts.astype(float),
+        # the activations and the 1->1 months: the nonzero cells, in (h, r, k) order
+        n01 = n[:, :, 1].ravel()
+        key = np.flatnonzero(n01)  # (h*R + r)*span + k
+        self.activations = _Terms(H, key // span // R, n01[key].astype(float),
                                   log1m[key // span % R], (key % span).astype(float))
-        cell = np.flatnonzero(n11)  # h*R + risk with an active -> active month
-        self.continuations = _Terms(H, cell // R, n11.flat[cell].astype(float), log1m[cell % R])
-
-        self.n_activations = n01.sum(axis=1)
-        self.n_recoveries = n10.sum(axis=1)
-        self.n_active_source = self.n_recoveries + n11.sum(axis=1)
+        n11 = months[:, :, 3].ravel()
+        key = np.flatnonzero(n11)  # h*R + r
+        self.continuations = _Terms(H, key // R, n11[key].astype(float), log1m[key % R])
 
     def loglik(self, rows, alpha, beta, gamma) -> np.ndarray:
         """Log-likelihood of history ``rows[i]`` at the i-th (alpha, beta,

@@ -313,8 +313,7 @@ class HistoryMatrix:
             raise DataError(f"history needs at least 2 months, got {T}")
         if self.states.shape != (R, T):
             raise DataError(f"states must have shape ({R}, {T}), got {self.states.shape}")
-        if not np.isin(self.states, (0, 1)).all():
-            raise DataError("history states must be 0 or 1")
+        check_states(self.states)
         expected = month_sequence(self.months[0], T)
         if tuple(self.months) != expected:
             t = next(t for t, (a, b) in enumerate(zip(self.months, expected)) if a != b)
@@ -338,7 +337,18 @@ def build_history(
     network: RiskNetwork, months: Sequence[str], states: np.ndarray
 ) -> HistoryMatrix:
     """Construct a history aligned to ``network``'s risk order."""
-    return HistoryMatrix(network.ids, tuple(months), np.array(states, dtype=np.uint8))
+    return HistoryMatrix(network.ids, tuple(months), check_states(states).astype(np.uint8))
+
+
+def check_states(states) -> np.ndarray:
+    """``states`` as an array, checked to hold only 0 and 1: call it before a
+    cast to uint8, which would wrap 256 to 0.  It checks 32 slices of the
+    first axis at a time, which bounds the memory."""
+    states = np.atleast_1d(states)
+    blocks = (states[lo:lo + 32] for lo in range(0, len(states), 32))
+    if not all(((block == 0) | (block == 1)).all() for block in blocks):
+        raise DataError("history states must be 0 or 1")
+    return states
 
 
 def load_history(path, network: RiskNetwork) -> HistoryMatrix:

@@ -292,6 +292,13 @@ def test_parallel_workers_are_capped_at_the_usable_cpus(monkeypatch):
         assert np.array_equal(batch.checkpoint_frequency, expected.checkpoint_frequency)
 
 
+def test_checkpoints_may_be_an_array():
+    net = make_network([0.2, 0.3, 0.4], edges=[(0, 1), (1, 2)])
+    args = (net, ModelParams(0.3, 0.3, 1.0), np.zeros(3, bool), 100, 3, range(4))
+    _assert_same_batch(run_cascades(*args, checkpoints=np.array([10, 100])),
+                       run_cascades(*args, checkpoints=(10, 100)))
+
+
 def test_duplicate_checkpoints_are_rejected():
     net = make_network([0.2, 0.3, 0.4], edges=[(0, 1), (1, 2)])
     with pytest.raises(DataError, match="distinct"):

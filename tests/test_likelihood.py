@@ -357,6 +357,25 @@ def ragged_stack(fixture_network, fixture_history):
     return stack, [TransitionSummary(h[None], net) for h in histories]
 
 
+def test_stacked_statistics_are_each_history_alone(ragged_stack):
+    """Row h of the stack holds history h's summary bit for bit: its sums, both
+    term groups and every flag count."""
+    stack, alone = ragged_stack
+    for h, one in enumerate(alone):
+        for name in ("c00_l", "c00_kl", "s10_l", "n_activations", "n_recoveries",
+                     "n_active_source", "external_exposure"):
+            got, want = getattr(stack, name)[h:h + 1], getattr(one, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (h, name)
+        for group in ("activations", "continuations"):
+            terms, want = getattr(stack, group), getattr(one, group)
+            n = want.sizes[0]
+            assert terms.sizes[h] == n, (h, group)
+            for name in ("w", "l", "k"):
+                if getattr(want, name) is not None:
+                    got = getattr(terms, name)[h, :n]
+                    assert got.tobytes() == getattr(want, name)[0].tobytes(), (h, group, name)
+
+
 coordinate = st.sampled_from([0.0, 1e-300, 1e-4, 0.3]) | st.floats(0.0, 10.0)
 
 

@@ -142,6 +142,15 @@ def test_history_roundtrip(tmp_path_factory, form, drawn):
     assert (back.states == states).all()
 
 
+@pytest.mark.parametrize("value", [256, 0.5, 1.7, -1, np.nan])
+def test_built_history_rejects_states_other_than_0_and_1(value):
+    """Checked before the cast to uint8, which would store 256 as 0 and 1.7 as 1."""
+    states = np.zeros((2, 3))
+    states[1, 2] = value
+    with pytest.raises(DataError, match="0 or 1"):
+        build_history(make_network([0.2, 0.3]), month_sequence("2011-01", 3), states)
+
+
 def test_history_must_cover_network(tmp_path):
     net = make_network([0.2, 0.3], edges=[(0, 1)])
     other = make_network([0.2, 0.3, 0.4], edges=[(0, 1)])
