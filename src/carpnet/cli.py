@@ -9,7 +9,9 @@ Design rules, enforced here rather than per command:
   command line's own flags: the same parser checks it and the flags
   override it.  Environment variables are never consulted;
 * every command is one entry of ``_COMMANDS``: its options, required
-  options and handler.  Handlers only compute and write artifacts;
+  options and handler.  Handlers only compute; ``run`` reads the inputs
+  and writes the artifacts and the manifest, so a failed command writes
+  nothing;
 * every run writes ``manifest.json`` recording the tool version, the
   effective semantic options, input file hashes, and output names, all
   derived from the parsed options.  The output directory and worker count
@@ -40,9 +42,9 @@ from .dynamics import (
 )
 from .errors import CarpError, DataError, NumericalError, UsageError
 from .graph_stats import compute_properties
-from .influence import category_influence, check_kappa, risk_influence
+from .influence import category_influence, risk_influence
 from .likelihood import fit
-from .risks import RiskNetwork, load_history, load_network
+from .risks import load_history, load_network
 from .steady_state import solve_steady_state
 from .validation import (
     forward_error_bounds,
@@ -126,7 +128,7 @@ class _Command(NamedTuple):
     help: str
     options: tuple  # option groups, in --help order
     required: tuple[str, ...]  # dests that must be set by a flag or the config file
-    handler: Callable  # (args, out) -> names of the artifacts it wrote
+    handler: Callable  # (args, network, history) -> {file name: CSV columns or JSON summary}
 
 
 def build_parser() -> _Parser:
@@ -173,10 +175,6 @@ def _require(args, command: str, dests) -> None:
             raise UsageError(f"{command} requires {flag} (flag or config file)")
 
 
-def _load_net(args) -> RiskNetwork:
-    return load_network(args.risks, args.pairs, likelihood_scale=args.scale, epsilon=args.epsilon)
-
-
 def _parse_params(args, network, history, *, allow_fit=False):
     """Resolve model parameters from --params, --params-file, or a fit.
 
@@ -213,57 +211,50 @@ def _summary(report, *names) -> dict:
     return {name: v for name, v in fields.items() if not isinstance(v, np.ndarray)}
 
 
-def _fit_artifacts(out: Path, result) -> list[str]:
-    write_json(out / "fit.json", {
+def _fit_artifacts(result) -> dict:
+    return {"fit.json": {
         **asdict(result.params),
         "loglik": result.log_likelihood,
         **_summary(result, "converged", "boundary_flags", "iterations"),
-    })
-    return ["fit.json"]
+    }}
 
 
-def _steady_artifacts(out: Path, network, steady) -> list[str]:
-    write_csv(out / "steady_state.csv", {"risk_id": network.ids, "p_hat": steady.p_hat})
-    write_json(out / "convergence.json", _summary(steady))
-    return ["steady_state.csv", "convergence.json"]
+def _steady_artifacts(network, steady) -> dict:
+    return {
+        "steady_state.csv": {"risk_id": network.ids, "p_hat": steady.p_hat},
+        "convergence.json": _summary(steady),
+    }
 
 
-def _influence_artifacts(out: Path, network, matrix, aggregate, kappa) -> list[str]:
+def _influence_artifacts(network, matrix, aggregate, kappa) -> dict:
     ids = np.array(matrix.ids)
     src, dst = np.nonzero(~np.eye(network.n_risks, dtype=bool))
-    write_csv(out / "influence.csv", {
-        "source_id": ids[src], "target_id": ids[dst], "influence": matrix.values[src, dst],
-    })
+    pairs = {"source_id": ids[src], "target_id": ids[dst], "influence": matrix.values[src, dst]}
 
     cats = category_influence(matrix, network, aggregate=aggregate, kappa=kappa)
     names = np.array(cats.categories)
     src, dst = np.indices(cats.raw.shape).reshape(2, -1)
-    write_csv(out / "category_influence.csv", {
-        "source_cat": names[src],
-        "target_cat": names[dst],
-        "raw": cats.raw[src, dst],
-        "normalized": cats.normalized[src, dst],
-        "log_scaled": cats.log_scaled[src, dst],
-    })
-    write_json(out / "influence.json", {
-        **_summary(cats, "aggregate", "degenerate"), "kappa": kappa, "anomalies": matrix.anomalies,
-    })
-    return ["influence.csv", "category_influence.csv", "influence.json"]
+    return {
+        "influence.csv": pairs,
+        "category_influence.csv": {
+            "source_cat": names[src],
+            "target_cat": names[dst],
+            "raw": cats.raw[src, dst],
+            "normalized": cats.normalized[src, dst],
+            "log_scaled": cats.log_scaled[src, dst],
+        },
+        "influence.json": {**_summary(cats, "aggregate", "degenerate"), "kappa": kappa,
+                           "anomalies": matrix.anomalies},
+    }
 
 
-def _cmd_fit(args, out: Path) -> list[str]:
-    network = _load_net(args)
-    history = load_history(args.history, network)
-    return _fit_artifacts(out, fit(history, network, fix_beta=args.fix_beta))
+def _cmd_fit(args, network, history) -> dict:
+    return _fit_artifacts(fit(history, network, fix_beta=args.fix_beta))
 
 
-def _cmd_simulate(args, out: Path) -> list[str]:
-    network = _load_net(args)
-    history = None
+def _cmd_simulate(args, network, history) -> dict:
     if args.initial == "history-last":
         _require(args, "simulate", ("history",))
-    if args.history is not None:
-        history = load_history(args.history, network)
     params, _ = _parse_params(args, network, history)
 
     R = network.n_risks
@@ -282,77 +273,69 @@ def _cmd_simulate(args, out: Path) -> list[str]:
         args.seed, range(args.runs), jobs=args.jobs, checkpoints=args.checkpoints,
     )
     stats = statistics_from_batch(batch)
+    return {
+        "trajectory.csv": {
+            "t": np.repeat(batch.checkpoints, R),
+            "risk_id": np.tile(network.ids, len(batch.checkpoints)),
+            "frequency": batch.checkpoint_frequency.mean(axis=1).ravel(),
+        },
+        "statistics.csv": {
+            "risk_id": network.ids,
+            "freq_active": stats.freq_active,
+            "freq_activation": stats.activations,
+        },
+    }
 
-    write_csv(out / "trajectory.csv", {
-        "t": np.repeat(batch.checkpoints, R),
-        "risk_id": np.tile(network.ids, len(batch.checkpoints)),
-        "frequency": batch.checkpoint_frequency.mean(axis=1).ravel(),
-    })
-    write_csv(out / "statistics.csv", {
-        "risk_id": network.ids,
-        "freq_active": stats.freq_active,
-        "freq_activation": stats.activations,
-    })
-    return ["trajectory.csv", "statistics.csv"]
 
-
-def _cmd_steady_state(args, out: Path) -> list[str]:
-    network = _load_net(args)
+def _cmd_steady_state(args, network, history) -> dict:
     params, _ = _parse_params(args, network, None)
-    return _steady_artifacts(out, network, solve_steady_state(params, network))
+    return _steady_artifacts(network, solve_steady_state(params, network))
 
 
-def _cmd_stats(args, out: Path) -> list[str]:
-    network = _load_net(args)
-    write_json(out / "network_stats.json", asdict(compute_properties(network)))
-    return ["network_stats.json"]
+def _cmd_stats(args, network, history) -> dict:
+    return {"network_stats.json": asdict(compute_properties(network))}
 
 
-def _cmd_influence(args, out: Path) -> list[str]:
-    check_kappa(args.kappa)  # before any artifact is written
-    network = _load_net(args)
+def _cmd_influence(args, network, history) -> dict:
     params, _ = _parse_params(args, network, None)
     matrix = risk_influence(network, params)
-    return _influence_artifacts(out, network, matrix, args.aggregate, args.kappa)
+    return _influence_artifacts(network, matrix, args.aggregate, args.kappa)
 
 
-def _cmd_pipeline(args, out: Path) -> list[str]:
-    check_kappa(args.kappa)  # before any artifact is written
-    network = _load_net(args)
-    history = load_history(args.history, network)
+def _cmd_pipeline(args, network, history) -> dict:
     result = fit(history, network, fix_beta=args.fix_beta)
-    outputs = _fit_artifacts(out, result)
     matrix = risk_influence(network, result.params)
-    outputs += _steady_artifacts(out, network, matrix.baseline)
-    outputs += _influence_artifacts(out, network, matrix, args.aggregate, args.kappa)
-    return outputs
+    return {
+        **_fit_artifacts(result),
+        **_steady_artifacts(network, matrix.baseline),
+        **_influence_artifacts(network, matrix, args.aggregate, args.kappa),
+    }
 
 
-def _cmd_validate(args, out: Path) -> list[str]:
-    network = _load_net(args)
-    history = load_history(args.history, network)
+def _cmd_validate(args, network, history) -> dict:
     params, source = _parse_params(args, network, history, allow_fit=True)
     if args.experiment in ("recovery", "forward"):
         report = recovery_experiment(
             network, history, params, n_replicates=args.replicates, master_seed=args.seed
         )
     if args.experiment == "recovery":
-        write_json(out / "recovery.json", {
-            **_summary(report, "ground_truth", "gt_fractions", "gt_vector", "n_failed",
-                       "activation_bound", "recovery_bound", "activation_bound_gt_fractions"),
-            "params_source": source,
-            "n_replicates": args.replicates,
-            "n_retained": len(report.retained),
-            "n_discarded": len(report.discarded),
-        })
-        write_csv(out / "recovery_replicates.csv", {
-            "replicate": range(args.replicates),
-            "failed": report.failed,
-            **dict(zip(("alpha", "beta", "gamma"), report.params.T)),
-            **_summary(report, "activation_param", "recovery_param", "ks"),
-            "retained": np.isin(np.arange(args.replicates), report.retained),
-        })
-        return ["recovery.json", "recovery_replicates.csv"]
+        return {
+            "recovery.json": {
+                **_summary(report, "ground_truth", "gt_fractions", "gt_vector", "n_failed",
+                           "activation_bound", "recovery_bound", "activation_bound_gt_fractions"),
+                "params_source": source,
+                "n_replicates": args.replicates,
+                "n_retained": len(report.retained),
+                "n_discarded": len(report.discarded),
+            },
+            "recovery_replicates.csv": {
+                "replicate": range(args.replicates),
+                "failed": report.failed,
+                **dict(zip(("alpha", "beta", "gamma"), report.params.T)),
+                **_summary(report, "activation_param", "recovery_param", "ks"),
+                "retained": np.isin(np.arange(args.replicates), report.retained),
+            },
+        }
 
     if args.experiment == "forward":
         sets = [ModelParams(*report.params[i].tolist()) for i in report.retained]
@@ -362,51 +345,47 @@ def _cmd_validate(args, out: Path) -> list[str]:
             months=args.months, runs=args.runs, master_seed=args.seed,
         )
         spread = ("mean", "worst_low", "worst_high")
-        write_json(out / "forward.json", {
-            **_summary(fw, "months", "gt_freq_active", "worst_deviation"),
-            "ground_truth": asdict(params),
-            "params_source": source,
-            "runs": args.runs,
-            "n_sets": len(sets),
-            "gt_freq_activation": fw.gt_activations,
-            "freq_active": dict(zip(spread, fw.freq_summary)),
-            "freq_activation": dict(zip(spread, fw.activation_summary)),
-        })
-        write_csv(out / "forward_sets.csv", {
-            "set_index": range(len(sets)),
-            "replicate": report.retained,
-            "freq_active": fw.set_freq_active,
-            "freq_activation": fw.set_activations,
-            "freq_active_deviation": fw.freq_deviation,
-            "freq_activation_deviation": fw.activation_deviation,
-        })
-        return ["forward.json", "forward_sets.csv"]
+        return {
+            "forward.json": {
+                **_summary(fw, "months", "gt_freq_active", "worst_deviation"),
+                "ground_truth": asdict(params),
+                "params_source": source,
+                "runs": args.runs,
+                "n_sets": len(sets),
+                "gt_freq_activation": fw.gt_activations,
+                "freq_active": dict(zip(spread, fw.freq_summary)),
+                "freq_activation": dict(zip(spread, fw.activation_summary)),
+            },
+            "forward_sets.csv": {
+                "set_index": range(len(sets)),
+                "replicate": report.retained,
+                "freq_active": fw.set_freq_active,
+                "freq_activation": fw.set_activations,
+                "freq_active_deviation": fw.freq_deviation,
+                "freq_activation_deviation": fw.activation_deviation,
+            },
+        }
 
     if args.experiment == "network-effect":
         report = network_effect_comparison(
             network, history, params, runs=args.runs, master_seed=args.seed
         )
-        write_json(out / "network_effect.json", {
-            **_summary(report), "params_source": source, "runs": args.runs,
-        })
-        write_csv(out / "network_effect_series.csv", {
-            "step": range(report.historical.size),
-            "historical": report.historical,
-            "network_mean": report.network_mean,
-            "network_std": report.network_std,
-            "independent_mean": report.independent_mean,
-            "independent_std": report.independent_std,
-        })
-        return ["network_effect.json", "network_effect_series.csv"]
+        return {
+            "network_effect.json": {**_summary(report), "params_source": source,
+                                    "runs": args.runs},
+            "network_effect_series.csv": {
+                "step": range(report.historical.size),
+                "historical": report.historical,
+                "network_mean": report.network_mean,
+                "network_std": report.network_std,
+                "independent_mean": report.independent_mean,
+                "independent_std": report.independent_std,
+            },
+        }
 
     report = sensitivity_suite(
         network, history, params, perturbation=args.perturbation, master_seed=args.seed
     )
-    write_json(out / "sensitivity.json", {
-        **_summary(report, "perturbation"),
-        "params_source": source,
-        "params": asdict(report.baseline_params),
-    })
     order = np.lexsort((np.arange(network.n_risks), -report.baseline_p_hat))
     table = {
         "risk_id": network.ids,
@@ -417,9 +396,14 @@ def _cmd_validate(args, out: Path) -> list[str]:
         "all_history_delta": report.all_history,
         "n_deactivated": report.n_deactivated,
     }
-    write_csv(out / "sensitivity.csv", {name: np.asarray(column)[order]
-                                        for name, column in table.items()})
-    return ["sensitivity.json", "sensitivity.csv"]
+    return {
+        "sensitivity.json": {
+            **_summary(report, "perturbation"),
+            "params_source": source,
+            "params": asdict(report.baseline_params),
+        },
+        "sensitivity.csv": {name: np.asarray(column)[order] for name, column in table.items()},
+    }
 
 
 _COMMANDS = {
@@ -515,7 +499,14 @@ def run(argv) -> None:
     except OSError as exc:
         raise UsageError(f"cannot use --out {out}: {exc}") from None
 
-    outputs = command.handler(args, out)
+    network = load_network(args.risks, args.pairs, likelihood_scale=args.scale,
+                           epsilon=args.epsilon)
+    history = None
+    if getattr(args, "history", None) is not None:
+        history = load_history(args.history, network)
+    artifacts = command.handler(args, network, history)
+    for name, content in artifacts.items():
+        (write_csv if name.endswith(".csv") else write_json)(out / name, content)
     # The manifest's config is every option of the command but the execution
     # details; --params and --params-file appear only when set.
     config = {
@@ -529,7 +520,7 @@ def run(argv) -> None:
         config=config,
         inputs={role: getattr(args, role) for role in _INPUT_ROLES
                 if getattr(args, role, None) is not None},
-        outputs=outputs,
+        outputs=artifacts,
         seed=getattr(args, "seed", None),
         version=__version__,
     )

@@ -103,12 +103,6 @@ def risk_influence(network: RiskNetwork, params: ModelParams) -> InfluenceMatrix
     )
 
 
-def check_kappa(kappa: float) -> None:
-    """Reject a log display compression that is not finite and positive."""
-    if not (math.isfinite(kappa) and kappa > 0):
-        raise DataError(f"kappa must be finite and positive, got {kappa}")
-
-
 def category_influence(
     influence: InfluenceMatrix,
     network: RiskNetwork,
@@ -129,7 +123,8 @@ def category_influence(
     """
     if aggregate not in ("sum", "mean"):
         raise DataError(f"aggregate must be 'sum' or 'mean', got {aggregate!r}")
-    check_kappa(kappa)
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise DataError(f"kappa must be finite and positive, got {kappa}")
     if influence.ids != network.ids:
         raise DataError("influence matrix does not match the network")
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DataError
+
 
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     """Return the generator for stream ``(master_seed, *path)``.
@@ -19,11 +21,11 @@ def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     """
     seed = int(master_seed)
     if not 0 <= seed < 2**64:
-        raise ValueError(f"master seed must be a 64-bit unsigned integer, got {master_seed!r}")
+        raise DataError(f"master seed must be a 64-bit unsigned integer, got {master_seed!r}")
     entropy = [seed]
     for part in path:
         part = int(part)
         if part < 0:
-            raise ValueError(f"stream path entries must be non-negative, got {part}")
+            raise DataError(f"stream path entries must be non-negative, got {part}")
         entropy.append(part)
     return np.random.default_rng(np.random.SeedSequence(entropy))

@@ -167,6 +167,18 @@ def test_traced_non_unique_solve_warns_and_is_counted(tracing, tmp_path):
     assert tracer.counts["steady_state.nonunique"] == 1
 
 
+def test_every_workload_command_line_parses(perfbench):
+    # the workloads run their carpnet command lines through cli.run; a
+    # renamed option or a new required one fails every repetition
+    workloads = perfbench("workloads")
+    parser = carpnet.cli.build_parser()
+    for workload in workloads.NAMES:
+        for seed in range(workloads.SEED_BANK):
+            args = parser.parse_args([*workloads.argv(workload, seed), "--out", "x"])
+            required = carpnet.cli._COMMANDS[args.command].required
+            carpnet.cli._require(args, args.command, ("out", *required))
+
+
 def test_worker_setup_loads_the_fixture(perfbench, monkeypatch):
     monkeypatch.chdir(ROOT)
     worker = perfbench("worker")

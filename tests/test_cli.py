@@ -282,6 +282,14 @@ def test_non_convergence_is_a_numerical_error(tmp_path, monkeypatch):
     assert code == 3
 
 
+def test_failed_pipeline_writes_nothing(tmp_path, monkeypatch):
+    # the fit succeeds; the baseline solve behind the influence runs out of budget
+    monkeypatch.setattr(carpnet.steady_state, "_MAX_ITER", 2)
+    out = tmp_path / "x"
+    assert run_cli(["pipeline", *toy_args("--history", TOY / "history.csv", out=out)]) == 3
+    assert list(out.iterdir()) == []
+
+
 def test_params_and_params_file_conflict(tmp_path):
     fitfile = tmp_path / "p.json"
     fitfile.write_text('{"alpha": 0.4, "beta": 0.3, "gamma": 1.2}')

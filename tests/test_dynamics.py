@@ -306,6 +306,19 @@ def test_duplicate_checkpoints_are_rejected():
                      20, 1, range(2), checkpoints=(10, 10, 20))
 
 
+@pytest.mark.parametrize("seed, runs, message", [
+    (-1, range(2), "master seed"),
+    (2**64, range(2), "master seed"),
+    (3, [0, -1], "non-negative"),
+])
+def test_bad_streams_are_data_errors(seed, runs, message):
+    # CarpError is the base of every error the package raises
+    net = make_network([0.2, 0.3, 0.4], edges=[(0, 1), (1, 2)])
+    with pytest.raises(DataError, match=message):
+        run_cascades(net, ModelParams(0.3, 0.3, 1.0), np.zeros(3, bool), 5,
+                     master_seed=seed, run_indices=runs)
+
+
 def test_default_checkpoints_are_decades_plus_horizon():
     assert default_checkpoints(10_000) == (10, 100, 1000, 10_000)
     assert default_checkpoints(500) == (10, 100, 500)

@@ -14,6 +14,7 @@ SOURCES = sorted(
     [p for p in (ROOT / "src" / "carpnet").glob("*.py") if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py"))
     + list((ROOT / "scripts").glob("*.py"))
+    + list((ROOT / "perfbench").glob("*.py"))
 )
 
 
