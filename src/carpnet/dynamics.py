@@ -28,7 +28,7 @@ Paired parameter sets share each run's draws: run ``r`` of every set reads
 the same uniforms, drawn once.  A block of at most ``_RUN_BLOCK`` (set, run)
 rows reuses one set of step buffers.  A run's uniforms are drawn
 ``_REFILL_STEPS`` steps at a time, so the uniform buffer holds at most
-``_RUN_BLOCK * _REFILL_STEPS * 2 * R`` doubles (13 MB at R = 50) whatever
+``_RUN_BLOCK * _REFILL_STEPS * 2 * R`` doubles (3.3 MB at R = 50) whatever
 the number of runs or sets.  The blocks change no result.
 """
 from __future__ import annotations
@@ -42,10 +42,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .rng import derive_rng
-from .risks import RiskNetwork
+from .rng import check_integer, derive_rng
+from .risks import RiskNetwork, check_states
 
-_REFILL_STEPS = 64  # uniforms are drawn per run in blocks of this many steps
+# Uniforms are drawn per run in blocks of this many steps.  The uint8 month
+# counters are flushed at every refill, so it must stay below 256.
+_REFILL_STEPS = 16
 _RUN_BLOCK = 256  # (set, run) rows stepped at a time, which bounds the uniform buffer
 
 
@@ -158,16 +160,18 @@ def run_cascades(
     if not sets:
         raise DataError("params is an empty sequence")
     R = network.n_risks
+    n_steps = check_integer(n_steps, "n_steps")
     if n_steps < 1:
         raise DataError("n_steps must be >= 1")
-    run_indices = tuple(int(r) for r in run_indices)
+    run_indices = tuple(check_integer(r, "run index") for r in run_indices)
     n = len(run_indices)
     if n == 0:
         raise DataError("run_indices is empty")
 
-    initial = np.asarray(initial, dtype=bool)
+    initial = np.asarray(initial)
     if initial.shape != (R,):
         raise DataError(f"initial state must have shape ({R},), got {initial.shape}")
+    initial = check_states(initial).astype(bool)
 
     # one (1, R) row of each rate per set, broadcast over a block's runs;
     # beta_log1m is the per-neighbor log-survival
@@ -176,7 +180,8 @@ def run_cascades(
     p_rec = np.array([q.p_rec for q in probs])[:, None]
     beta_log1m = np.array([p.beta for p in sets])[:, None, None] * np.log1p(-network.likelihoods)
 
-    checkpoints = () if checkpoints is None else tuple(int(c) for c in checkpoints)
+    checkpoints = () if checkpoints is None else tuple(
+        check_integer(c, "checkpoint") for c in checkpoints)
     if any(c < 1 or c > n_steps for c in checkpoints):
         raise DataError(f"checkpoints must lie in [1, {n_steps}], got {checkpoints}")
     if len(set(checkpoints)) != len(checkpoints):
@@ -231,13 +236,22 @@ def _step_block(
     :func:`run_cascades`' outputs (``None`` where not asked for); ``active``
     holds the initial state on entry and the final state on return.  Every
     set reads each run's uniforms, and every step reuses the same buffers.
+
+    The rates are copied to full (S, b, R) shape once: numpy steps a
+    contiguous operand faster than a broadcast row, and a float64 copy of
+    the float32 neighbour counts (exact) skips a buffered cast in the
+    multiply.  Months are counted in uint8 windows, flushed into the int64
+    outputs at every refill and before every checkpoint.
     """
     S, b, R = active.shape
     buf = np.empty((b, _REFILL_STEPS, 2, R), dtype=float)
+    p_int, p_rec, beta_log1m = (np.broadcast_to(x, (S, b, R)).copy()
+                                for x in (p_int, p_rec, beta_log1m))
     act32 = np.empty((S, b, R), dtype=np.float32)
     k = np.empty((S, b, R), dtype=np.float32)
     ext_agg = np.empty((S, b, R), dtype=float)
     int_fire, ext_fire, fired, activated, stay = np.empty((5, S, b, R), dtype=bool)
+    months_window, activations_window = np.zeros((2, S, b, R), dtype=np.uint8)
 
     for t in range(n_steps):
         slot = t % _REFILL_STEPS
@@ -250,7 +264,8 @@ def _step_block(
 
         np.copyto(act32, active)
         np.matmul(act32, A32, out=k)
-        np.multiply(k, beta_log1m, out=ext_agg)
+        np.copyto(ext_agg, k)
+        np.multiply(ext_agg, beta_log1m, out=ext_agg)
         np.negative(np.expm1(ext_agg, out=ext_agg), out=ext_agg)
         np.less(u_a, p_int, out=int_fire)
         np.less(u_b, ext_agg, out=ext_fire)
@@ -260,8 +275,13 @@ def _step_block(
         np.logical_and(active, stay, out=active)
         np.logical_or(active, activated, out=active)
 
-        active_months += active
-        activation_counts += activated
+        months_window += active.view(np.uint8)
+        activations_window += activated.view(np.uint8)
+        if slot == _REFILL_STEPS - 1 or t + 1 == n_steps or t + 1 in cp_lookup:
+            active_months += months_window
+            activation_counts += activations_window
+            months_window.fill(0)
+            activations_window.fill(0)
         if states is not None:
             states[..., t + 1] = active
         if cause_counts is not None:
@@ -303,7 +323,7 @@ def run_cascades_parallel(
     ``jobs`` value: runs are partitioned into contiguous index blocks and
     reassembled in order.  At most one worker starts per usable CPU.
     """
-    run_indices = tuple(int(r) for r in run_indices)
+    run_indices = tuple(check_integer(r, "run index") for r in run_indices)
     if hasattr(os, "sched_getaffinity"):
         usable = len(os.sched_getaffinity(0))
     else:  # macOS and Windows cannot tell which CPUs the process may use

@@ -342,12 +342,12 @@ def build_history(
 
 def check_states(states) -> np.ndarray:
     """``states`` as an array, checked to hold only 0 and 1: call it before a
-    cast to uint8, which would wrap 256 to 0.  It checks 32 slices of the
-    first axis at a time, which bounds the memory."""
+    cast to uint8 or bool, which would wrap 256 to 0 or read 0.5 as 1.  It
+    checks 32 slices of the first axis at a time, which bounds the memory."""
     states = np.atleast_1d(states)
     blocks = (states[lo:lo + 32] for lo in range(0, len(states), 32))
     if not all(((block == 0) | (block == 1)).all() for block in blocks):
-        raise DataError("history states must be 0 or 1")
+        raise DataError("states must be 0 or 1")
     return states
 
 

@@ -233,7 +233,6 @@ def forward_error_bounds(
         raise DataError("need at least one validation parameter set")
     if months < 1 or runs < 1:
         raise DataError("months and runs must be >= 1")
-    initial = np.asarray(initial, dtype=bool)
 
     group = max(1, dynamics._RUN_BLOCK * dynamics._REFILL_STEPS // runs)
     gt, *stats = [

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import functools
 import math
 import os
 
@@ -317,6 +318,99 @@ def test_bad_streams_are_data_errors(seed, runs, message):
     with pytest.raises(DataError, match=message):
         run_cascades(net, ModelParams(0.3, 0.3, 1.0), np.zeros(3, bool), 5,
                      master_seed=seed, run_indices=runs)
+
+
+_NON_INTEGERS = {
+    "float-seed": (dict(master_seed=1.9), "master seed"),
+    "bool-seed": (dict(master_seed=True), "master seed"),
+    "float-run": (dict(run_indices=[0.7]), "run index"),
+    "bool-run": (dict(run_indices=[0, True]), "run index"),
+    "float-path": (dict(rng_path_prefix=(2.0,)), "stream path entry"),
+    "float-checkpoint": (dict(checkpoints=[10.7]), "checkpoint"),
+    "float-n_steps": (dict(n_steps=5.0), "n_steps"),
+}
+
+
+@pytest.mark.parametrize("case", list(_NON_INTEGERS))
+def test_non_integer_arguments_are_data_errors(case):
+    # int() would truncate 1.9 to 1 and read True as 1
+    bad, name = _NON_INTEGERS[case]
+    net = make_network([0.2, 0.3, 0.4], edges=[(0, 1), (1, 2)])
+    args = dict(initial=np.zeros(3, bool), n_steps=20, master_seed=3, run_indices=range(2))
+    with pytest.raises(DataError, match=f"{name} must be an integer"):
+        run_cascades(net, ModelParams(0.3, 0.3, 1.0), **{**args, **bad})
+
+
+def test_numpy_integers_are_integers():
+    want = derive_rng(5, 2, 7).random(4)
+    assert (derive_rng(np.uint64(5), np.int64(2), np.int8(7)).random(4) == want).all()
+    with pytest.raises(DataError, match="master seed"):
+        derive_rng(True)
+    with pytest.raises(DataError, match="stream path entry"):
+        derive_rng(5, np.bool_(True))
+    net = make_network([0.2, 0.3, 0.4], edges=[(0, 1), (1, 2)])
+    args = (net, ModelParams(0.3, 0.3, 1.0), np.zeros(3, bool))
+    _assert_same_batch(run_cascades(*args, np.int64(30), np.uint64(3), np.arange(4),
+                                    checkpoints=np.array([10, 30])),
+                       run_cascades(*args, 30, 3, range(4), checkpoints=(10, 30)))
+    with pytest.raises(DataError, match="run index"):
+        run_cascades_parallel(*args, 30, 3, [0.7, 1.2])
+
+
+@pytest.mark.parametrize("initial", [[0.5, 2, 0], [1, 0, -1], [True, False, np.nan]])
+def test_initial_states_must_be_0_or_1(initial):
+    # a cast to bool would run [0.5, 2, 0] as [1, 1, 0]
+    net = make_network([0.2, 0.3, 0.4], edges=[(0, 1), (1, 2)])
+    with pytest.raises(DataError, match="0 or 1"):
+        run_cascades(net, ModelParams(0.3, 0.3, 1.0), initial, 5, 3, range(2))
+
+
+def test_month_counters_match_the_step_loop_past_the_uint8_range():
+    # 600 months exceed a uint8 counter and are no multiple of the refill,
+    # and the checkpoints fall off the refill grid
+    assert carpnet.dynamics._REFILL_STEPS < 256  # the month counters' range
+    net = make_network([0.5, 0.35, 0.3, 0.1], edges=[(0, 1), (1, 2), (0, 2)])
+    params = ModelParams(0.25, 0.5, 4.0)
+    initial = np.array([False, True, False, False])
+    n_steps, checkpoints = 600, (7, 300, 600)
+    batch = run_cascades(net, params, initial, n_steps, master_seed=8, run_indices=[2],
+                         track_causes=True, checkpoints=checkpoints)
+
+    rng = derive_rng(8, 2)
+    step = functools.partial(cascade_step, adjacency=net.adjacency, L=net.likelihoods,
+                             alpha=params.alpha, beta=params.beta, gamma=params.gamma)
+    state = initial
+    months = np.zeros(4, int)
+    flips = np.zeros(4, int)
+    causes = np.zeros(3, int)
+    freq = []
+    for t in range(1, n_steps + 1):
+        u = rng.random((2, 4))
+        nxt = step(state, u=u)
+        # a uniform of 1 never fires, so one side of the draw alone decides
+        internal = step(state, u=np.stack([u[0], np.ones(4)]))
+        external = step(state, u=np.stack([np.ones(4), u[1]]))
+        flip = ~state & nxt
+        causes += [(flip & internal & ~external).sum(), (flip & external & ~internal).sum(),
+                   (flip & internal & external).sum()]
+        months += nxt
+        flips += flip
+        state = nxt
+        if t in checkpoints:
+            freq.append(months / t)
+
+    assert batch.active_months[0].tolist() == months.tolist()
+    assert batch.activation_counts[0].tolist() == flips.tolist()
+    assert batch.checkpoint_frequency[:, 0].tolist() == np.array(freq).tolist()
+    assert batch.cause_counts[0].tolist() == causes.tolist()
+    assert months.max() > 255 and flips.sum() > 0
+
+    # a risk that activates surely and never recovers is active every month;
+    # without checkpoints, only the last step flushes its final 600 % 16 months
+    sure = run_cascades(make_network([0.9]), ModelParams(1e6, 0.0, 1e6), [False], n_steps,
+                        master_seed=0, run_indices=[0])
+    assert sure.active_months.tolist() == [[600]]
+    assert sure.activation_counts.tolist() == [[1]]
 
 
 def test_default_checkpoints_are_decades_plus_horizon():

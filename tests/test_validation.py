@@ -201,9 +201,9 @@ _FORWARD_SETS.append(TOY_PARAMS)  # with the ground truth, ten sets
 
 
 def test_forward_report_equals_lone_runs_per_set(monkeypatch):
-    # 2 * 64 // 30 = 4 sets per call, so the ten sets take three calls, and
-    # each call steps one run of its four sets per block
-    monkeypatch.setattr(carpnet.dynamics, "_RUN_BLOCK", 2)
+    # 8 * 16 // 30 = 4 sets per call, so the ten sets take three calls, and
+    # each call steps two runs of its four sets per block
+    monkeypatch.setattr(carpnet.dynamics, "_RUN_BLOCK", 8)
     report = forward_error_bounds(_FORWARD_NET, TOY_PARAMS, _FORWARD_SETS,
                                   initial=_FORWARD_INITIAL, months=12, runs=30, master_seed=5)
 
@@ -227,7 +227,7 @@ def test_forward_report_equals_lone_runs_per_set(monkeypatch):
     assert report.worst_deviation > 0 and report.freq_deviation[-1] == 0
 
 
-@pytest.mark.parametrize("runs, n_calls", [(30, 1), (2000, 2)])
+@pytest.mark.parametrize("runs, n_calls", [(30, 1), (2000, 5)])
 def test_forward_calls_stay_within_the_uniform_buffer(monkeypatch, runs, n_calls):
     calls = []
     inner = carpnet.validation.run_cascades
@@ -244,6 +244,13 @@ def test_forward_calls_stay_within_the_uniform_buffer(monkeypatch, runs, n_calls
     assert len(calls) == n_calls
     assert all(len(sets) * n <= bound and n == runs for sets, n in calls)
     assert [p for sets, _ in calls for p in sets] == [TOY_PARAMS, *_FORWARD_SETS]
+
+
+def test_forward_rejects_non_binary_initial_states():
+    # a cast to bool would start every window from [1, 1, 0]
+    with pytest.raises(DataError, match="0 or 1"):
+        forward_error_bounds(_FORWARD_NET, TOY_PARAMS, [TOY_PARAMS], initial=[0.5, 2, 0],
+                             months=6, runs=10, master_seed=3)
 
 
 def test_forward_rejects_dead_ground_truth():
