@@ -12,15 +12,16 @@ where k is the number of the risk's neighbors active in the source month.
 The data enter only through how often each risk makes each transition at
 each k, so the whole objective collapses to a handful of grouped
 sufficient statistics.  ``TransitionSummary`` counts those transitions for
-an (H, R, T) stack of 0/1 state matrices in one tensor, one row per
-history, and evaluates the objective of any rows at once.
+an (H, R, T) stack of 0/1 state matrices, _BLOCK histories at a time in one
+count tensor, keeps one row per history, and evaluates the objective of any
+rows at once.
 
 Fitting runs a coarse log-spaced grid over the box [0, 10] per parameter
 and refines the best cells with deterministic Nelder-Mead simplexes, so
 results are exactly reproducible; (alpha, beta) and gamma enter separate
 terms, so the 10^3-point grid costs 10^2 + 10 dot products.  The simplexes
-of every start, and of up to _BLOCK histories at once in ``fit_many``,
-step in lockstep as array code: each pass evaluates one trial point per
+of every start of every history in a ``fit_many`` call step in one
+lockstep search as array code: each pass evaluates one trial point per
 live simplex in a single call over the histories' stacked statistics, and
 a simplex leaves the batch when it stops.  Each simplex takes exactly the
 steps it would take alone, so a fit does not depend on the batch around
@@ -49,8 +50,8 @@ _STARTS = 5
 _LOWER, _UPPER = 0.0, 10.0
 _FATOL = 1e-8
 _MAX_ITER = 2000
-# fit_many fits this many histories at a time, which bounds its memory.
-_BLOCK = 32
+# TransitionSummary counts this many histories at a time, which bounds its memory.
+_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -87,34 +88,48 @@ class TransitionSummary:
         S = _state_cube(states, network.n_risks)
         H, R, _ = S.shape
         log1m = np.log1p(-network.likelihoods)
-        # active neighbors in each source month: integers that float32 holds exactly
-        K = np.matmul(network.adjacency.astype(np.float32), S[:, :, :-1], dtype=np.float32)
-        span = int(K.max(initial=0)) + 1
-        size = H * R * 4 * span  # sets a cell index dtype that cannot wrap
-        cell = np.arange(0, 4 * H * R, 4, dtype=np.int32 if size <= 2**31 else np.int64)
-        cell = cell.reshape(H, R, 1) + (2 * S[:, :, :-1] + S[:, :, 1:])  # 4*(h*R + r) + kind
-        cell *= span
-        cell += K.astype(cell.dtype)
-        del K  # bounds the memory of the count
-        n = np.bincount(cell.ravel(), minlength=size).reshape(H, R, 4, span)
-        months = n.sum(axis=3)  # (H, R, kind)
+        adjacency = network.adjacency.astype(np.float32)
+        sums, activations, continuations = [], [], []
+        # one block's count tensor at a time bounds the memory; an empty stack is one empty block
+        for lo in range(0, max(H, 1), _BLOCK):
+            block = S[lo:lo + _BLOCK]
+            h = len(block)
+            # active neighbors in each source month: integers that float32 holds exactly
+            K = np.matmul(adjacency, block[:, :, :-1], dtype=np.float32)
+            span = int(K.max(initial=0)) + 1
+            size = h * R * 4 * span  # sets a cell index dtype that cannot wrap
+            cell = np.arange(0, 4 * h * R, 4, dtype=np.int32 if size <= 2**31 else np.int64)
+            cell = cell.reshape(h, R, 1) + (2 * block[:, :, :-1] + block[:, :, 1:])  # 4*(h*R + r) + kind
+            cell *= span
+            cell += K.astype(cell.dtype)
+            del K  # bounds the memory of the count
+            n = np.bincount(cell.ravel(), minlength=size).reshape(h, R, 4, span)
+            del cell
+            months = n.sum(axis=3)  # (h, R, kind)
 
-        # each history's sums reduce its own row, whatever the batch
-        self.c00_l = (months[:, :, 0] * log1m).sum(axis=1)
-        self.c00_kl = ((n[:, :, 0] @ np.arange(span)) * log1m).sum(axis=1)
-        self.s10_l = (months[:, :, 2] * log1m).sum(axis=1)
-        self.n_activations, self.n_recoveries = months[:, :, 1:3].sum(axis=1).T
-        self.n_active_source = months[:, :, 2:].sum(axis=(1, 2))
-        self.external_exposure = n[:, :, :2, 1:].any(axis=(1, 2, 3))
+            # each history's sums reduce its own row, whatever the batch
+            sums.append((
+                (months[:, :, 0] * log1m).sum(axis=1),
+                ((n[:, :, 0] @ np.arange(span)) * log1m).sum(axis=1),
+                (months[:, :, 2] * log1m).sum(axis=1),
+                *months[:, :, 1:3].sum(axis=1).T,
+                months[:, :, 2:].sum(axis=(1, 2)),
+                n[:, :, :2, 1:].any(axis=(1, 2, 3)),
+            ))
 
-        # the activations and the 1->1 months: the nonzero cells, in (h, r, k) order
-        n01 = n[:, :, 1].ravel()
-        key = np.flatnonzero(n01)  # (h*R + r)*span + k
-        self.activations = _Terms(H, key // span // R, n01[key].astype(float),
-                                  log1m[key // span % R], (key % span).astype(float))
-        n11 = months[:, :, 3].ravel()
-        key = np.flatnonzero(n11)  # h*R + r
-        self.continuations = _Terms(H, key // R, n11[key].astype(float), log1m[key % R])
+            # the activations and the 1->1 months: the nonzero cells, in (h, r, k) order
+            n01 = n[:, :, 1].ravel()
+            key = np.flatnonzero(n01)  # (h*R + r)*span + k
+            activations.append((lo + key // span // R, n01[key].astype(float),
+                                log1m[key // span % R], (key % span).astype(float)))
+            n11 = months[:, :, 3].ravel()
+            key = np.flatnonzero(n11)  # h*R + r
+            continuations.append((lo + key // R, n11[key].astype(float), log1m[key % R]))
+
+        (self.c00_l, self.c00_kl, self.s10_l, self.n_activations, self.n_recoveries,
+         self.n_active_source, self.external_exposure) = map(np.concatenate, zip(*sums))
+        self.activations = _Terms(H, *map(np.concatenate, zip(*activations)))
+        self.continuations = _Terms(H, *map(np.concatenate, zip(*continuations)))
 
     def loglik(self, rows, alpha, beta, gamma) -> np.ndarray:
         """Log-likelihood of history ``rows[i]`` at the i-th (alpha, beta,
@@ -179,10 +194,11 @@ class _Terms:
             e += a[:, None]
             e *= self.l[rows]
         np.log(np.negative(np.expm1(e, out=e), out=e), out=e)
+        w = self.w[rows]
         out = np.full(len(rows), -0.0)
         for n in set(sizes) - {0}:
             lo, hi = bisect.bisect_left(sizes, n), bisect.bisect_right(sizes, n)
-            np.vecdot(self.w[rows[lo:hi], :n], e[lo:hi, :n], out=out[lo:hi])
+            np.vecdot(w[lo:hi, :n], e[lo:hi, :n], out=out[lo:hi])
         out[order] = out.copy()
         return out
 
@@ -232,8 +248,8 @@ def _nelder_mead_many(fn, x0):
             converged[live[done]] = True
             iterations[live[done]] = done_steps
             live, x, f = live[~done], x[~done], f[~done]
-            if not live.size:
-                break
+        if not live.size:
+            break
 
         centroid = x[:, 0] + x[:, 1]
         for j in range(2, ndim):
@@ -271,8 +287,23 @@ def _nelder_mead_many(fn, x0):
     return simplex[every, best], fvals[every, best], iterations, converged
 
 
-def _fit_block(stack, fix_beta):
-    """``fit_many`` of the histories of ``stack``, all simplexes in one lockstep search."""
+def fit_many(
+    states, network: RiskNetwork, *, fix_beta: float | None = None
+) -> list[FitResult | ConvergenceError]:
+    """``fit`` of every history of an (H, R, T) stack of 0/1 state matrices,
+    each in the risk order of ``network``.
+
+    Entry h equals ``fit`` of a history with states ``states[h]`` bit for
+    bit, or is the ConvergenceError that call raises, returned, not raised,
+    so one failed history does not stop the rest.  The simplexes of every
+    history step together in one lockstep search as array code, so a batch
+    makes far fewer numpy calls than one ``fit`` per history.  Raises DataError for a bad ``fix_beta``, or for a stack that
+    is not 3-D, has other than ``network.n_risks`` rows or fewer than two
+    months, or holds a value other than 0 and 1.
+    """
+    if fix_beta is not None and not (math.isfinite(fix_beta) and fix_beta >= 0):
+        raise DataError(f"fix_beta must be finite and non-negative, got {fix_beta}")
+    stack = TransitionSummary(states, network)
     n_histories = len(stack.c00_l)
     ndim = 3 if fix_beta is None else 2
     axis = np.geomspace(_GRID_MIN, _GRID_MAX, _GRID_POINTS)
@@ -326,30 +357,6 @@ def _fit_block(stack, fix_beta):
             converged=bool(converged[best]),
             boundary_flags=tuple(flags),
         ))
-    return results
-
-
-def fit_many(
-    states, network: RiskNetwork, *, fix_beta: float | None = None
-) -> list[FitResult | ConvergenceError]:
-    """``fit`` of every history of an (H, R, T) stack of 0/1 state matrices,
-    each in the risk order of ``network``.
-
-    Entry h equals ``fit`` of a history with states ``states[h]`` bit for
-    bit, or is the ConvergenceError that call raises, returned, not raised,
-    so one failed history does not stop the rest.  Histories are
-    fitted _BLOCK at a time, their simplexes stepping together as array
-    code, so a batch makes far fewer numpy calls than one ``fit`` per
-    history.  Raises DataError for a bad ``fix_beta``, or for a stack that
-    is not 3-D, has other than ``network.n_risks`` rows or fewer than two
-    months, or holds a value other than 0 and 1.
-    """
-    if fix_beta is not None and not (math.isfinite(fix_beta) and fix_beta >= 0):
-        raise DataError(f"fix_beta must be finite and non-negative, got {fix_beta}")
-    states = _state_cube(states, network.n_risks)
-    results = []
-    for lo in range(0, len(states), _BLOCK):
-        results += _fit_block(TransitionSummary(states[lo:lo + _BLOCK], network), fix_beta)
     return results
 
 

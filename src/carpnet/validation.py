@@ -29,7 +29,7 @@ from .dynamics import ModelParams, run_cascades, statistics_from_batch
 from .errors import ConvergenceError, DataError
 from .likelihood import fit, fit_many
 from .risks import HistoryMatrix, RiskNetwork
-from .rng import derive_rng
+from .rng import check_integer, derive_rng
 from .steady_state import solve_steady_state, solve_steady_states
 
 
@@ -105,6 +105,7 @@ def recovery_experiment(
     third of the rest by relative deviation (rounded up) is discarded as
     outliers and the error bounds are taken over what remains.
     """
+    n_replicates = check_integer(n_replicates, "n_replicates")
     if n_replicates < 2:  # the outlier cut would discard a lone replicate
         raise DataError("n_replicates must be >= 2")
     if history.risk_ids != network.ids:
@@ -231,6 +232,7 @@ def forward_error_bounds(
     sets = (ground_truth, *validation_sets)
     if len(sets) < 2:
         raise DataError("need at least one validation parameter set")
+    months, runs = check_integer(months, "months"), check_integer(runs, "runs")
     if months < 1 or runs < 1:
         raise DataError("months and runs must be >= 1")
 
@@ -325,6 +327,7 @@ def network_effect_comparison(
     """
     if history.risk_ids != network.ids:
         raise DataError("history risks are not aligned to the network")
+    runs = check_integer(runs, "runs")
     if runs < 2:
         raise DataError("need at least 2 runs to estimate a standard deviation")
     historical = step_activation_counts(history.states).astype(float)

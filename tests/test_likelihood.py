@@ -304,16 +304,20 @@ def test_fit_many_matches_the_reference_search_on_mixed_batches(batch, fix_beta,
 
 @pytest.mark.parametrize("block", [32, 3])
 def test_fit_many_does_not_depend_on_the_batch(monkeypatch, block):
-    """Alone, first or last among 8 (across blocks of 3, too): the same fit."""
+    """Every history of a stack of 8, degenerate ones included, is fitted as
+    alone, in either order and with beta free or fixed; with count blocks of
+    3 the stack spans three blocks, the last one ragged."""
     monkeypatch.setattr(carpnet.likelihood, "_BLOCK", block)
     net = make_network([0.25, 0.4, 0.3, 0.35], edges=[(0, 1), (1, 2), (2, 3), (0, 3)])
     target, *others = run_cascades(net, ModelParams(0.4, 0.3, 1.2), np.zeros(4, bool), 59,
                                    master_seed=5, run_indices=range(5), keep_states=True).states
-    others += _degenerate_states(4, 60)
-    alone = fit_many(target[None], net)
-    assert alone == [fit(_history(net, target), net)]
-    assert fit_many(np.array([target, *others]), net)[0] == alone[0]
-    assert fit_many(np.array([*others, target]), net)[-1] == alone[0]
+    states = np.array([target, *others, *_degenerate_states(4, 60)])
+    assert fit_many(target[None], net) == [fit(_history(net, target), net)]
+    for fix_beta in (None, 0.3):
+        alone = [fit_many(h[None], net, fix_beta=fix_beta)[0] for h in states]
+        assert all(isinstance(r, FitResult) for r in alone)
+        assert fit_many(states, net, fix_beta=fix_beta) == alone
+        assert fit_many(states[::-1], net, fix_beta=fix_beta) == alone[::-1]
 
 
 @pytest.mark.parametrize("states", [
@@ -357,23 +361,28 @@ def ragged_stack(fixture_network, fixture_history):
     return stack, [TransitionSummary(h[None], net) for h in histories]
 
 
+def _assert_row_is_alone(stack, h, one):
+    """Row h of ``stack`` holds the summary ``one`` of history h alone, bit for
+    bit: its sums, both term groups and every flag count."""
+    for name in ("c00_l", "c00_kl", "s10_l", "n_activations", "n_recoveries",
+                 "n_active_source", "external_exposure"):
+        got, want = getattr(stack, name)[h:h + 1], getattr(one, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (h, name)
+    for group in ("activations", "continuations"):
+        terms, want = getattr(stack, group), getattr(one, group)
+        n = want.sizes[0]
+        assert terms.sizes[h] == n, (h, group)
+        for name in ("w", "l", "k"):
+            if getattr(want, name) is not None:
+                got = getattr(terms, name)[h, :n]
+                assert got.tobytes() == getattr(want, name)[0].tobytes(), (h, group, name)
+
+
 def test_stacked_statistics_are_each_history_alone(ragged_stack):
-    """Row h of the stack holds history h's summary bit for bit: its sums, both
-    term groups and every flag count."""
+    """Row h of the stack holds history h's summary bit for bit."""
     stack, alone = ragged_stack
     for h, one in enumerate(alone):
-        for name in ("c00_l", "c00_kl", "s10_l", "n_activations", "n_recoveries",
-                     "n_active_source", "external_exposure"):
-            got, want = getattr(stack, name)[h:h + 1], getattr(one, name)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (h, name)
-        for group in ("activations", "continuations"):
-            terms, want = getattr(stack, group), getattr(one, group)
-            n = want.sizes[0]
-            assert terms.sizes[h] == n, (h, group)
-            for name in ("w", "l", "k"):
-                if getattr(want, name) is not None:
-                    got = getattr(terms, name)[h, :n]
-                    assert got.tobytes() == getattr(want, name)[0].tobytes(), (h, group, name)
+        _assert_row_is_alone(stack, h, one)
 
 
 coordinate = st.sampled_from([0.0, 1e-300, 1e-4, 0.3]) | st.floats(0.0, 10.0)
@@ -420,3 +429,23 @@ def test_recovery_seed0_refits_match_the_reference_search(fixture_network, fixtu
                          hist.n_months - 1, 0, range(10), rng_path_prefix=(1,),
                          keep_states=True, track_causes=True)
     assert fit_many(batch.states, net) == [_reference_result(s, net) for s in batch.states]
+
+
+def test_statistics_of_a_recovery_run_are_counted_in_lean_blocks(fixture_network, fixture_history):
+    """The 125 histories that the benchmark's recovery run refits at seed 0 are
+    counted a block at a time: within one block's memory, and with each row
+    the summary of its history alone."""
+    net, hist = fixture_network, fixture_history
+    states = run_cascades(net, FIXTURE_PARAMS, hist.states[:, 0].astype(bool), hist.n_months - 1,
+                          0, range(125), rng_path_prefix=(1,), keep_states=True).states
+    net.adjacency_float  # built and cached outside the measurement
+    tracemalloc.start()
+    try:
+        stack = TransitionSummary(states, net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+    assert len(states) > 2 * carpnet.likelihood._BLOCK
+    for h, history in enumerate(states):
+        _assert_row_is_alone(stack, h, TransitionSummary(history[None], net))

@@ -299,6 +299,38 @@ def test_network_effect_unreachable_burst_is_infinite():
     assert 3 in report.network_infinite_steps
 
 
+# --- integer counts -------------------------------------------------------
+
+def _run_experiment(name, **counts):
+    states = np.tile(np.arange(10) % 2, (3, 1)).astype(np.uint8)
+    hist = build_history(_FORWARD_NET, month_sequence("2001-01", 10), states)
+    if name == "recovery":
+        return recovery_experiment(_FORWARD_NET, hist, TOY_PARAMS, master_seed=3, **counts)
+    if name == "forward":
+        return forward_error_bounds(_FORWARD_NET, TOY_PARAMS, [TOY_PARAMS],
+                                    initial=_FORWARD_INITIAL, master_seed=3, **counts)
+    return network_effect_comparison(_FORWARD_NET, hist, TOY_PARAMS, master_seed=3, **counts)
+
+
+@pytest.mark.parametrize("name, count", [
+    ("recovery", "n_replicates"), ("forward", "runs"), ("forward", "months"),
+    ("network-effect", "runs"),
+])
+@pytest.mark.parametrize("value", [3.0, True], ids=["float", "bool"])
+def test_experiment_counts_must_be_integers(name, count, value):
+    # range() would raise a bare TypeError for 3.0, and True would run as 1
+    with pytest.raises(DataError, match=f"{count} must be an integer"):
+        _run_experiment(name, **{count: value})
+
+
+def test_experiment_counts_may_be_numpy_integers():
+    report = _run_experiment("forward", runs=np.int64(20), months=np.uint8(6))
+    want = _run_experiment("forward", runs=20, months=6)
+    assert all(np.array_equal(getattr(report, field.name), getattr(want, field.name))
+               for field in dataclasses.fields(ForwardReport))
+    assert type(report.months) is int
+
+
 # --- sensitivity ----------------------------------------------------------
 
 @pytest.fixture(scope="module")
