@@ -240,8 +240,9 @@ def _step_block(
     The rates are copied to full (S, b, R) shape once: numpy steps a
     contiguous operand faster than a broadcast row, and a float64 copy of
     the float32 neighbour counts (exact) skips a buffered cast in the
-    multiply.  Months are counted in uint8 windows, flushed into the int64
-    outputs at every refill and before every checkpoint.
+    multiply.  Months, activations and their causes are counted in uint8
+    windows, flushed into the int64 outputs at every refill and before every
+    checkpoint.
     """
     S, b, R = active.shape
     buf = np.empty((b, _REFILL_STEPS, 2, R), dtype=float)
@@ -252,6 +253,9 @@ def _step_block(
     ext_agg = np.empty((S, b, R), dtype=float)
     int_fire, ext_fire, fired, activated, stay = np.empty((5, S, b, R), dtype=bool)
     months_window, activations_window = np.zeros((2, S, b, R), dtype=np.uint8)
+    if cause_counts is not None:  # internal only, external only, both
+        causes = np.empty((3, S, b, R), dtype=bool)
+        causes_window = np.zeros((3, S, b, R), dtype=np.uint8)
 
     for t in range(n_steps):
         slot = t % _REFILL_STEPS
@@ -277,18 +281,22 @@ def _step_block(
 
         months_window += active.view(np.uint8)
         activations_window += activated.view(np.uint8)
+        if cause_counts is not None:  # an activation fired internally, externally or both
+            np.greater(activated, ext_fire, out=causes[0])
+            np.greater(activated, int_fire, out=causes[1])
+            np.logical_and(activated, int_fire, out=causes[2])
+            np.logical_and(causes[2], ext_fire, out=causes[2])
+            causes_window += causes.view(np.uint8)
         if slot == _REFILL_STEPS - 1 or t + 1 == n_steps or t + 1 in cp_lookup:
             active_months += months_window
             activation_counts += activations_window
             months_window.fill(0)
             activations_window.fill(0)
+            if cause_counts is not None:
+                cause_counts += causes_window.sum(axis=-1, dtype=np.int64).transpose(1, 2, 0)
+                causes_window.fill(0)
         if states is not None:
             states[..., t + 1] = active
-        if cause_counts is not None:
-            both = activated & int_fire & ext_fire
-            cause_counts[..., 0] += (activated & int_fire & ~ext_fire).sum(axis=-1)
-            cause_counts[..., 1] += (activated & ext_fire & ~int_fire).sum(axis=-1)
-            cause_counts[..., 2] += both.sum(axis=-1)
         if cp_freq is not None and (t + 1) in cp_lookup:
             np.divide(active_months, t + 1, out=cp_freq[:, cp_lookup[t + 1]])
 

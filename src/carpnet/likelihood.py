@@ -18,12 +18,15 @@ rows at once.
 
 Fitting runs a coarse log-spaced grid over the box [0, 10] per parameter
 and refines the best cells with deterministic Nelder-Mead simplexes, so
-results are exactly reproducible; (alpha, beta) and gamma enter separate
-terms, so the 10^3-point grid costs 10^2 + 10 dot products.  The simplexes
-of every start of every history in a ``fit_many`` call step in one
-lockstep search as array code: each pass evaluates one trial point per
-live simplex in a single call over the histories' stacked statistics, and
-a simplex leaves the batch when it stops.  Each simplex takes exactly the
+results are exactly reproducible.  (alpha, beta) and gamma enter separate
+terms, so the 10^3-point grid of every history at once evaluates each
+distinct (risk, k) activation cell once per (alpha, beta) pair and each
+risk's continuation once per gamma, and each history sums its own terms
+with 10^2 + 10 dot products.  The simplexes of every start of every
+history in a ``fit_many`` call step in one lockstep search as array code:
+each pass evaluates one trial point per live simplex in a single call
+over the histories' stacked statistics, _ROWS rows at a time, and a
+simplex leaves the batch when it stops.  Each simplex takes exactly the
 steps it would take alone, so a fit does not depend on the batch around
 it.  The search settings are the module constants below; only
 ``fix_beta`` is chosen per call.
@@ -50,8 +53,12 @@ _STARTS = 5
 _LOWER, _UPPER = 0.0, 10.0
 _FATOL = 1e-8
 _MAX_ITER = 2000
-# TransitionSummary counts this many histories at a time, which bounds its memory.
+# TransitionSummary counts, and fit_many ranks the start grids of, this many
+# histories at a time, which bounds their memory.
 _BLOCK = 16
+# _Terms.sums evaluates this many rows at a time, which bounds the objective's
+# memory however many simplexes are live.
+_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -121,15 +128,16 @@ class TransitionSummary:
             n01 = n[:, :, 1].ravel()
             key = np.flatnonzero(n01)  # (h*R + r)*span + k
             activations.append((lo + key // span // R, n01[key].astype(float),
-                                log1m[key // span % R], (key % span).astype(float)))
+                                (key // span % R).astype(np.int32), (key % span).astype(np.int32)))
             n11 = months[:, :, 3].ravel()
             key = np.flatnonzero(n11)  # h*R + r
-            continuations.append((lo + key // R, n11[key].astype(float), log1m[key % R]))
+            continuations.append((lo + key // R, n11[key].astype(float),
+                                  (key % R).astype(np.int32)))
 
         (self.c00_l, self.c00_kl, self.s10_l, self.n_activations, self.n_recoveries,
          self.n_active_source, self.external_exposure) = map(np.concatenate, zip(*sums))
-        self.activations = _Terms(H, *map(np.concatenate, zip(*activations)))
-        self.continuations = _Terms(H, *map(np.concatenate, zip(*continuations)))
+        self.activations = _Terms(H, log1m, *map(np.concatenate, zip(*activations)))
+        self.continuations = _Terms(H, log1m, *map(np.concatenate, zip(*continuations)))
 
     def loglik(self, rows, alpha, beta, gamma) -> np.ndarray:
         """Log-likelihood of history ``rows[i]`` at the i-th (alpha, beta,
@@ -141,18 +149,18 @@ class TransitionSummary:
             total += self.continuations.sums(rows, gamma)
         return total
 
-    def grid(self, row, alphas, betas, gammas) -> np.ndarray:
-        """``loglik`` of history ``row``, bit for bit, at every point of three
-        axes: an (alpha, beta, gamma) array.  The terms separate, so the
-        activations are summed once per (alpha, beta) pair and the
-        continuations once per gamma."""
+    def grid(self, alphas, betas, gammas) -> np.ndarray:
+        """``loglik`` of every history, bit for bit, at every point of three
+        axes: an (H, alpha, beta, gamma) array.  The terms separate, so the
+        activations are evaluated once per (alpha, beta) pair and the
+        continuations once per gamma, each distinct cell once for all rows."""
         a, b, g = (np.asarray(axis, dtype=float) for axis in (alphas, betas, gammas))
         a, b = np.broadcast_arrays(a[:, None], b)
-        total = a * self.c00_l[row] + b * self.c00_kl[row]
+        total = a * self.c00_l[:, None, None] + b * self.c00_kl[:, None, None]
         with np.errstate(divide="ignore"):
-            total += self.activations.sums(np.full(a.size, row), a.ravel(), b.ravel()).reshape(a.shape)
-            total = total[:, :, None] + g * self.s10_l[row]
-            total += self.continuations.sums(np.full(g.size, row), g)
+            total += self.activations.grid(a.ravel(), b.ravel()).reshape(total.shape)
+            total = total[..., None] + g * self.s10_l[:, None, None, None]
+            total += self.continuations.grid(g)[:, None, None]
         return total
 
 
@@ -161,46 +169,103 @@ class _Terms:
 
     Row i sums ``w * log(1 - exp((a + b*k) * l))`` over its terms, for a
     point's (a, b): alpha and beta for the activations by (risk, k), and
-    gamma (with no k) for the risks' active -> active months.  The terms
-    come flat, sorted by ``row``; rows are zero-padded to the longest, and
-    the padding is left out of every sum.
+    gamma (with no k) for the risks' active -> active months; l is the
+    risk's ``log1m``.  The terms come flat, sorted by ``row``; rows are
+    zero-padded to the longest, and the padding is left out of every sum.
+    ``cells`` holds the l (and k) of each distinct (risk, k) cell, and
+    ``cell`` numbers the cell of each padded term.
     """
 
-    def __init__(self, n_rows, row, w, l, *k):
+    def __init__(self, n_rows, log1m, row, w, risk, k=None):
         self.sizes = np.bincount(row, minlength=n_rows)
-        padded = np.zeros((2 + len(k), n_rows, self.sizes.max(initial=0)))
-        padded[:, row, np.arange(row.size) - (np.cumsum(self.sizes) - self.sizes)[row]] = w, l, *k
+        col = np.arange(row.size) - (np.cumsum(self.sizes) - self.sizes)[row]
+        values = (w, log1m[risk]) if k is None else (w, log1m[risk], k)
+        padded = np.zeros((len(values), n_rows, self.sizes.max(initial=0)))
+        padded[:, row, col] = values
         self.w, self.l, self.k = (*padded, None)[:3]  # no k for the continuations
+        # a term's cell is its (risk, k), keyed k*R + risk; cells are numbered in key order
+        key = risk if k is None else k * len(log1m) + risk
+        cells = np.flatnonzero(np.bincount(key))
+        self.cell = np.zeros(padded.shape[1:], dtype=np.intp)
+        self.cell[row, col] = np.searchsorted(cells, key)
+        self.cells = (log1m[cells % len(log1m)],
+                      None if k is None else (cells // len(log1m)).astype(float))
+
+    @staticmethod
+    def _values(e, l, a, b=None):
+        """``e``, a new array of the terms' k (their l with no b), overwritten
+        with ``log(1 - exp((a + b*k) * l))`` (``log(1 - exp(l * a))``): the one
+        arithmetic of every term, so that ``sums`` and ``grid`` agree bit for bit."""
+        if b is None:
+            e *= a
+        else:
+            e *= b
+            e += a
+            e *= l
+        return np.log(np.negative(np.expm1(e, out=e), out=e), out=e)
 
     def sums(self, rows, a, b=None) -> np.ndarray:
         """Row ``rows[i]``'s sum at ``(a[i], b[i])``, as ``w @ log(-expm1(e))``
         with ``e = (a + b*k) * l`` on its unpadded terms.
 
-        Rows are taken in order of their number of terms, so each length is
-        one ``np.vecdot`` call over a slice: the same BLAS dot product, row by
-        row, as ``w @ values``.  ``log(1 - exp(0))`` is ``-inf`` and every
-        weight is a positive count, so a row with an impossible transition
-        (``e == 0``) sums to ``-inf``.  A row with no terms sums to -0.0,
-        which adds nothing to a total.  Call under ``np.errstate(divide=
-        "ignore")``.
+        Rows are taken in order of their number of terms, _ROWS at a time,
+        each chunk only as wide as its widest row, so the memory does not grow
+        with the number of rows.  Each length is one ``np.vecdot`` call over a
+        slice: the same BLAS dot product, row by row, as ``w @ values``.
+        ``log(1 - exp(0))`` is ``-inf`` and every weight is a positive count,
+        so a row with an impossible transition (``e == 0``) sums to ``-inf``.
+        A row with no terms sums to -0.0, which adds nothing to a total.  Call
+        under ``np.errstate(divide="ignore")``.
         """
         order = self.sizes[rows].argsort(kind="stable")
-        rows, a, b = rows[order], a[order], None if b is None else b[order]
+        rows, a, b = rows[order], a[order][:, None], None if b is None else b[order][:, None]
         sizes = self.sizes[rows].tolist()
-        if self.k is None:
-            e = self.l[rows] * a[:, None]
-        else:
-            e = self.k[rows] * b[:, None]
-            e += a[:, None]
-            e *= self.l[rows]
-        np.log(np.negative(np.expm1(e, out=e), out=e), out=e)
-        w = self.w[rows]
-        out = np.full(len(rows), -0.0)
-        for n in set(sizes) - {0}:
-            lo, hi = bisect.bisect_left(sizes, n), bisect.bisect_right(sizes, n)
-            np.vecdot(w[lo:hi, :n], e[lo:hi, :n], out=out[lo:hi])
-        out[order] = out.copy()
+        first = bisect.bisect_right(sizes, 0)
+        out = np.empty(len(rows))
+        out[:first] = -0.0
+        for lo in range(first, len(rows), _ROWS):
+            hi = min(lo + _ROWS, len(rows))
+            chunk, width = rows[lo:hi], sizes[hi - 1]
+            # in place in the gathered copy, so a chunk holds two arrays of terms at a time
+            if b is None:
+                e = self._values(_gather(self.l, chunk, width), None, a[lo:hi])
+            else:
+                e = self._values(_gather(self.k, chunk, width), _gather(self.l, chunk, width),
+                                 a[lo:hi], b[lo:hi])
+            w = _gather(self.w, chunk, width)
+            for n in set(sizes[lo:hi]):
+                i, j = bisect.bisect_left(sizes, n, lo, hi), bisect.bisect_right(sizes, n, lo, hi)
+                np.vecdot(w[i - lo:j - lo, :n], e[i - lo:j - lo, :n], out=out[i:j])
+        result = np.empty(len(rows))
+        result[order] = out
+        return result
+
+    def grid(self, a, b=None) -> np.ndarray:
+        """Every row's sum at every point ``(a[j], b[j])``: an (n_rows,
+        points) array, each value equal to ``sums`` bit for bit.
+
+        Each distinct cell is evaluated once per point, into a (points,
+        cells) table; row i then sums its own columns of the table, in its
+        term order, with one ``np.vecdot``.  ``np.take`` gathers them
+        C-contiguous, so each sum is the same unit-stride BLAS dot as in
+        ``sums`` (``table[:, ids]`` is strided, and changes the bits).  Call
+        under ``np.errstate(divide="ignore")``.
+        """
+        l, k = self.cells
+        table = np.broadcast_to(l if b is None else k, (len(a), len(l))).copy()
+        table = self._values(table, l, a[:, None], None if b is None else b[:, None])
+        out = np.full((len(self.sizes), len(a)), -0.0)
+        for i, n in enumerate(self.sizes.tolist()):
+            if n:
+                np.vecdot(self.w[i, :n], np.take(table, self.cell[i, :n], axis=1), out=out[i])
         return out
+
+
+def _gather(x, rows, width):
+    """Rows ``rows`` of ``x``, cut to their first ``width`` columns.  ``take``
+    gathers faster than fancy indexing, but it first copies a cut view, so it
+    serves only rows taken whole."""
+    return x.take(rows, axis=0) if width == x.shape[1] else x[rows, :width]
 
 
 def _nelder_mead_many(fn, x0):
@@ -295,11 +360,12 @@ def fit_many(
 
     Entry h equals ``fit`` of a history with states ``states[h]`` bit for
     bit, or is the ConvergenceError that call raises, returned, not raised,
-    so one failed history does not stop the rest.  The simplexes of every
-    history step together in one lockstep search as array code, so a batch
-    makes far fewer numpy calls than one ``fit`` per history.  Raises DataError for a bad ``fix_beta``, or for a stack that
-    is not 3-D, has other than ``network.n_risks`` rows or fewer than two
-    months, or holds a value other than 0 and 1.
+    so one failed history does not stop the rest.  The start grids of every
+    history are one call, and their simplexes step together in one lockstep
+    search as array code, so a batch makes far fewer numpy calls than one
+    ``fit`` per history.  Raises DataError for a bad ``fix_beta``, or for a
+    stack that is not 3-D, has other than ``network.n_risks`` rows or fewer
+    than two months, or holds a value other than 0 and 1.
     """
     if fix_beta is not None and not (math.isfinite(fix_beta) and fix_beta >= 0):
         raise DataError(f"fix_beta must be finite and non-negative, got {fix_beta}")
@@ -310,10 +376,12 @@ def fit_many(
     grids = np.meshgrid(*([axis] * ndim), indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=1)
     betas = axis if fix_beta is None else [fix_beta]
-    starts = np.array([
-        points[np.argsort(-stack.grid(h, axis, betas, axis).ravel(), kind="stable")[:_STARTS]]
-        for h in range(n_histories)
+    grid = stack.grid(axis, betas, axis).reshape(n_histories, len(points))
+    starts = np.concatenate([  # an empty stack is one empty block
+        points[np.argsort(-grid[lo:lo + _BLOCK], axis=1, kind="stable")[:, :_STARTS]]
+        for lo in range(0, max(n_histories, 1), _BLOCK)
     ]).reshape(-1, ndim)
+    del grid  # the search runs without it
     owner = np.repeat(np.arange(n_histories), _STARTS)
 
     def neg_loglik(x, simplexes):

@@ -243,20 +243,26 @@ def test_fit_matches_the_numpy_reference_search(data, fix_beta):
     assert result.boundary_flags == _data_flags(summary) + bound_flags
 
 
-@pytest.mark.parametrize("dataset", ["toy", "fixture"])
+@pytest.mark.parametrize("dataset", ["toy", "fixture", "ragged"])
 @pytest.mark.parametrize("axes", [
     (np.geomspace(1e-4, 10, 10),) * 3,
     (np.geomspace(1e-4, 10, 10), [0.3], np.geomspace(1e-4, 10, 10)),  # a fixed beta
     ([0.0, 1e-3, 0.4], [0.0, 0.02, 2.0], [0.0, 0.5, 1.0, 7.0]),  # zeros give -inf cells
 ], ids=["production", "fixed-beta", "zeros"])
 def test_grid_is_loglik_at_every_point(request, dataset, axes):
-    net = request.getfixturevalue(f"{dataset}_network")
-    summary = TransitionSummary(request.getfixturevalue(f"{dataset}_history").states[None], net)
-    grid = summary.grid(0, *axes)
-    loglik = row_loglik(summary)
-    pointwise = np.array([[[loglik(a, b, g) for g in axes[2]] for b in axes[1]]
-                          for a in axes[0]])
-    assert grid.shape == pointwise.shape
+    """The all-rows grid holds each history's ``loglik`` at each point, bit
+    for bit: one history of the toy or the fixture, or every history of the
+    ragged stack, degenerate ones and ``lone`` included."""
+    if dataset == "ragged":
+        summary, _ = request.getfixturevalue("ragged_stack")
+    else:
+        net = request.getfixturevalue(f"{dataset}_network")
+        summary = TransitionSummary(request.getfixturevalue(f"{dataset}_history").states[None], net)
+    grid = summary.grid(*axes)
+    logliks = [row_loglik(summary, h) for h in range(len(summary.c00_l))]
+    pointwise = np.array([[[[loglik(a, b, g) for g in axes[2]] for b in axes[1]] for a in axes[0]]
+                          for loglik in logliks])
+    assert grid.shape == pointwise.shape == (len(summary.c00_l), *map(len, axes))
     assert grid.tobytes() == pointwise.tobytes()
     assert not np.isnan(grid).any()
 
@@ -335,6 +341,12 @@ def test_fit_many_rejects_a_malformed_stack(states):
         fit_many(states, net)
 
 
+@pytest.mark.parametrize("fix_beta", [None, 0.3])
+def test_fit_many_of_an_empty_stack_is_empty(fix_beta):
+    net = make_network([0.2, 0.3], edges=[(0, 1)])
+    assert fit_many(np.zeros((0, 2, 5)), net, fix_beta=fix_beta) == []
+
+
 def test_fit_rejects_a_history_of_another_network(toy_history):
     net = make_network([0.2] * toy_history.n_risks)
     with pytest.raises(DataError, match="not aligned"):
@@ -352,12 +364,17 @@ def ragged_stack(fixture_network, fixture_history):
     early[:, 40:] = 0
     lone = np.zeros((r, t))
     lone[0, 1] = 1  # one activation, at k = 0
+    # one recovery that leaves its neighbors passive: no activation and no
+    # continuation, so loglik is -0.0 where alpha = beta = gamma = 0
+    recovered = np.zeros((r, t))
+    recovered[net.adjacency.sum(axis=1).argmax(), 0] = 1
     histories = np.array([states, states[:, ::-1], np.roll(states, 1, axis=0), early,
-                          states * (np.arange(r) < 7)[:, None], *_degenerate_states(r, t), lone],
-                         dtype=np.uint8)
+                          states * (np.arange(r) < 7)[:, None], *_degenerate_states(r, t), lone,
+                          recovered], dtype=np.uint8)
     stack = TransitionSummary(histories, net)
     sizes = stack.activations.sizes.tolist()
-    assert len(sizes) == 9 and min(sizes) == 0 and len(set(sizes)) >= 7
+    assert len(sizes) == 10 and min(sizes) == 0 and len(set(sizes)) >= 7
+    assert math.copysign(1, row_loglik(stack, 9)(0.0, 0.0, 0.0)) == -1
     return stack, [TransitionSummary(h[None], net) for h in histories]
 
 
@@ -388,7 +405,7 @@ def test_stacked_statistics_are_each_history_alone(ragged_stack):
 coordinate = st.sampled_from([0.0, 1e-300, 1e-4, 0.3]) | st.floats(0.0, 10.0)
 
 
-@given(points=st.lists(st.tuples(st.integers(0, 8), coordinate, coordinate, coordinate),
+@given(points=st.lists(st.tuples(st.integers(0, 9), coordinate, coordinate, coordinate),
                        min_size=1, max_size=20))
 @settings(max_examples=40)
 def test_stacked_objective_is_loglik_row_by_row(ragged_stack, points):
@@ -396,7 +413,7 @@ def test_stacked_objective_is_loglik_row_by_row(ragged_stack, points):
     # alpha = beta = 0 with an activation at k = 0, and gamma = 0 with an
     # active -> active month, are impossible
     stack, alone = ragged_stack
-    points = points + [(h, 0.0, 0.0, 1.0) for h in range(9)] + [(h, 0.5, 0.1, 0.0) for h in range(9)]
+    points = points + [(h, 0.0, 0.0, 1.0) for h in range(10)] + [(h, 0.5, 0.1, 0.0) for h in range(10)]
     rows, alpha, beta, gamma = (np.array(column) for column in zip(*points))
     stacked = stack.loglik(rows, alpha, beta, gamma)
     one_by_one = np.array([row_loglik(alone[h])(a, b, g) for h, a, b, g in points])
@@ -422,6 +439,14 @@ def test_one_block_of_statistics_is_lean(fixture_network, fixture_history):
     assert peak <= 4e6
 
 
+@pytest.fixture(scope="module")
+def recovery_histories(fixture_network, fixture_history):
+    """The 125 histories that the benchmark's recovery run refits at seed 0."""
+    net, hist = fixture_network, fixture_history
+    return run_cascades(net, FIXTURE_PARAMS, hist.states[:, 0].astype(bool), hist.n_months - 1,
+                        0, range(125), rng_path_prefix=(1,), keep_states=True).states
+
+
 def test_recovery_seed0_refits_match_the_reference_search(fixture_network, fixture_history):
     """Ten histories that the benchmark's recovery run refits, in one batch."""
     net, hist = fixture_network, fixture_history
@@ -431,13 +456,12 @@ def test_recovery_seed0_refits_match_the_reference_search(fixture_network, fixtu
     assert fit_many(batch.states, net) == [_reference_result(s, net) for s in batch.states]
 
 
-def test_statistics_of_a_recovery_run_are_counted_in_lean_blocks(fixture_network, fixture_history):
+def test_statistics_of_a_recovery_run_are_counted_in_lean_blocks(fixture_network,
+                                                                 recovery_histories):
     """The 125 histories that the benchmark's recovery run refits at seed 0 are
     counted a block at a time: within one block's memory, and with each row
     the summary of its history alone."""
-    net, hist = fixture_network, fixture_history
-    states = run_cascades(net, FIXTURE_PARAMS, hist.states[:, 0].astype(bool), hist.n_months - 1,
-                          0, range(125), rng_path_prefix=(1,), keep_states=True).states
+    net, states = fixture_network, recovery_histories
     net.adjacency_float  # built and cached outside the measurement
     tracemalloc.start()
     try:
@@ -449,3 +473,23 @@ def test_statistics_of_a_recovery_run_are_counted_in_lean_blocks(fixture_network
     assert len(states) > 2 * carpnet.likelihood._BLOCK
     for h, history in enumerate(states):
         _assert_row_is_alone(stack, h, TransitionSummary(history[None], net))
+
+
+def test_objective_memory_is_bounded(fixture_network, recovery_histories):
+    """One objective call over the 625 rows of a recovery refit's first pass
+    (5 starts of each of 125 histories) holds the terms of at most _ROWS rows
+    at once, so it stays under 1.2 MB, and so does a call over four times as
+    many rows (0.90 and 1.04 MB; evaluated all at once they need 2.2 and
+    8.6 MB)."""
+    stack = TransitionSummary(recovery_histories, fixture_network)
+    assert stack.activations.sizes.max() > 200
+    for repeat in (1, 4):
+        rows = np.tile(np.repeat(np.arange(125), 5), repeat)
+        point = [np.full(rows.size, v) for v in FIXTURE_PARAMS.as_tuple()]
+        tracemalloc.start()
+        try:
+            stack.loglik(rows, *point)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2e6, (repeat, peak)
