@@ -18,7 +18,6 @@ here must be intentional and committed together with the data.
 from __future__ import annotations
 
 import argparse
-import csv
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +31,12 @@ from carpnet import (
     RiskNetwork,
     build_history,
     build_network,
+    compute_properties,
     month_sequence,
     normalize_likelihood,
     run_cascades,
 )
-from carpnet.artifacts import write_json
+from carpnet.artifacts import write_csv, write_json
 from carpnet.rng import derive_rng
 
 FIXTURE_SEED = 20130101
@@ -58,45 +58,21 @@ def save_network(network: RiskNetwork, risks_path, pairs_path) -> None:
     The likelihood column holds the raw scores, so a reload with the same
     normalization settings reproduces the network exactly.
     """
-    with open(risks_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "numeric_code", "name", "category", "likelihood"])
-        for r in network.risks:
-            writer.writerow(
-                [r.id, r.numeric_code, r.name, r.category, format(r.raw_likelihood, ".17g")]
-            )
-    with open(pairs_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["risk_a", "risk_b", "count"])
-        ids = network.ids
-        counts = network.pair_counts
-        for i in range(network.n_risks):
-            for j in range(i + 1, network.n_risks):
-                if counts[i, j] > 0:
-                    writer.writerow([ids[i], ids[j], str(int(counts[i, j]))])
+    ids, risks = np.array(network.ids), network.risks
+    write_csv(risks_path, {
+        "id": ids,
+        "numeric_code": [r.numeric_code for r in risks],
+        "name": [r.name for r in risks],
+        "category": network.categories,
+        "likelihood": np.array([r.raw_likelihood for r in risks], dtype=float),
+    })
+    a, b = np.nonzero(np.triu(network.pair_counts))
+    write_csv(pairs_path, {"risk_a": ids[a], "risk_b": ids[b], "count": network.pair_counts[a, b]})
 
 
 def save_history(history: HistoryMatrix, path) -> None:
     """Write a history in wide form: a ``month`` column plus one column per risk."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["month", *history.risk_ids])
-        for t, m in enumerate(history.months):
-            writer.writerow([m, *(str(int(s)) for s in history.states[:, t])])
-
-
-def _connected(adjacency: np.ndarray) -> bool:
-    n = adjacency.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero(adjacency[i])[0]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
-    return bool(seen.all())
+    write_csv(path, {"month": history.months, **dict(zip(history.risk_ids, history.states))})
 
 
 def _simulated_history(network, params, seed, months, burnin):
@@ -140,7 +116,7 @@ def make_synthetic_2013(root: Path) -> None:
         upper = g.random((50, 50)) < p_edge
         adjacency = np.triu(upper, k=1)
         adjacency = adjacency | adjacency.T
-        if _connected(adjacency):
+        if compute_properties(RiskNetwork(tuple(risks), adjacency.astype(int))).connected:
             break
     else:
         raise RuntimeError("no connected graph found in 100 attempts")

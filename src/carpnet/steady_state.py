@@ -38,7 +38,8 @@ class SteadyState:
 
     ``unique`` is True when the M-matrix test proves there is one fixed point
     p*; ``error_bound`` >= max|p_hat - p*| then.  Otherwise ``error_bound`` is
-    inf and ``p_hat`` is the least of several fixed points, or a critical one.
+    inf and ``p_hat`` is the least of several fixed points, or a critical one;
+    that needs alpha = 0, as p* is unique for alpha > 0 (Kennan, Econ. Lett. 2001).
     ``residual`` is max|F(p_hat) - p_hat| and ``iterations`` counts sweeps plus
     Newton steps.  ``monotone`` covers the sweep from 0 only: Newton iterates
     fall to p* from above.
@@ -47,7 +48,6 @@ class SteadyState:
     p_hat: np.ndarray
     residual: float
     iterations: int
-    converged: bool
     monotone: bool
     unique: bool
     error_bound: float
@@ -206,9 +206,8 @@ def _solve(abg, network: RiskNetwork, Ls):
                       "test at the limit from p=0; p_hat is the least fixed point", stacklevel=3)
     return [
         SteadyState(p_hat=p_hat[:, k].copy(), residual=float(residual[k]),
-                    iterations=int(iterations[k]), converged=True,
-                    monotone=bool(worst[k] >= -1e-15), unique=bool(zmin[k] > 0),
-                    error_bound=float(bounds[k]))
+                    iterations=int(iterations[k]), monotone=bool(worst[k] >= -1e-15),
+                    unique=bool(zmin[k] > 0), error_bound=float(bounds[k]))
         for k in range(len(bounds))
     ]
 

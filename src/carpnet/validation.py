@@ -64,9 +64,9 @@ class ValidationReport:
     reference simulation's fractions instead of its own, as an
     alternative reading of the protocol.  ``gt_fractions`` describes the
     reference simulation: its cause counts ``internal_only``,
-    ``external_only`` and ``both``, its shares ``a`` and ``b``, the overlap
-    share ``both_fraction`` and ``defined`` (always true: a reference run
-    without activations raises).
+    ``external_only`` and ``both``, its shares ``a`` and ``b`` and the
+    overlap share ``both_fraction``; a reference run without activations
+    raises.
     """
 
     ground_truth: ModelParams
@@ -125,7 +125,7 @@ def recovery_experiment(
         )
     gt_fractions = {
         **dict(zip(("internal_only", "external_only", "both"), counts.tolist())),
-        "a": gt_a, "b": gt_b, "both_fraction": counts[2] / gt_total, "defined": True,
+        "a": gt_a, "b": gt_b, "both_fraction": counts[2] / gt_total,
     }
     gt_vector = (gt_a * fitted.alpha + gt_b * fitted.beta, fitted.gamma)
     if gt_vector[0] == 0 or gt_vector[1] == 0:

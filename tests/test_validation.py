@@ -105,7 +105,7 @@ def test_recovery_ground_truth_shares_come_from_stream_tag_0(small_recovery):
     a, b, total = _attribution_shares(counts)
     assert report.gt_fractions == {
         "internal_only": counts[0], "external_only": counts[1], "both": counts[2],
-        "a": a, "b": b, "both_fraction": counts[2] / total, "defined": True,
+        "a": a, "b": b, "both_fraction": counts[2] / total,
     }
 
 
