@@ -23,7 +23,8 @@ import numpy as np
 from .dynamics import ModelParams
 from .errors import DataError
 from .risks import CATEGORIES, RiskNetwork
-from .steady_state import SteadyState, solve_steady_state, solve_steady_states
+from .steady_state import (_CHECK_EVERY, SteadyState, _solve_from_above, solve_steady_state,
+                           solve_steady_states)
 
 _ANOMALY_TOL = -1e-12
 
@@ -36,13 +37,16 @@ class InfluenceMatrix:
     negative than -1e-12; the mean-field system is monotone, so a
     materially negative influence signals a solver or modeling problem
     and is surfaced instead of clipped.  ``baseline`` is the full model's
-    steady state that every knockout is measured against.
+    steady state that every knockout is measured against.  ``error_bound`` is
+    the largest over the R + 1 solves, and ``n_unbounded`` counts the infinite.
     """
 
     ids: tuple[str, ...]
     values: np.ndarray
     anomalies: tuple[tuple[str, str, float], ...]
     baseline: SteadyState
+    error_bound: float
+    n_unbounded: int
 
 
 @dataclass(frozen=True)
@@ -80,14 +84,19 @@ def risk_influence(network: RiskNetwork, params: ModelParams) -> InfluenceMatrix
     """Pairwise influence values[i, j] for every ordered pair i != j.
 
     One baseline steady state plus one counterfactual solve per risk, with
-    L_i = 0; the R counterfactuals are solved together as one batch.  The
-    diagonal is NaN by construction (a risk's external share is
-    meaningless once that risk is disabled).
+    L_i = 0; the R counterfactuals are solved together as one batch, up from
+    0 or, where alpha > 0 and the baseline took over ``_CHECK_EVERY`` steps
+    (near the contagion threshold), by Newton down from the baseline, which a
+    knockout only lowers.  The diagonal is NaN by construction (a risk's
+    external share is meaningless once that risk is disabled).
     """
     baseline = solve_steady_state(params, network)
     cuts = np.tile(network.likelihoods, (network.n_risks, 1))
     np.fill_diagonal(cuts, 0.0)
-    knocked = solve_steady_states(params, network, cuts)
+    if params.alpha > 0 and baseline.iterations > _CHECK_EVERY:
+        knocked = _solve_from_above(params, network, cuts, baseline.p_hat)
+    else:
+        knocked = solve_steady_states(params, network, cuts)
     P = np.array([s.p_hat for s in (baseline, *knocked)])
     share = _external_share(P, params, network, np.vstack([network.likelihoods, cuts]))
     values = share[0] - share[1:]
@@ -98,8 +107,10 @@ def risk_influence(network: RiskNetwork, params: ModelParams) -> InfluenceMatrix
     anomalies = tuple(
         (network.ids[i], network.ids[j], float(values[i, j])) for i, j in zip(*bad)
     )
+    bounds = np.array([s.error_bound for s in (baseline, *knocked)])
     return InfluenceMatrix(
-        ids=network.ids, values=values, anomalies=anomalies, baseline=baseline
+        ids=network.ids, values=values, anomalies=anomalies, baseline=baseline,
+        error_bound=float(bounds.max()), n_unbounded=int((~np.isfinite(bounds)).sum()),
     )
 
 

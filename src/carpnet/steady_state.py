@@ -9,11 +9,13 @@ probability turns the stationary condition into a fixed-point problem
 
 whose right-hand side F is monotone in p, so iterating from the all-zero
 vector climbs to the least fixed point.  The Jacobian J(p) = diag(F') beta A
-only falls as p rises, so an M-matrix test of I - J at an iterate l from 0
-proves that fixed point unique and bounds the distance to it of any point
-above l (Berman & Plemmons, ch. 6).  A slow sweep is tested every
-``_CHECK_EVERY`` sweeps and, once proven, finishes with Newton steps from
-above; a solve that fails the test never starts Newton and is reported.
+only falls as p rises, so an M-matrix test of I - J at a point l below
+every fixed point proves it unique and bounds the distance to it of any
+point above l (Berman & Plemmons, ch. 6).  From 0, l is a sweep iterate: a
+slow sweep is tested every ``_CHECK_EVERY`` sweeps and, once proven, ends
+with Newton steps from above.  A knockout may instead fall by Newton from
+its baseline, a supersolution; F is concave with F(0) >= 0, so l = (1 - d)q
+just below its answer q is a subsolution, below p* as alpha > 0.
 """
 from __future__ import annotations
 
@@ -34,15 +36,13 @@ _CHECK_EVERY, _CHUNK = 64, 8  # sweeps between M-matrix tests; columns per stack
 
 @dataclass(frozen=True)
 class SteadyState:
-    """The steady state ``p_hat`` reached from the all-passive vector, and its certificate.
+    """The steady state ``p_hat``, the least fixed point, and its certificate.
 
-    ``unique`` is True when the M-matrix test proves there is one fixed point
-    p*; ``error_bound`` >= max|p_hat - p*| then.  Otherwise ``error_bound`` is
-    inf and ``p_hat`` is the least of several fixed points, or a critical one;
-    that needs alpha = 0, as p* is unique for alpha > 0 (Kennan, Econ. Lett. 2001).
-    ``residual`` is max|F(p_hat) - p_hat| and ``iterations`` counts sweeps plus
-    Newton steps.  ``monotone`` covers the sweep from 0 only: Newton iterates
-    fall to p* from above.
+    ``unique`` holds where alpha > 0 (Kennan, Econ. Lett. 2001) or the M-matrix
+    test passes; ``error_bound`` >= max|p_hat - p*| where the test passes,
+    else inf.  ``residual`` is max|F(p_hat) - p_hat| and ``iterations``
+    counts sweeps plus Newton steps.  ``monotone`` covers the sweep from 0
+    only (True without one): Newton iterates fall to p* from above.
     """
 
     p_hat: np.ndarray
@@ -96,35 +96,44 @@ def _certificate(y, slope, A):
     return y.max(axis=0), np.where((y > 0).all(axis=0), z.min(axis=0), 0.0)
 
 
+def _newton(X, lo, A, abg, log1m, rec, steps):
+    """Newton steps X <- clip(X + (I - J(X))^-1 (F(X) - X), lo, 1), numbered ``steps``; they
+    fall to p* >= lo from above, as p - F(p) is convex (Ortega & Rheinboldt, 13.3).  Below
+    ``_TOL`` a column takes one more step and keeps the better point, returned with its
+    residual and step count (0 if never below ``_TOL``)."""
+    active = np.arange(X.shape[1])
+    out, residual, count = np.empty_like(X), np.full(len(active), np.inf), np.zeros_like(active)
+    for it in steps:
+        r = _sweep(X, A, abg, log1m, rec) - X
+        res, last = np.max(np.abs(r), axis=0), residual[active] < _TOL
+        better = res < residual[active]
+        out[:, active[better]], residual[active[better]] = X[:, better], res[better]
+        count[active[last]] = it
+        if last.all():
+            break
+        active, X, r, lo, abg, log1m, rec = (
+            v[..., ~last] for v in (active, X, r, lo, abg, log1m, rec))
+        X = np.clip(X + _solve_linear(_slope(X, A, abg, log1m, rec), A, r)[0], lo, 1.0)
+    return out, residual, count
+
+
 def _prove_and_polish(lo, r, A, abg, log1m, rec, start: int):
     """Test columns at iterates ``lo`` from 0, r = F(lo) - lo, and Newton-polish the proven.
 
-    One solve of (I - J(lo)) [d y] = [r, 1] gives the test's y and the first
-    Newton step d.  Above a proven ``lo``, p - F(p) is convex and I - J(p) an
-    M-matrix, so Newton steps clipped to [lo, 1] fall to p* (Ortega &
-    Rheinboldt, 13.3).  Once below ``_TOL`` a column takes one more step and
-    keeps the better point.  Returns the proven mask and, for those columns,
+    One solve of (I - J(lo)) [d y] = [r, 1] gives the test's y and a first
+    Newton step d to above p*.  Returns the proven mask and, for those columns,
     the point, residual, step count (on from ``start``), max(y) and min(z).
     """
     slope = _slope(lo, A, abg, log1m, rec)
     d, y = _solve_linear(slope, A, r, np.ones_like(lo))
     ymax, zmin = _certificate(y, slope, A)
     ok = zmin > 0
-    lo, abg, log1m, rec, active = lo[:, ok], abg[:, ok], log1m[:, ok], rec[:, ok], np.arange(ok.sum())
-    X = np.clip(lo + d[:, ok], lo, 1.0)
-    out, residual, steps = np.empty_like(X), np.full(len(active), np.inf), np.empty_like(active)
-    for it in range(start + 1, _MAX_ITER + 1):
-        r = _sweep(X, A, abg, log1m, rec) - X
-        res, last = np.max(np.abs(r), axis=0), residual[active] < _TOL
-        better = res < residual[active]
-        out[:, active[better]], residual[active[better]] = X[:, better], res[better]
-        steps[active[last]] = it
-        if last.all():
-            return ok, out, residual, steps, ymax[ok], zmin[ok]
-        active, X, r, lo, abg, log1m, rec = (
-            v[..., ~last] for v in (active, X, r, lo, abg, log1m, rec))
-        X = np.clip(X + _solve_linear(_slope(X, A, abg, log1m, rec), A, r)[0], lo, 1.0)
-    raise ConvergenceError(f"mean-field residual stayed above {_TOL} after {_MAX_ITER} steps")
+    lo, abg, log1m, rec = lo[:, ok], abg[:, ok], log1m[:, ok], rec[:, ok]
+    out, residual, steps = _newton(np.clip(lo + d[:, ok], lo, 1.0), lo, A, abg, log1m, rec,
+                                   range(start + 1, _MAX_ITER + 1))
+    if not steps.all():
+        raise ConvergenceError(f"mean-field residual stayed above {_TOL} after {_MAX_ITER} steps")
+    return ok, out, residual, steps, ymax[ok], zmin[ok]
 
 
 def _iterate(P, A, abg, log1m, rec):
@@ -178,38 +187,77 @@ def _iterate(P, A, abg, log1m, rec):
     raise ConvergenceError(f"mean-field residual stayed above {_TOL} after {_MAX_ITER} steps")
 
 
+def _trial(P, A, abg, log1m, rec):
+    """The M-matrix test at each column of ``P``: y = 1, or (I - J)^-1 1 if a J row sum is >= 1."""
+    slope = _slope(P, A, abg, log1m, rec)
+    y = np.ones_like(slope)
+    solve = np.flatnonzero((slope * A.sum(axis=1)[:, None] >= 1).any(axis=0))
+    y[:, solve] = _solve_linear(slope[:, solve], A, y[:, solve])[0]
+    return _certificate(y, slope, A)
+
+
+def _slack(q):
+    """The rounding allowance on a residual at each column of ``q``: R + 10 ulps of max(q)."""
+    return (len(q) + 10) * np.finfo(float).eps * q.max(axis=0)
+
+
+def _states(abg, p_hat, residual, iterations, worst, ymax, zmin) -> list[SteadyState]:
+    """One SteadyState per column; one without a bound warns at the public solver's caller."""
+    bounds = np.divide((residual + _slack(p_hat)) * ymax, zmin,
+                       out=np.full(len(residual), np.inf), where=zmin > 0)
+    for k in np.flatnonzero(zmin <= 0):
+        warnings.warn("p_hat has no error bound: I - J fails the M-matrix test at the limit from "
+                      "p=0" + ("" if abg[0, k] > 0 else "; it is the least fixed point, possibly "
+                               "not unique at alpha = 0"), stacklevel=4)
+    return [
+        SteadyState(p_hat=p_hat[:, k].copy(), residual=float(residual[k]),
+                    iterations=int(iterations[k]), monotone=bool(worst[k] >= -1e-15),
+                    unique=bool(abg[0, k] > 0 or zmin[k] > 0), error_bound=float(bounds[k]))
+        for k in range(len(bounds))
+    ]
+
+
 def _solve(abg, network: RiskNetwork, Ls):
     """Solve and certify the steady state of each row of the checked (K, R) stack at ``abg``.
 
     J(p) falls as p rises, so if some y > 0 has z = (I - J(l))y > 0 at an
-    iterate l from 0, the fixed point p* >= l is unique and any q >= l has
-    max|q - p*| <= residual(q) max(y) / min(z).  A column that converges by
-    sweeping is tested at its limit with the trial y = 1, or y = (I - J)^-1 1
-    where a row sum of J reaches 1; a polished one keeps the test that let it
-    leave the sweep.  For rounding, the residual gains R + 10 ulps of max(q).
+    iterate l from 0, p* is unique and any q >= l has max|q - p*| <=
+    residual(q) max(y) / min(z).  A swept column is tested at its limit by
+    :func:`_trial`; a polished one keeps the test that let it leave the sweep.
     """
     A, log1m = network.adjacency_float, np.log1p(-Ls.T)
     rec = np.exp(abg[2] * log1m)
     p_hat, residual, iterations, worst, ymax, zmin = _iterate(
         np.zeros(log1m.shape), A, abg, log1m, rec)
     swept = np.flatnonzero(zmin == 0)
-    slope = _slope(p_hat[:, swept], A, abg[:, swept], log1m[:, swept], rec[:, swept])
-    y = np.ones_like(slope)
-    solve = np.flatnonzero((slope * A.sum(axis=1)[:, None] >= 1).any(axis=0))
-    y[:, solve] = _solve_linear(slope[:, solve], A, y[:, solve])[0]
-    ymax[swept], zmin[swept] = _certificate(y, slope, A)
-    slack = (len(A) + 10) * np.finfo(float).eps * p_hat.max(axis=0)
-    bounds = np.divide((residual + slack) * ymax, zmin,
-                       out=np.full(len(residual), np.inf), where=zmin > 0)
-    for _ in np.flatnonzero(zmin <= 0):  # warn at the caller of the public solver
-        warnings.warn("the steady state is not unique or critical: I - J fails the M-matrix "
-                      "test at the limit from p=0; p_hat is the least fixed point", stacklevel=3)
-    return [
-        SteadyState(p_hat=p_hat[:, k].copy(), residual=float(residual[k]),
-                    iterations=int(iterations[k]), monotone=bool(worst[k] >= -1e-15),
-                    unique=bool(zmin[k] > 0), error_bound=float(bounds[k]))
-        for k in range(len(bounds))
-    ]
+    ymax[swept], zmin[swept] = _trial(p_hat[:, swept], A, abg[:, swept], log1m[:, swept],
+                                      rec[:, swept])
+    return _states(abg, p_hat, residual, iterations, worst, ymax, zmin)
+
+
+def _solve_from_above(params: ModelParams, network: RiskNetwork, Ls, start) -> list[SteadyState]:
+    """:func:`solve_steady_states` at alpha > 0 for rows ``Ls`` at or below the likelihoods
+    of the steady state ``start``, by :func:`_newton` down from that supersolution.
+
+    F(l) >= l at l = (1 - d)q once d min F(0) >= (1 - d) residual(q) on the rows
+    with L > 0, and the M-matrix test at l bounds |q - p*| as in :func:`_solve`.
+    Columns that fail it, F(l) >= l or ``_CHECK_EVERY`` steps are solved from 0.
+    """
+    A, log1m = network.adjacency_float, np.log1p(-Ls.T)
+    abg = np.repeat(np.array(params.as_tuple())[:, None], len(Ls), axis=1)
+    rec = np.exp(abg[2] * log1m)
+    live = log1m < 0
+    q, residual, steps = _newton(np.where(live, start[:, None], 0.0), np.zeros(log1m.shape),
+                                 A, abg, log1m, rec, range(1, _CHECK_EVERY + 1))
+    gap = 2 * (residual + _slack(q))  # twice the residual bound, so F(l) - l >= (1 - d) gap / 2
+    f0 = np.where(live, _sweep(np.zeros_like(q), A, abg, log1m, rec), np.inf).min(axis=0)
+    low = (1 - np.divide(gap, gap + f0, out=np.ones_like(gap), where=gap + f0 > 0)) * q  # (1 - d)q
+    ymax, zmin = _trial(low, A, abg, log1m, rec)
+    ok = (steps > 0) & (zmin > 0) & (_sweep(low, A, abg, log1m, rec) >= low).all(axis=0)
+    kept = iter(_states(abg[:, ok], q[:, ok], residual[ok], steps[ok], np.zeros(ok.sum()),
+                        ymax[ok], zmin[ok]))
+    redo = iter(solve_steady_states(params, network, Ls[~ok]) if not ok.all() else ())
+    return [next(kept) if k else next(redo) for k in ok]
 
 
 def solve_steady_state(params: ModelParams, network: RiskNetwork) -> SteadyState:

@@ -458,7 +458,8 @@ INFLUENCE_LAYOUT = {
     "influence.csv": (("source_id", "target_id", "influence"), 6 * 5),
     "category_influence.csv": (
         ("source_cat", "target_cat", "raw", "normalized", "log_scaled"), 5 * 5),
-    "influence.json": {"aggregate", "kappa", "degenerate", "anomalies"},
+    "influence.json": {"aggregate", "kappa", "degenerate", "anomalies", "error_bound",
+                       "n_unbounded"},
 }
 
 

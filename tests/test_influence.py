@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import carpnet.influence
 from carpnet import (
     CATEGORIES,
     DataError,
@@ -19,6 +21,13 @@ from carpnet.influence import _external_share
 from conftest import FIXTURE_PARAMS, deletion_influence, external_fraction, make_network
 
 PARAMS = ModelParams(0.3, 0.5, 1.0)
+CRITICAL = ModelParams(1e-5, 0.08, 3.0)  # just below the contagion threshold: a 133-step baseline
+
+
+def _knockouts(net):
+    cuts = np.tile(net.likelihoods, (net.n_risks, 1))
+    np.fill_diagonal(cuts, 0.0)
+    return cuts
 
 
 def test_zero_coupling_means_zero_external_share():
@@ -193,3 +202,57 @@ def test_removing_any_node_weakly_lowers_the_rest(beta, gamma, drop):
     knocked = solve_steady_states(params, net, [L])[0]
     others = np.arange(4) != drop
     assert (knocked.p_hat[others] <= base.p_hat[others] + 1e-12).all()
+
+
+def test_near_critical_knockouts_start_at_the_baseline(monkeypatch, fixture_network):
+    solve, calls = carpnet.influence._solve_from_above, []
+    monkeypatch.setattr(carpnet.influence, "_solve_from_above",
+                        lambda *args: calls.append(solve(*args)) or calls[-1])
+    matrix = risk_influence(fixture_network, CRITICAL)
+    [knocked] = calls
+    bounds = [s.error_bound for s in (matrix.baseline, *knocked)]
+    assert max(s.iterations for s in knocked) < matrix.baseline.iterations
+    assert matrix.error_bound == max(bounds) < 1e-11 and matrix.n_unbounded == 0
+
+
+@pytest.mark.parametrize("params", [FIXTURE_PARAMS, ModelParams(0.0, 0.08, 3.0),
+                                    ModelParams(0.0, 0.5, 1.0)],
+                         ids=["fixture", "alpha-0-critical", "alpha-0-contagion"])
+def test_knockouts_sweep_from_zero_outside_the_gate(monkeypatch, fixture_network, params):
+    def forbidden(*args):
+        raise AssertionError("knockouts solved from the baseline")
+    monkeypatch.setattr(carpnet.influence, "_solve_from_above", forbidden)
+    net, cuts = fixture_network, _knockouts(fixture_network)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        matrix = risk_influence(net, params)
+        states = [solve_steady_state(params, net), *solve_steady_states(params, net, cuts)]
+    share = _external_share(np.array([s.p_hat for s in states]), params, net,
+                            np.vstack([net.likelihoods, cuts]))
+    expected = share[0] - share[1:]
+    np.fill_diagonal(expected, np.nan)
+    assert np.array_equal(matrix.values, expected, equal_nan=True)
+    bounds = np.array([s.error_bound for s in states])
+    assert matrix.n_unbounded == np.isinf(bounds).sum()
+    assert matrix.error_bound == bounds.max()
+
+
+# Influence is never negative: a knockout lowers every exposure, and a risk's
+# external share rises with its exposure.  A computed entry falls below 0 only
+# by the two solves' errors times the share's slope.  Over 1,400 random draws
+# like these the most negative entry was -3.9e-13; the limit leaves a margin
+# of 250.
+_NEGATIVE = 1e-10
+
+
+@given(net=st.sampled_from(["toy", "fixture"]), log_alpha=st.floats(-8, 0),
+       log_beta=st.floats(-3, 0.5), gamma=st.floats(0.2, 3.0))
+@example(net="fixture", log_alpha=-5, log_beta=math.log10(0.08), gamma=3.0)  # inside the gate
+@example(net="toy", log_alpha=-7.65, log_beta=math.log10(0.3), gamma=2.35)  # inside the gate
+@settings(max_examples=40, deadline=None)
+def test_influence_is_never_materially_negative(toy_network, fixture_network, net, log_alpha,
+                                                log_beta, gamma):
+    network = toy_network if net == "toy" else fixture_network
+    matrix = risk_influence(network, ModelParams(10.0 ** log_alpha, 10.0 ** log_beta, gamma))
+    assert matrix.n_unbounded == 0
+    assert np.nanmin(matrix.values) >= -_NEGATIVE

@@ -17,6 +17,7 @@ from carpnet import (
     solve_steady_state,
     solve_steady_states,
 )
+from carpnet.steady_state import _solve_from_above
 from conftest import TOY_PARAMS, make_network
 from oracles import exact_transition_matrix, newton_fixed_point, stationary_distribution
 
@@ -135,9 +136,10 @@ def _beta_at_radius(net, alpha, gamma, rho):
     return rho / np.abs(np.linalg.eigvals(slope[:, None] * net.adjacency)).max()
 
 
-def _oracle_error(net, params, ss):
-    """max|p_hat - p*| against the mpmath Newton-polished fixed point."""
-    exact = newton_fixed_point(net.adjacency, net.likelihoods, *params.as_tuple(), ss.p_hat)
+def _oracle_error(net, params, ss, L=None):
+    """max|p_hat - p*| against the mpmath Newton-polished fixed point, at likelihoods ``L``."""
+    L = net.likelihoods if L is None else L
+    exact = newton_fixed_point(net.adjacency, L, *params.as_tuple(), ss.p_hat)
     return max(abs(mpmath.mpf(float(p)) - q) for p, q in zip(ss.p_hat, exact))
 
 
@@ -149,6 +151,54 @@ def test_near_critical_knockouts_finish_with_newton(fixture_network):
     assert all(s.unique and s.monotone for s in states)
     assert max(s.residual for s in states) < 1e-15  # the step after tol lands on rounding
     assert max(s.error_bound for s in states) < 1e-11
+
+
+def _from_baseline(net, params, Ls):
+    return _solve_from_above(params, net, Ls, solve_steady_state(params, net).p_hat)
+
+
+def test_near_critical_knockouts_fall_from_the_baseline(fixture_network):
+    # the baseline is a supersolution for every knockout, so Newton needs no sweep
+    net, Ls = fixture_network, _knockouts(fixture_network)
+    above = _from_baseline(net, _CRITICAL, Ls)
+    swept = solve_steady_states(_CRITICAL, net, Ls)
+    assert max(s.iterations for s in above) < min(s.iterations for s in swept)
+    for a, s in zip(above, swept, strict=True):
+        assert a.unique and a.monotone and a.error_bound < 1e-11
+        assert np.abs(a.p_hat - s.p_hat).max() <= a.error_bound + s.error_bound
+
+
+@pytest.mark.parametrize("pick", [np.argmax, np.argmin], ids=["hub", "leaf"])
+def test_knockouts_from_the_baseline_meet_their_bound(fixture_network, pick):
+    net, Ls = fixture_network, _knockouts(fixture_network)
+    i = int(pick(net.adjacency.sum(axis=1)))
+    ss = _from_baseline(net, _CRITICAL, Ls)[i]
+    assert _oracle_error(net, _CRITICAL, ss, L=Ls[i]) <= ss.error_bound
+
+
+@pytest.mark.parametrize("failing", ["budget", "every-test", "even-tests"])
+def test_failed_knockouts_are_solved_again_from_zero(monkeypatch, fixture_network, failing):
+    net, Ls = fixture_network, _knockouts(fixture_network)
+    start = solve_steady_state(_CRITICAL, net).p_hat
+    redo = np.arange(len(Ls)) % 2 == 0 if failing == "even-tests" else np.ones(len(Ls), bool)
+    if failing == "budget":  # one step leaves every column above tol
+        monkeypatch.setattr(carpnet.steady_state, "_CHECK_EVERY", 1)
+    else:  # every knockout swept from 0 here leaves by Newton, so only
+        trial = carpnet.steady_state._trial  # the new path's test has columns
+
+        def fail(P, *args):
+            ymax, zmin = trial(P, *args)
+            return ymax, np.where(redo[:P.shape[1]], 0.0, zmin)
+        monkeypatch.setattr(carpnet.steady_state, "_trial", fail)
+    got = _solve_from_above(_CRITICAL, net, Ls, start)
+    again = iter(solve_steady_states(_CRITICAL, net, Ls[redo]))
+    for state, sweep in zip(got, redo, strict=True):
+        if sweep:
+            want = next(again)
+            assert {**vars(state), "p_hat": state.p_hat.tolist()} == {
+                **vars(want), "p_hat": want.p_hat.tolist()}
+        else:
+            assert state.iterations < 10 and state.error_bound < 1e-11
 
 
 def test_unproven_knockouts_keep_the_sweep_limit(fixture_network):
@@ -295,6 +345,26 @@ def test_hub_is_certified_by_the_solved_trial_vector(monkeypatch, singular):
     assert ss.unique is not singular
     assert ss.error_bound == (math.inf if singular else 0.0)
     assert ["not unique" in str(w.message) for w in caught] == [True] * singular
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-3])
+def test_unique_rests_on_alpha_or_a_passed_test(monkeypatch, alpha):
+    # the hub above with no linear solve: the trial y = 1 fails on the hub's
+    # row, so no error bound; p* is still unique wherever alpha > 0
+    L, gamma = 0.3, 1.0
+    beta = 0.5 * (1 - L) ** gamma / -math.log1p(-L)
+
+    def fail(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", fail)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ss = solve_steady_state(ModelParams(alpha, beta, gamma),
+                                make_network([L] * 4, edges=[(0, 1), (0, 2), (0, 3)]))
+    assert ss.unique is (alpha > 0) and ss.error_bound == math.inf
+    [warning] = caught
+    assert "no error bound" in str(warning.message)
+    assert ("not unique" in str(warning.message)) is (alpha == 0)
 
 
 @st.composite

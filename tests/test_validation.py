@@ -286,6 +286,30 @@ def test_network_effect_report_is_reproducible():
     assert a.ratio == pytest.approx(a.m_network / a.m_independent)
 
 
+def test_network_effect_spread_is_the_sample_std_of_lone_runs():
+    # each band is the mean and ddof=1 spread of the per-step activation
+    # counts of lone runs on the paired streams
+    net = make_network([0.25, 0.4, 0.3], edges=[(0, 1), (1, 2)])
+    states = np.array(
+        [[0, 1, 1, 0, 0, 1, 0, 0, 1, 1], [1, 0, 0, 1, 0, 0, 1, 0, 0, 1],
+         [0, 0, 1, 1, 0, 1, 0, 1, 0, 0]], dtype=np.uint8)
+    hist = build_history(net, month_sequence("2001-01", 10), states)
+    runs = 6
+    report = network_effect_comparison(net, hist, TOY_PARAMS, runs=runs, master_seed=11)
+    for params, mean, std in ((TOY_PARAMS, report.network_mean, report.network_std),
+                              (report.independent_params, report.independent_mean,
+                               report.independent_std)):
+        counts = np.array([
+            step_activation_counts(run_cascades(
+                net, params, states[:, 0].astype(bool), 9, 11, [r], rng_path_prefix=(3,),
+                keep_states=True).states[0])
+            for r in range(runs)], dtype=float)
+        sample_var = ((counts - counts.mean(axis=0)) ** 2).sum(axis=0) / (runs - 1)
+        assert std.any()
+        np.testing.assert_allclose(mean, counts.mean(axis=0), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(std, np.sqrt(sample_var), rtol=1e-12, atol=0)
+
+
 def test_network_effect_unreachable_burst_is_infinite():
     """A burst no simulated run can produce yields an infinite multiple."""
     net = make_network([0.25, 0.4, 0.3], edges=[(0, 1), (1, 2)])
