@@ -244,7 +244,7 @@ def _influence_artifacts(network, matrix, aggregate, kappa) -> dict:
             "log_scaled": cats.log_scaled[src, dst],
         },
         "influence.json": {**_summary(cats, "aggregate", "degenerate"), "kappa": kappa,
-                           **_summary(matrix, "anomalies", "error_bound", "n_unbounded")},
+                           **_summary(matrix, "error_bound", "n_unbounded")},
     }
 
 

@@ -329,8 +329,11 @@ def run_cascades_parallel(
 
     Each worker receives the network itself.  Output is identical for every
     ``jobs`` value: runs are partitioned into contiguous index blocks and
-    reassembled in order.  At most one worker starts per usable CPU.
+    reassembled in order.  At most one worker starts per usable CPU; ``jobs``
+    must be an integer of at least 1 (else DataError).
     """
+    if (jobs := check_integer(jobs, "jobs")) < 1:
+        raise DataError(f"jobs must be at least 1, got {jobs}")
     run_indices = tuple(check_integer(r, "run index") for r in run_indices)
     if hasattr(os, "sched_getaffinity"):
         usable = len(os.sched_getaffinity(0))

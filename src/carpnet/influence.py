@@ -26,24 +26,20 @@ from .risks import CATEGORIES, RiskNetwork
 from .steady_state import (_CHECK_EVERY, SteadyState, _solve_from_above, solve_steady_state,
                            solve_steady_states)
 
-_ANOMALY_TOL = -1e-12
-
 
 @dataclass(frozen=True)
 class InfluenceMatrix:
     """Pairwise influence with NaN diagonal.
 
-    ``anomalies`` lists (source_id, target_id, value) for any entry more
-    negative than -1e-12; the mean-field system is monotone, so a
-    materially negative influence signals a solver or modeling problem
-    and is surfaced instead of clipped.  ``baseline`` is the full model's
-    steady state that every knockout is measured against.  ``error_bound`` is
-    the largest over the R + 1 solves, and ``n_unbounded`` counts the infinite.
+    Influence is >= 0 (up to the solves' error): a knockout lowers every
+    exposure, and a risk's external share rises with its exposure.
+    ``baseline`` is the full model's steady state that every knockout is
+    measured against.  ``error_bound`` is the largest over the R + 1 solves,
+    and ``n_unbounded`` counts the infinite.
     """
 
     ids: tuple[str, ...]
     values: np.ndarray
-    anomalies: tuple[tuple[str, str, float], ...]
     baseline: SteadyState
     error_bound: float
     n_unbounded: int
@@ -101,15 +97,9 @@ def risk_influence(network: RiskNetwork, params: ModelParams) -> InfluenceMatrix
     share = _external_share(P, params, network, np.vstack([network.likelihoods, cuts]))
     values = share[0] - share[1:]
     np.fill_diagonal(values, np.nan)
-
-    with np.errstate(invalid="ignore"):
-        bad = np.nonzero(values < _ANOMALY_TOL)
-    anomalies = tuple(
-        (network.ids[i], network.ids[j], float(values[i, j])) for i, j in zip(*bad)
-    )
     bounds = np.array([s.error_bound for s in (baseline, *knocked)])
     return InfluenceMatrix(
-        ids=network.ids, values=values, anomalies=anomalies, baseline=baseline,
+        ids=network.ids, values=values, baseline=baseline,
         error_bound=float(bounds.max()), n_unbounded=int((~np.isfinite(bounds)).sum()),
     )
 

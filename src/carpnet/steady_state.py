@@ -7,7 +7,7 @@ probability turns the stationary condition into a fixed-point problem
     num_i = 1 - (1-L_i)**(alpha + beta * sum_j A_ij p_j),
     rec_i = (1-L_i)**gamma,
 
-whose right-hand side F is monotone in p, so iterating from the all-zero
+whose right-hand side F is increasing in p, so iterating from the all-zero
 vector climbs to the least fixed point.  The Jacobian J(p) = diag(F') beta A
 only falls as p rises, so an M-matrix test of I - J at a point l below
 every fixed point proves it unique and bounds the distance to it of any
@@ -41,14 +41,14 @@ class SteadyState:
     ``unique`` holds where alpha > 0 (Kennan, Econ. Lett. 2001) or the M-matrix
     test passes; ``error_bound`` >= max|p_hat - p*| where the test passes,
     else inf.  ``residual`` is max|F(p_hat) - p_hat| and ``iterations``
-    counts sweeps plus Newton steps.  ``monotone`` covers the sweep from 0
-    only (True without one): Newton iterates fall to p* from above.
+    counts sweeps plus Newton steps.  The sweep from 0 is nondecreasing
+    because F is increasing with F(0) >= 0; Newton iterates fall to p* from
+    above.
     """
 
     p_hat: np.ndarray
     residual: float
     iterations: int
-    monotone: bool
     unique: bool
     error_bound: float
 
@@ -146,19 +146,17 @@ def _iterate(P, A, abg, log1m, rec):
     column freezes at that pre-map iterate, so its residual is its
     stationarity defect; later sweeps map only the active columns, and every
     ``_CHECK_EVERY`` sweeps those that :func:`_prove_and_polish` proves leave.
-    Also returns each column's step count, most negative sweep step, and
-    max(y), min(z) of a passed test (else 0).
+    Also returns each column's step count and max(y), min(z) of a passed
+    test (else 0).
     """
     K = P.shape[1]
     out, residual = np.empty_like(P), np.empty(K)
-    steps, worst = np.empty(K, dtype=np.int64), np.empty(K)
-    ymax, zmin = np.zeros(K), np.zeros(K)
-    active, drop = np.arange(K), np.zeros(K)
+    steps, ymax, zmin = np.empty(K, dtype=np.int64), np.zeros(K), np.zeros(K)
+    active = np.arange(K)
     for it in range(1, _MAX_ITER + 1):
         nxt = _sweep(P, A, abg, log1m, rec)
         step = nxt - P
         res = np.max(np.abs(step), axis=0)
-        drop = np.minimum(drop, np.min(step, axis=0))
         leave = done = res < _TOL
         if (near := np.flatnonzero(done & (res > 0))).size:
             p = P[:, near]
@@ -167,7 +165,7 @@ def _iterate(P, A, abg, log1m, rec):
         if done.any():
             cols = active[done]
             out[:, cols] = P[:, done]
-            residual[cols], steps[cols], worst[cols] = res[done], it, drop[done]
+            residual[cols], steps[cols] = res[done], it
         if it % _CHECK_EVERY == 0 and not done.all():
             test = np.flatnonzero(~done)
             ok, *polished = _prove_and_polish(P[:, test], step[:, test], A, abg[:, test],
@@ -176,13 +174,11 @@ def _iterate(P, A, abg, log1m, rec):
             leave[test] = True
             cols = active[test]
             out[:, cols], residual[cols], steps[cols], ymax[cols], zmin[cols] = polished
-            worst[cols] = drop[test]
         if leave.any():
             keep = ~leave
             if not keep.any():
-                return out, residual, steps, worst, ymax, zmin
-            active, drop, nxt, abg, log1m, rec = (
-                v[..., keep] for v in (active, drop, nxt, abg, log1m, rec))
+                return out, residual, steps, ymax, zmin
+            active, nxt, abg, log1m, rec = (v[..., keep] for v in (active, nxt, abg, log1m, rec))
         P = nxt
     raise ConvergenceError(f"mean-field residual stayed above {_TOL} after {_MAX_ITER} steps")
 
@@ -201,7 +197,7 @@ def _slack(q):
     return (len(q) + 10) * np.finfo(float).eps * q.max(axis=0)
 
 
-def _states(abg, p_hat, residual, iterations, worst, ymax, zmin) -> list[SteadyState]:
+def _states(abg, p_hat, residual, iterations, ymax, zmin) -> list[SteadyState]:
     """One SteadyState per column; one without a bound warns at the public solver's caller."""
     bounds = np.divide((residual + _slack(p_hat)) * ymax, zmin,
                        out=np.full(len(residual), np.inf), where=zmin > 0)
@@ -211,8 +207,8 @@ def _states(abg, p_hat, residual, iterations, worst, ymax, zmin) -> list[SteadyS
                                "not unique at alpha = 0"), stacklevel=4)
     return [
         SteadyState(p_hat=p_hat[:, k].copy(), residual=float(residual[k]),
-                    iterations=int(iterations[k]), monotone=bool(worst[k] >= -1e-15),
-                    unique=bool(abg[0, k] > 0 or zmin[k] > 0), error_bound=float(bounds[k]))
+                    iterations=int(iterations[k]), unique=bool(abg[0, k] > 0 or zmin[k] > 0),
+                    error_bound=float(bounds[k]))
         for k in range(len(bounds))
     ]
 
@@ -227,12 +223,11 @@ def _solve(abg, network: RiskNetwork, Ls):
     """
     A, log1m = network.adjacency_float, np.log1p(-Ls.T)
     rec = np.exp(abg[2] * log1m)
-    p_hat, residual, iterations, worst, ymax, zmin = _iterate(
-        np.zeros(log1m.shape), A, abg, log1m, rec)
+    p_hat, residual, iterations, ymax, zmin = _iterate(np.zeros(log1m.shape), A, abg, log1m, rec)
     swept = np.flatnonzero(zmin == 0)
     ymax[swept], zmin[swept] = _trial(p_hat[:, swept], A, abg[:, swept], log1m[:, swept],
                                       rec[:, swept])
-    return _states(abg, p_hat, residual, iterations, worst, ymax, zmin)
+    return _states(abg, p_hat, residual, iterations, ymax, zmin)
 
 
 def _solve_from_above(params: ModelParams, network: RiskNetwork, Ls, start) -> list[SteadyState]:
@@ -254,8 +249,7 @@ def _solve_from_above(params: ModelParams, network: RiskNetwork, Ls, start) -> l
     low = (1 - np.divide(gap, gap + f0, out=np.ones_like(gap), where=gap + f0 > 0)) * q  # (1 - d)q
     ymax, zmin = _trial(low, A, abg, log1m, rec)
     ok = (steps > 0) & (zmin > 0) & (_sweep(low, A, abg, log1m, rec) >= low).all(axis=0)
-    kept = iter(_states(abg[:, ok], q[:, ok], residual[ok], steps[ok], np.zeros(ok.sum()),
-                        ymax[ok], zmin[ok]))
+    kept = iter(_states(abg[:, ok], q[:, ok], residual[ok], steps[ok], ymax[ok], zmin[ok]))
     redo = iter(solve_steady_states(params, network, Ls[~ok]) if not ok.all() else ())
     return [next(kept) if k else next(redo) for k in ok]
 
@@ -265,9 +259,9 @@ def solve_steady_state(params: ModelParams, network: RiskNetwork) -> SteadyState
 
     Convergence means the sup-norm residual ``|F(p) - p|`` falls below
     ``_TOL``; ``_MAX_ITER`` bounds sweeps plus Newton steps, and an overrun
-    raises ConvergenceError.  ``monotone`` records that no sweep iterate fell
-    (up to 1e-15), as iterates from 0 must.  A steady state that is not
-    proven unique warns.
+    raises ConvergenceError.  The sweep climbs: F is increasing with
+    F(0) >= 0, so no iterate from 0 falls.  A steady state without an error
+    bound warns.
     """
     return _solve(np.array(params.as_tuple())[:, None], network, network.likelihoods[None, :])[0]
 

@@ -3,7 +3,8 @@
 Nothing in this module imports from the package under test.  Everything
 is a direct transcription of the model definition with plain loops, so a
 test can compare two separately derived answers instead of the package
-against itself.
+against itself.  Where a helper only drives a package function, as
+``sweep_iterates`` drives the mean-field map, the test passes it in.
 """
 
 from __future__ import annotations
@@ -161,6 +162,20 @@ def newton_fixed_point(adjacency, L, alpha, beta, gamma, start, dps=50):
             if mpmath.norm(step, mpmath.inf) < mpmath.mpf(10) ** (-dps + 5):
                 return list(p)
         raise ArithmeticError("Newton did not converge")
+
+
+def sweep_iterates(fixed_point_map, params, network, L=None, tol=1e-12):
+    """The plain sweep p_0 = 0, p_(k+1) = F(p_k) of the mean-field map F =
+    ``fixed_point_map(p, params, network, L=L)``, without any Newton step.
+
+    Returns the iterates as rows, up to the first p with max|F(p) - p| below
+    ``tol``: the number of rows is the number of maps applied, and the last
+    row is the sweep's limit.
+    """
+    its = [np.zeros(network.n_risks)]
+    while np.abs((nxt := fixed_point_map(its[-1], params, network, L=L)) - its[-1]).max() >= tol:
+        its.append(nxt)
+    return np.array(its)
 
 
 def brute_force_max_clique(adjacency):

@@ -24,6 +24,7 @@ from carpnet import (
     category_influence,
     default_checkpoints,
     fit,
+    fixed_point_map,
     forward_error_bounds,
     month_sequence,
     network_effect_comparison,
@@ -38,6 +39,7 @@ from carpnet import (
 from carpnet.cli import main as cli_main
 from carpnet.rng import derive_rng
 from conftest import CATEGORIES, FIXTURE_PARAMS, ROOT, deletion_influence, make_network
+from oracles import sweep_iterates
 from oracles import exact_transition_matrix, stationary_distribution
 from test_cli import rebuild_argv, toy_args
 
@@ -124,14 +126,16 @@ def test_03_residual_and_monotone_everywhere(toy_network, fixture_network):
     nets = [toy_network, fixture_network, toy_network.without_edges()]
     for R, edges in SMALL_GRAPHS.values():
         nets.append(make_network(SMALL_L[:R], edges=edges))
-    worst = 0.0
+    worst, fall = 0.0, 0.0
     for net in nets:
-        for a, b, g in ((0.1, 0.05, 0.4), (0.3, 0.15, 1.0), (0.7, 0.4, 2.0)):
-            ss = solve_steady_state(ModelParams(a, b, g), net)
-            worst = max(worst, ss.residual)
-            assert ss.monotone
-    ok = worst <= 1e-12
-    report(3, ok, f"worst residual {worst:.2e} (limit 1e-12), monotone from 0 on {len(nets)} networks")
+        for params in itertools.starmap(ModelParams, ((0.1, 0.05, 0.4), (0.3, 0.15, 1.0),
+                                                      (0.7, 0.4, 2.0))):
+            worst = max(worst, solve_steady_state(params, net).residual)
+            # F is increasing with F(0) >= 0, so no sweep iterate from 0 falls
+            fall = max(fall, -np.diff(sweep_iterates(fixed_point_map, params, net), axis=0).min())
+    ok = worst <= 1e-12 and fall <= 1e-15
+    report(3, ok, f"worst residual {worst:.2e} (limit 1e-12), largest fall of a sweep from 0 "
+                  f"{fall:.1e} (limit 1e-15) on {len(nets)} networks")
     assert ok
 
 

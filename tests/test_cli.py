@@ -452,13 +452,13 @@ FIT_LAYOUT = {
 }
 STEADY_LAYOUT = {
     "steady_state.csv": (("risk_id", "p_hat"), 6),
-    "convergence.json": {"residual", "iterations", "monotone", "unique", "error_bound"},
+    "convergence.json": {"residual", "iterations", "unique", "error_bound"},
 }
 INFLUENCE_LAYOUT = {
     "influence.csv": (("source_id", "target_id", "influence"), 6 * 5),
     "category_influence.csv": (
         ("source_cat", "target_cat", "raw", "normalized", "log_scaled"), 5 * 5),
-    "influence.json": {"aggregate", "kappa", "degenerate", "anomalies", "error_bound",
+    "influence.json": {"aggregate", "kappa", "degenerate", "error_bound",
                        "n_unbounded"},
 }
 

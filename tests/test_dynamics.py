@@ -293,6 +293,19 @@ def test_parallel_workers_are_capped_at_the_usable_cpus(monkeypatch):
         assert np.array_equal(batch.checkpoint_frequency, expected.checkpoint_frequency)
 
 
+@pytest.mark.parametrize("jobs", [0, -3, True, 2.5])
+def test_parallel_jobs_must_be_a_count(monkeypatch, jobs):
+    # with three usable CPUs, 2.5 would reach the pool as max_workers
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    net = make_network([0.2, 0.3, 0.4], edges=[(0, 1), (1, 2)])
+    with pytest.raises(DataError, match="jobs must be"):
+        run_cascades_parallel(net, ModelParams(0.3, 0.3, 1.0), np.zeros(3, bool), 40, 3,
+                              range(8), jobs=jobs)
+    assert _InlinePool.sizes == []
+
+
 def test_checkpoints_may_be_an_array():
     net = make_network([0.2, 0.3, 0.4], edges=[(0, 1), (1, 2)])
     args = (net, ModelParams(0.3, 0.3, 1.0), np.zeros(3, bool), 100, 3, range(4))

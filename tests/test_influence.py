@@ -60,7 +60,6 @@ def test_edgeless_network_has_no_influence():
     off_diag = inf.values[~np.eye(3, dtype=bool)]
     assert (off_diag == 0.0).all()
     assert np.isnan(np.diag(inf.values)).all()
-    assert inf.anomalies == ()
 
 
 def test_knockout_and_deletion_agree():
@@ -96,7 +95,6 @@ def test_influence_is_nonnegative_on_small_nets():
     inf = risk_influence(net, PARAMS)
     mask = ~np.eye(4, dtype=bool)
     assert (inf.values[mask] >= 0.0).all()
-    assert inf.anomalies == ()
 
 
 def test_hub_removal_influences_leaves_more_than_vice_versa():

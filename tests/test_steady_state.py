@@ -19,7 +19,12 @@ from carpnet import (
 )
 from carpnet.steady_state import _solve_from_above
 from conftest import TOY_PARAMS, make_network
-from oracles import exact_transition_matrix, newton_fixed_point, stationary_distribution
+from oracles import (
+    exact_transition_matrix,
+    newton_fixed_point,
+    stationary_distribution,
+    sweep_iterates,
+)
 
 
 def test_isolated_risk_has_closed_form():
@@ -33,9 +38,12 @@ def test_isolated_risk_has_closed_form():
 
 def test_residual_and_monotonicity_flags():
     net = make_network([0.2, 0.35, 0.3, 0.25], edges=[(0, 1), (1, 2), (2, 3), (0, 3)])
-    ss = solve_steady_state(ModelParams(0.3, 0.4, 1.0), net)
-    assert ss.monotone and ss.unique
-    phi = fixed_point_map(ss.p_hat, ModelParams(0.3, 0.4, 1.0), net)
+    params = ModelParams(0.3, 0.4, 1.0)
+    ss = solve_steady_state(params, net)
+    assert ss.unique
+    # F is increasing with F(0) >= 0, so no sweep iterate from 0 falls
+    assert np.diff(sweep_iterates(fixed_point_map, params, net), axis=0).min() >= -1e-15
+    phi = fixed_point_map(ss.p_hat, params, net)
     assert np.abs(ss.p_hat - phi).max() <= 1e-12
     assert ss.residual <= 1e-12
     assert 0 < ss.error_bound <= 100 * 1e-12
@@ -107,7 +115,7 @@ def test_batched_solves_match_the_scalar_loop(case, toy_network, fixture_network
         loop = [solve_steady_states(p, net, [row])[0] for p, row in zip(rows, Ls)]
     assert len(batch) == len(Ls)
     for b, s in zip(batch, loop):
-        assert (b.iterations, b.unique, b.monotone) == (s.iterations, s.unique, s.monotone)
+        assert (b.iterations, b.unique) == (s.iterations, s.unique)
         assert np.abs(b.p_hat - s.p_hat).max() <= 1e-14
         assert b.error_bound == pytest.approx(s.error_bound, rel=1e-3)
     nonunique = sum(not b.unique for b in batch)
@@ -115,17 +123,6 @@ def test_batched_solves_match_the_scalar_loop(case, toy_network, fixture_network
     # one warning per non-unique column from each path, pointing at the caller
     assert len(caught) == 2 * nonunique
     assert {w.filename for w in caught} <= {__file__}
-
-
-def _sweep_only(net, params, L=None, tol=1e-12):
-    """Sweep count and limit of the plain iteration from 0, without any Newton step."""
-    p, sweeps = np.zeros(net.n_risks), 0
-    while True:
-        sweeps += 1
-        q = fixed_point_map(p, params, net, L=L)
-        if np.abs(q - p).max() < tol:
-            return sweeps, p.tolist()
-        p = q
 
 
 def _beta_at_radius(net, alpha, gamma, rho):
@@ -148,7 +145,7 @@ def test_near_critical_knockouts_finish_with_newton(fixture_network):
     states = solve_steady_states(ModelParams(1e-5, 0.08, 3.0), fixture_network,
                                  _knockouts(fixture_network))
     assert max(s.iterations for s in states) < 229
-    assert all(s.unique and s.monotone for s in states)
+    assert all(s.unique for s in states)
     assert max(s.residual for s in states) < 1e-15  # the step after tol lands on rounding
     assert max(s.error_bound for s in states) < 1e-11
 
@@ -164,7 +161,7 @@ def test_near_critical_knockouts_fall_from_the_baseline(fixture_network):
     swept = solve_steady_states(_CRITICAL, net, Ls)
     assert max(s.iterations for s in above) < min(s.iterations for s in swept)
     for a, s in zip(above, swept, strict=True):
-        assert a.unique and a.monotone and a.error_bound < 1e-11
+        assert a.unique and a.error_bound < 1e-11
         assert np.abs(a.p_hat - s.p_hat).max() <= a.error_bound + s.error_bound
 
 
@@ -176,13 +173,23 @@ def test_knockouts_from_the_baseline_meet_their_bound(fixture_network, pick):
     assert _oracle_error(net, _CRITICAL, ss, L=Ls[i]) <= ss.error_bound
 
 
-@pytest.mark.parametrize("failing", ["budget", "every-test", "even-tests"])
+@pytest.mark.parametrize("failing", ["budget", "every-test", "even-tests", "understated-residual"])
 def test_failed_knockouts_are_solved_again_from_zero(monkeypatch, fixture_network, failing):
     net, Ls = fixture_network, _knockouts(fixture_network)
     start = solve_steady_state(_CRITICAL, net).p_hat
     redo = np.arange(len(Ls)) % 2 == 0 if failing == "even-tests" else np.ones(len(Ls), bool)
     if failing == "budget":  # one step leaves every column above tol
         monkeypatch.setattr(carpnet.steady_state, "_CHECK_EVERY", 1)
+    elif failing == "understated-residual":
+        # Newton's answer q sits 1e-9 above the point whose residual it reports:
+        # the M-matrix test at l = (1 - d)q may pass, but l is above p*, so only
+        # the check F(l) >= l sends the knockouts back to the sweep
+        newton = carpnet.steady_state._newton
+
+        def shifted(*args):
+            out, residual, count = newton(*args)
+            return out + 1e-9, residual, count
+        monkeypatch.setattr(carpnet.steady_state, "_newton", shifted)
     else:  # every knockout swept from 0 here leaves by Newton, so only
         trial = carpnet.steady_state._trial  # the new path's test has columns
 
@@ -208,7 +215,8 @@ def test_unproven_knockouts_keep_the_sweep_limit(fixture_network):
         warnings.simplefilter("ignore")
         states = solve_steady_states(params, fixture_network, Ls)
     for L, s in zip(Ls, states):
-        assert (s.iterations, s.p_hat.tolist()) == _sweep_only(fixture_network, params, L=L)
+        its = sweep_iterates(fixed_point_map, params, fixture_network, L=L)
+        assert (s.iterations, s.p_hat.tolist()) == (len(its), its[-1].tolist())
         assert not s.unique and s.error_bound == math.inf
 
 
@@ -221,8 +229,10 @@ def test_failed_test_keeps_the_column_sweeping(monkeypatch):
     # a small budget raises, rather than hangs, if a failed test starts a stalling Newton
     monkeypatch.setattr(carpnet.steady_state, "_MAX_ITER", 5_000)
     ss = solve_steady_state(params, net)
-    assert ss.unique and ss.monotone
-    assert 128 < ss.iterations < _sweep_only(net, params)[0]
+    assert ss.unique
+    its = sweep_iterates(fixed_point_map, params, net)
+    assert np.diff(its, axis=0).min() >= -1e-15
+    assert 128 < ss.iterations < len(its)
     assert _oracle_error(net, params, ss) <= ss.error_bound
 
 
@@ -231,7 +241,7 @@ def test_budget_counts_sweeps_and_newton_steps(monkeypatch):
     net = make_network(L, edges=[(0, 1), (1, 2)])
     params = ModelParams(1e-3, _beta_at_radius(net, 1e-3, 1.0, 0.999), 1.0)
     ss = solve_steady_state(params, net)
-    assert ss.iterations < _sweep_only(net, params)[0]
+    assert ss.iterations < len(sweep_iterates(fixed_point_map, params, net))
     monkeypatch.setattr(carpnet.steady_state, "_MAX_ITER", ss.iterations)
     again = solve_steady_state(params, net)
     assert (again.iterations, again.p_hat.tolist()) == (ss.iterations, ss.p_hat.tolist())
@@ -275,7 +285,8 @@ def test_pure_contagion_reports_non_unique_limits():
     assert not ss.unique
     assert ss.p_hat[0] == 0.0  # least fixed point: nothing ever starts
     assert ss.error_bound == math.inf
-    assert (ss.iterations, ss.p_hat.tolist()) == _sweep_only(net, ModelParams(0.0, 5.0, 0.5))
+    its = sweep_iterates(fixed_point_map, ModelParams(0.0, 5.0, 0.5), net)
+    assert (ss.iterations, ss.p_hat.tolist()) == (len(its), its[-1].tolist())
 
 
 def test_subcritical_pure_contagion_is_certified_exactly():
@@ -414,8 +425,10 @@ def test_newton_polished_solves_keep_their_certificate(model):
     # rho(J(0)) in [0.95, 0.999] takes the sweep past its first M-matrix test
     net, params = model
     ss = solve_steady_state(params, net)
-    assert ss.unique and ss.monotone
-    assert ss.iterations < _sweep_only(net, params)[0]
+    assert ss.unique
+    its = sweep_iterates(fixed_point_map, params, net)
+    assert np.diff(its, axis=0).min() >= -1e-15
+    assert ss.iterations < len(its)
     assert _oracle_error(net, params, ss) <= ss.error_bound
 
 

@@ -321,6 +321,13 @@ def test_network_effect_unreachable_burst_is_infinite():
     report = network_effect_comparison(net, hist, quiet, runs=20, master_seed=11)
     assert math.isinf(report.m_network)
     assert 3 in report.network_infinite_steps
+    # at L = 1e-6 the beta = 0 refit, at its alpha bound of 10, activates a
+    # risk with about 1e-5 a month, so its runs have no spread at the burst
+    net = make_network([1e-6] * 3, edges=[(0, 1), (1, 2)])
+    hist = build_history(net, month_sequence("2001-01", 8), states)
+    report = network_effect_comparison(net, hist, quiet, runs=20, master_seed=11)
+    assert report.independent_std[3] == 0 and math.isinf(report.m_independent)
+    assert 3 in report.independent_infinite_steps
 
 
 # --- integer counts -------------------------------------------------------
